@@ -30,6 +30,7 @@ import numpy as np
 
 from .dispersion import (
     ALPHA_REGIME_LIMIT,
+    KernelRules,
     ModelParams,
     check_asymptotics,
     dispersion_to_csv,
@@ -56,6 +57,7 @@ from .pekar import (
     state_to_csv,
 )
 from .polarization import (
+    DEFAULT_K_MIN,
     charge_renormalization,
     continuity_modulus,
     default_k_nodes,
@@ -345,9 +347,10 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
 
     # iterate ordering: 1 <= g0 and p <= g1 <= p*g0 on every iterate
     d_it = free_dispersion(params, grid)
+    rules = KernelRules(grid)
     worst = 0.0
     for _ in range(6):
-        d_it = scf_step(d_it)
+        d_it = scf_step(d_it, rules)
         p_nodes = grid.nodes
         worst = max(
             worst,
@@ -355,6 +358,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
             float(np.max((p_nodes - d_it.g1) / p_nodes)),
             float(np.max((d_it.g1 - p_nodes * d_it.g0) / p_nodes)),
         )
+    del rules  # solve_dispersion builds its own; do not hold two at once
     add("dispersion.iterate_ordering", worst <= 1e-12, worst, 1e-12)
 
     d = None
@@ -394,7 +398,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
     d0 = free_dispersion(zero, grid)
     d0s = scf_step(d0)
     red = max(float(np.max(np.abs(d0s.g0 - 1.0))), float(np.max(np.abs(d0s.g1 - grid.nodes))))
-    t0 = polarization_table(d0, k_nodes=grid.nodes[:1])
+    t0 = polarization_table(d0, k_nodes=np.array([DEFAULT_K_MIN]))
     red = max(red, float(np.max(np.abs(t0.b))))
     add("coupling_off.exact_reduction", red == 0.0, red, 0.0)
 
@@ -412,7 +416,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         st = None
 
     if d is not None and st is not None:
-        t1 = polarization_table(d, k_nodes=grid.nodes[:1])
+        t1 = polarization_table(d, k_nodes=np.array([DEFAULT_K_MIN]))
         br = assemble_breakdown(d, t1, st)
         total_corr = br.kinetic_corr + br.vacuum_corr + br.direct_corr
         if cfg.alpha > 0:

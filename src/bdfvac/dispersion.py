@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -81,6 +82,19 @@ class Dispersion:
     @property
     def e_tilde_samples(self) -> np.ndarray:
         return np.hypot(self.g0, self.g1)
+
+    @cached_property
+    def interpolant(self) -> PchipInterpolator:
+        """Monotone cubic interpolant of (g0, g1): evaluated at p it returns
+        an array of shape p.shape + (2,), g0 in [..., 0] and g1 in [..., 1].
+
+        Built on first use and kept: the instance is frozen and replace()
+        makes a new one, so the cache follows the profiles.  It extrapolates
+        beyond the grid; callers guard their own range.
+        """
+        return PchipInterpolator(
+            self.grid.nodes, np.column_stack([self.g0, self.g1]), extrapolate=True
+        )
 
 
 def free_dispersion(params: ModelParams, grid: RadialGrid) -> Dispersion:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .dispersion import Dispersion, ModelParams, g1_prime_zero, m_alpha, solve_dispersion
 from .numerics import InvalidParameterError, make_grid
 from .pekar import PekarState, solve_pekar
-from .polarization import PolarizationTable, b_screening, polarization_table
+from .polarization import DEFAULT_K_MIN, PolarizationTable, b_screening, polarization_table
 
 CUTOFF_CAP = 1e8
 EXCHANGE_BUDGET_FRACTION = 0.1
@@ -213,7 +213,8 @@ def regime_sweep(
             continue
         params = ModelParams(alpha=float(alpha), cutoff=cutoff)
         d = solve_dispersion(params, make_grid(cutoff, n_nodes, "geometric"))
-        t = polarization_table(d, k_nodes=d.grid.nodes[:1])  # only B0_at_zero needed
+        # only B0_at_zero is needed: a k below K_SWITCH skips the 2-d integral
+        t = polarization_table(d, k_nodes=[DEFAULT_K_MIN])
         br = assemble_breakdown(d, t, pekar_state)
         rows.append(
             (

@@ -11,6 +11,11 @@ replaces the difference Et(p)Et(q) - g(p).g(q), which would lose all
 accuracy as k -> 0.  At k = 0 the kernel has a radial closed form in the
 profile derivatives, used both as the k -> 0 value and as an independent
 cross-check of the 2-d integral.
+
+Every B(k) evaluates the profiles through the one (g0, g1) interpolant the
+Dispersion caches, and integrates each k in a single array pass over all of
+its radial panels; the per-panel sums are still added in panel order, so
+the result does not depend on the batching.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .dispersion import (
     Dispersion,
@@ -35,7 +39,6 @@ from .numerics import (
     RadialGrid,
     ShapeMismatchError,
     integrate,
-    interp,
 )
 
 # Below this k the 2-d integral cancels catastrophically; continuity of B
@@ -45,6 +48,8 @@ K_SWITCH = 1e-3
 DEFAULT_K_NODES = 128
 DEFAULT_K_MIN = 1e-4
 
+# leggauss symmetrizes its nodes, so _GL64_X == -_GL64_X[::-1] exactly, as
+# _momenta requires
 _GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
 
 
@@ -79,18 +84,30 @@ def b_lambda_zero_radial(d: Dispersion) -> float:
     return (integrate(d.grid, first) - integrate(d.grid, second)) / (3.0 * math.pi)
 
 
-def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
-    """Wedge-form integrand f(l) on arrays of |l| = u and cos(l, k) = c."""
-    g0i = PchipInterpolator(d.grid.nodes, d.g0, extrapolate=True)
-    g1i = PchipInterpolator(d.grid.nodes, d.g1, extrapolate=True)
+def _momenta(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
+    """Shared set-up of both integrands: for l at |l| = u, cos(l, k) = c,
+    the transverse component lx, the axial components pz, qz and the norms
+    pn, qn of p = l + k/2 and q = l - k/2, and the (g0, g1) profiles at pn
+    and qn.
+
+    c must be odd along its last axis (the symmetric Gauss rule in c), so
+    that q at c is p at -c with its axial sign flipped: qn and the profiles
+    at qn are then exactly those at pn reversed along that axis.
+    """
     sin = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
     lx = u * sin
     pz = u * c + 0.5 * k
     qz = u * c - 0.5 * k
     pn = np.hypot(lx, pz)
-    qn = np.hypot(lx, qz)
-    g0p, g0q = g0i(pn), g0i(qn)
-    g1p, g1q = g1i(pn), g1i(qn)
+    gp = d.interpolant(pn)
+    return lx, pz, qz, pn, pn[..., ::-1], gp, gp[..., ::-1, :]
+
+
+def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
+    """Wedge-form integrand f(l) on arrays of |l| = u and cos(l, k) = c."""
+    lx, pz, qz, pn, qn, gp, gq = _momenta(d, k, u, c)
+    g0p, g1p = gp[..., 0], gp[..., 1]
+    g0q, g1q = gq[..., 0], gq[..., 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         px_h, pz_h = np.where(pn > 0, lx / pn, 0.0), np.where(pn > 0, pz / pn, 1.0)
         qx_h, qz_h = np.where(qn > 0, lx / qn, 0.0), np.where(qn > 0, qz / qn, 1.0)
@@ -105,26 +122,19 @@ def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
     Dxz = dx * bz - dz * bx
     wedge = D0x**2 + D0z**2 + Dxz**2
     etp = np.hypot(g0p, g1p)
-    etq = np.hypot(g0q, g1q)
+    etq = etp[..., ::-1]  # the mirror image, as for qn in _momenta
     dot = g0p * g0q + ax * bx + az * bz
     return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
 
 
 def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
     """Textbook-form integrand, kept only to validate the wedge form."""
-    g0i = PchipInterpolator(d.grid.nodes, d.g0, extrapolate=True)
-    g1i = PchipInterpolator(d.grid.nodes, d.g1, extrapolate=True)
-    sin = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    lx = u * sin
-    pz = u * c + 0.5 * k
-    qz = u * c - 0.5 * k
-    pn = np.hypot(lx, pz)
-    qn = np.hypot(lx, qz)
-    g0p, g0q = g0i(pn), g0i(qn)
-    g1p, g1q = g1i(pn), g1i(qn)
+    lx, pz, qz, pn, qn, gp, gq = _momenta(d, k, u, c)
+    g0p, g1p = gp[..., 0], gp[..., 1]
+    g0q, g1q = gq[..., 0], gq[..., 1]
     cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
     etp = np.hypot(g0p, g1p)
-    etq = np.hypot(g0q, g1q)
+    etq = etp[..., ::-1]  # the mirror image, as for qn in _momenta
     dot = g0p * g0q + g1p * g1q * cosang
     return (etp * etq - dot) / (etp * etq * (etp + etq))
 
@@ -145,16 +155,22 @@ def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
         hi = min(lo * 4.0, u_max)
         panels.append((lo, hi))
         lo = hi
+    # every panel's (u, c) rule in one (panels, 64, 64) array, so that
+    # each k takes one integrand call
+    bounds = np.array(panels)
+    a, b = bounds[:, :1], bounds[:, 1:]
+    um = 0.5 * (a + b) + 0.5 * (b - a) * _GL64_X
+    uw = 0.5 * (b - a) * _GL64_W
+    with np.errstate(divide="ignore"):
+        cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)
+    C = cmax[..., None] * _GL64_X
+    Cw = cmax[..., None] * _GL64_W
+    f = integrand(d, k, um[..., None], C)
+    rows = np.sum(f * Cw, axis=-1)
+    # panel-by-panel accumulation, in panel order, keeps the sum's rounding
     total = 0.0
-    for a, b in panels:
-        um = 0.5 * (a + b) + 0.5 * (b - a) * _GL64_X
-        uw = 0.5 * (b - a) * _GL64_W
-        with np.errstate(divide="ignore"):
-            cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)
-        C = cmax[:, None] * _GL64_X[None, :]
-        Cw = cmax[:, None] * _GL64_W[None, :]
-        f = integrand(d, k, um[:, None], C)
-        total += float(np.dot(uw * um * um, np.sum(f * Cw, axis=1)))
+    for w_row, f_row in zip(uw * um * um, rows):
+        total += float(np.dot(w_row, f_row))
     # azimuthal 2 pi, both signs of c already covered by the symmetric rule
     return 2.0 * math.pi * total / (math.pi**2 * k * k)
 
@@ -307,9 +323,10 @@ def kernel_difference_bound_check(
         radii = cutoff ** rng.uniform(-1.0, 1.0, size=2)
         p_vec, q_vec = vec * radii[:, None]
         pn, qn = radii
+        if np.any((radii < 0) | (radii > cutoff)):
+            raise OutOfRangeError(f"query point outside [0, {cutoff}]")
         cosang = float(np.dot(p_vec, q_vec) / (pn * qn))
-        g0p, g0q = interp(d.grid, d.g0, pn), interp(d.grid, d.g0, qn)
-        g1p, g1q = interp(d.grid, d.g1, pn), interp(d.grid, d.g1, qn)
+        (g0p, g1p), (g0q, g1q) = d.interpolant(radii).tolist()
         ep, eq = math.hypot(g0p, g1p), math.hypot(g0q, g1q)
         dot = g0p * g0q + g1p * g1q * cosang
         lhs = (ep * eq - dot) / (ep * eq * (ep + eq))

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import bdfvac.cli
+import bdfvac.dispersion
 from bdfvac.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -182,3 +184,18 @@ class TestVerify:
         checks, ok = run_verification(cfg)
         assert ok
         assert any(c.name == "energy.correction_identity" for c in checks)
+
+    def test_kernel_rules_built_once_for_the_iterate_check(self, monkeypatch):
+        builds = []
+        real = bdfvac.dispersion.KernelRules
+
+        def counting(grid):
+            builds.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(bdfvac.dispersion, "KernelRules", counting)
+        monkeypatch.setattr(bdfvac.cli, "KernelRules", counting)
+        cfg = RunConfig(cutoff=100.0, disp_n_nodes=128, pol_k_nodes=12, pekar_n_nodes=512)
+        run_verification(cfg)
+        # one for the six iterate-ordering steps, one inside solve_dispersion
+        assert len(builds) == 2

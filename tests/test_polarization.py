@@ -1,13 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
+import bdfvac.dispersion
+import bdfvac.polarization
 from bdfvac.dispersion import ModelParams, free_dispersion, solve_dispersion
+from bdfvac.energy import regime_sweep
 from bdfvac.numerics import InvalidParameterError, ShapeMismatchError, make_grid
+from bdfvac.pekar import solve_pekar
 from bdfvac.polarization import (
+    _GL64_W,
+    _GL64_X,
     K_SWITCH,
     b_lambda_k,
     b_lambda_k_raw,
@@ -26,6 +34,76 @@ from bdfvac.polarization import (
 
 ALPHA = 0.01
 CUTOFF = 1e4
+
+
+def _reference_profiles(d, k, u, c):
+    sin = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    lx = u * sin
+    pz = u * c + 0.5 * k
+    qz = u * c - 0.5 * k
+    pn = np.hypot(lx, pz)
+    qn = np.hypot(lx, qz)
+    g0i = PchipInterpolator(d.grid.nodes, d.g0, extrapolate=True)
+    g1i = PchipInterpolator(d.grid.nodes, d.g1, extrapolate=True)
+    return lx, pz, qz, pn, qn, g0i(pn), g0i(qn), g1i(pn), g1i(qn)
+
+
+def reference_wedge_integrand(d, k, u, c):
+    """Wedge integrand with both sides evaluated directly, no mirroring."""
+    lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, u, c)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        px_h, pz_h = np.where(pn > 0, lx / pn, 0.0), np.where(pn > 0, pz / pn, 1.0)
+        qx_h, qz_h = np.where(qn > 0, lx / qn, 0.0), np.where(qn > 0, qz / qn, 1.0)
+    ax, az = g1p * px_h, g1p * pz_h
+    bx, bz = g1q * qx_h, g1q * qz_h
+    d0 = g0p - g0q
+    dx = ax - bx
+    dz = az - bz
+    D0x = d0 * bx - g0q * dx
+    D0z = d0 * bz - g0q * dz
+    Dxz = dx * bz - dz * bx
+    wedge = D0x**2 + D0z**2 + Dxz**2
+    etp = np.hypot(g0p, g1p)
+    etq = np.hypot(g0q, g1q)
+    dot = g0p * g0q + ax * bx + az * bz
+    return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
+
+
+def reference_raw_integrand(d, k, u, c):
+    """Raw integrand with both sides evaluated directly, no mirroring."""
+    lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, u, c)
+    cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
+    etp = np.hypot(g0p, g1p)
+    etq = np.hypot(g0q, g1q)
+    dot = g0p * g0q + g1p * g1q * cosang
+    return (etp * etq - dot) / (etp * etq * (etp + etq))
+
+
+def per_panel_b_lambda_k(d, k, integrand):
+    """Reference B(k): one integrand call per radial panel, panel sums
+    added in panel order."""
+    cut = d.grid.cutoff
+    u_hi = cut * cut - 0.25 * k * k
+    if u_hi <= 0:
+        return 0.0
+    u_max = math.sqrt(u_hi)
+    panels = [(0.0, min(1.0, u_max))]
+    lo = min(1.0, u_max)
+    while lo < u_max:
+        hi = min(lo * 4.0, u_max)
+        panels.append((lo, hi))
+        lo = hi
+    total = 0.0
+    for a, b in panels:
+        um = 0.5 * (a + b) + 0.5 * (b - a) * _GL64_X
+        uw = 0.5 * (b - a) * _GL64_W
+        with np.errstate(divide="ignore"):
+            cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)
+        C = cmax[:, None] * _GL64_X[None, :]
+        Cw = cmax[:, None] * _GL64_W[None, :]
+        f = integrand(d, k, um[:, None], C)
+        total += float(np.dot(uw * um * um, np.sum(f * Cw, axis=1)))
+    return 2.0 * math.pi * total / (math.pi**2 * k * k)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +158,41 @@ class TestCrossMethodConsistency:
 
     def test_vanishes_at_support_edge(self, dressed):
         assert b_lambda_k(dressed, 2.0 * CUTOFF) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize(
+        "k", [K_SWITCH, 0.3, 1.0, CUTOFF, 2.0 * CUTOFF * (1.0 - 1e-9), 2.0 * CUTOFF]
+    )
+    @pytest.mark.parametrize(
+        "b_k, integrand",
+        [(b_lambda_k, reference_wedge_integrand), (b_lambda_k_raw, reference_raw_integrand)],
+        ids=["wedge", "raw"],
+    )
+    def test_bitwise_equal_to_per_panel_reference(self, dressed, b_k, integrand, k):
+        assert b_k(dressed, k) == per_panel_b_lambda_k(dressed, k, integrand)
+
+    def test_table_builds_one_interpolant(self, dressed, monkeypatch):
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return PchipInterpolator(*args, **kwargs)
+
+        monkeypatch.setattr(bdfvac.dispersion, "PchipInterpolator", counting)
+        fresh = replace(dressed)  # a new instance starts with no cached interpolant
+        t = polarization_table(fresh, default_k_nodes(CUTOFF, 16))
+        assert np.count_nonzero(t.k_nodes >= K_SWITCH) > 1
+        assert len(builds) == 1
+
+    def test_regime_sweep_skips_the_2d_integral(self, monkeypatch):
+        def refuse(d, k):
+            raise AssertionError(f"B({k}) evaluated but only B(0) is used")
+
+        monkeypatch.setattr(bdfvac.polarization, "b_lambda_k", refuse)
+        # cutoff e^10: the grid's first node lies above K_SWITCH
+        sweep = regime_sweep([0.01], 0.1, solve_pekar(), n_nodes=128)
+        assert len(sweep.rows) == 1
 
 
 class TestScreening:
