@@ -7,9 +7,14 @@ The dressed symbol is determined by two radial profiles g0, g1 satisfying
 
 with Et = sqrt(g0^2 + g1^2).  After the angular integrals the 3-d
 convolutions reduce to 1-d kernels with an integrable log singularity at
-s = p; those are handled by the graded rules in numerics.  The net
-prefactor is a/(4 pi^2) times the 2 pi from the azimuthal integration,
-i.e. a/(2 pi) -- applied exactly once, in scf_step.
+s = p; those are handled by the graded rules in numerics.  The integrands
+g/Et between nodes come from the monotone cubic (PCHIP) interpolant of
+their node samples, whose value at a fixed point is linear in the node
+samples and the PCHIP node slopes.  KernelRules folds that interpolation
+into the quadrature weights once per grid, so an iteration is one slope
+pass and one sparse mat-vec per profile.  The net prefactor is a/(4 pi^2)
+times the 2 pi from the azimuthal integration, i.e. a/(2 pi) -- applied
+exactly once, in scf_step.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.sparse import csr_array
 
 from .numerics import (
     FixedPointReport,
@@ -148,43 +154,124 @@ def _k1_bracket_series(t):
     return acc
 
 
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of PchipInterpolator(x, y) for 1-d y on n >= 3 nodes.
+
+    The same operations as scipy's PchipInterpolator._find_derivatives and
+    _edge_case (Fritsch-Butland weighted harmonic mean inside, Moler's
+    one-sided three-point end slopes), so the result agrees to the bit.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    dk = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        dk[1:-1][~flat] = 1.0 / whmean[~flat]
+    dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return dk
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+# grid nodes whose rules are built and folded in one array pass
+_RULE_BLOCK = 64
+
+
 class KernelRules:
-    """Precomputed singular quadrature for every grid node.
+    """The singular quadrature of every grid node, folded with the PCHIP.
 
     The rules depend on the grid only, so one instance serves the whole
-    self-consistent iteration.  For node p_i, S[i] holds the quadrature
-    abscissae; WK0[i] carries the full K0 weight s*ln((p+s)/|p-s|) and
-    WK1[i] the full K1 weight s*bracket(p,s), both times the plain Gauss
-    weight.  Everything singular or cancellation-prone is evaluated in the
-    distance u = |s - p|, never by subtracting nearly equal integrals.
+    self-consistent iteration.  Node p carries the dyadic rule of
+    numerics._distance_panels on each side of s = p, with the full K0
+    weight s*ln((p+s)/|p-s|) and the full K1 weight s*bracket(p,s) times
+    the plain Gauss weight.  Everything singular or cancellation-prone is
+    evaluated in the distance u = |s - p|, never by subtracting nearly
+    equal integrals.
+
+    The integrand at an abscissa s is the cubic Hermite form on the PCHIP
+    interval of s (the first or last one outside the nodes, where it
+    extrapolates), linear in the two end samples and the two end slopes.
+    Summing weight times Hermite basis per column gives A0 and A1, sparse
+    (n, 2n) operators with (A0 @ [f, slopes(f)])[i] the K0 integral of
+    the interpolant of f at node i, and A1 likewise for K1.
     """
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
-        S_rows, K0_rows, K1_rows = [], [], []
-        for p in grid.nodes:
+        x = grid.nodes
+        n = x.size
+        width = 2 * n
+        values0, values1, columns, counts = [], [], [], []
+        for lo in range(0, n, _RULE_BLOCK):
+            p = x[lo : lo + _RULE_BLOCK, None]
             u_l, w_l = _distance_panels(p)
             u_r, w_r = _distance_panels(grid.cutoff - p)
-            s = np.concatenate([p - u_l, p + u_r])
-            u = np.concatenate([u_l, u_r])
-            w = np.concatenate([w_l, w_r])
+            s = np.concatenate([p - u_l, p + u_r], axis=1)
+            u = np.concatenate([u_l, u_r], axis=1)
+            w = np.concatenate([w_l, w_r], axis=1)
             logf = np.log((p + s) / u)
             t = np.minimum(p, s) / np.maximum(p, s)
             sym = (p * p + s * s) / (2.0 * p * s)
-            brack = np.where(t <= 0.5, _k1_bracket_series(np.minimum(t, 0.5)), sym * logf - 1.0)
-            S_rows.append(s)
-            K0_rows.append(w * s * logf)
-            K1_rows.append(w * s * brack)
-        self.S = np.vstack(S_rows)
-        self.WK0 = np.vstack(K0_rows)
-        self.WK1 = np.vstack(K1_rows)
+            brack = sym * logf - 1.0
+            near = t <= 0.5
+            brack[near] = _k1_bracket_series(t[near])
+
+            # interval of each abscissa, clipped so the end cubics extrapolate
+            k = np.clip(np.searchsorted(x, s, side="right") - 1, 0, n - 2)
+            h = x[k + 1] - x[k]
+            tau = (s - x[k]) / h
+            rest = 1.0 - tau
+            basis = np.stack(
+                [
+                    (1.0 + 2.0 * tau) * rest * rest,
+                    tau * tau * (3.0 - 2.0 * tau),
+                    h * tau * rest * rest,
+                    -h * tau * tau * rest,
+                ],
+                axis=-1,
+            )
+            # sum weight x basis into a dense block of rows; A0 and A1 share
+            # the pattern of touched columns, taken from a boolean mask
+            # because flatnonzero scans it several times faster than floats
+            rows = p.shape[0]
+            cols = np.stack([k, k + 1, n + k, n + k + 1], axis=-1)
+            pos = (np.arange(rows)[:, None, None] * width + cols).ravel()
+            touched = np.zeros(rows * width, dtype=bool)
+            touched[pos] = True
+            nz = np.flatnonzero(touched)
+            for values, wk in ((values0, w * s * logf), (values1, w * s * brack)):
+                dense = np.bincount(pos, (wk[..., None] * basis).ravel(), rows * width)
+                values.append(dense[nz])
+            columns.append(nz % width)
+            counts.append(np.bincount(nz // width, minlength=rows))
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+        indptr = indptr.astype(index)
+        indices = np.concatenate(columns).astype(index)
+        self.A0 = csr_array((np.concatenate(values0), indices, indptr), shape=(n, width))
+        self.A1 = csr_array((np.concatenate(values1), indices, indptr), shape=(n, width))
 
 
 def scf_step(d: Dispersion, rules: KernelRules | None = None) -> Dispersion:
     """One application of the self-consistency map to (g0, g1).
 
-    Both integrands are nonnegative, so the output automatically satisfies
-    g0 >= 1 and g1(p) >= p.
+    Each integral is the folded operator of KernelRules applied to the node
+    samples of g/Et and their PCHIP slopes.  Both exact integrands are
+    nonnegative, so the exact map gives g0 >= 1 and p <= g1 <= p g0; the
+    folded rows carry signed Hermite weights, so in floating point these
+    bounds hold to rounding, which the tests check up to strong coupling.
     """
     alpha = d.params.alpha
     if alpha == 0.0:
@@ -195,10 +282,8 @@ def scf_step(d: Dispersion, rules: KernelRules | None = None) -> Dispersion:
     et = d.e_tilde_samples
     f0 = d.g0 / et
     f1 = d.g1 / et
-    F0 = PchipInterpolator(p, f0, extrapolate=True)(rules.S)
-    F1 = PchipInterpolator(p, f1, extrapolate=True)(rules.S)
-    i0 = np.einsum("ij,ij->i", F0, rules.WK0)
-    i1 = np.einsum("ij,ij->i", F1, rules.WK1)
+    i0 = rules.A0 @ np.concatenate([f0, _pchip_slopes(p, f0)])
+    i1 = rules.A1 @ np.concatenate([f1, _pchip_slopes(p, f1)])
     # net prefactor alpha/(4 pi^2) * 2 pi / p, applied exactly once
     pref = alpha / (2.0 * math.pi) / p
     g0_new = 1.0 + pref * i0
@@ -275,13 +360,6 @@ def _require_fine_origin(d: Dispersion):
         )
 
 
-def g1_prime(d: Dispersion, p) -> float | np.ndarray:
-    """d g1 / dp by centered finite differences on the grid."""
-    _require_fine_origin(d)
-    deriv = np.gradient(d.g1, d.grid.nodes)
-    return interp(d.grid, deriv, p)
-
-
 def g1_prime_zero(d: Dispersion) -> float:
     """Slope of g1 at the origin via a one-sided second-order stencil over
     the three smallest nodes (g1 extends continuously with g1(0) = 0)."""
@@ -290,14 +368,6 @@ def g1_prime_zero(d: Dispersion) -> float:
     y = d.g1[:3]
     # derivative at 0 of the quadratic through the three points
     c = np.polyfit(x, y, 2)
-    return float(c[1])
-
-
-def g0_prime_zero(d: Dispersion) -> float:
-    """Slope of g0 at the origin via the same one-sided stencil as
-    g1_prime_zero; vanishes for the smooth radial profile."""
-    _require_fine_origin(d)
-    c = np.polyfit(d.grid.nodes[:3], d.g0[:3], 2)
     return float(c[1])
 
 

@@ -146,16 +146,20 @@ def dyadic_gauss_panels(a: float, b: float, singular_at: str, levels: int = 52):
     return pts, wts
 
 
-def _distance_panels(d: float, levels: int = 52):
+def _distance_panels(d, levels: int = 52):
     """Dyadic Gauss points/weights in the distance u from the singular
-    endpoint, covering (d*2**-levels, d]."""
+    endpoint, covering (d*2**-levels, d].
+
+    d may be a scalar or an array of shape (..., 1); the points of each
+    distance then lie along the last axis."""
     j = np.arange(levels)
     lo = d * 0.5 ** (j + 1)
     hi = d * 0.5**j
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    u = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    w = (half[:, None] * _GL_W[None, :]).ravel()
+    shape = (*lo.shape[:-1], -1)
+    u = (mid[..., None] + half[..., None] * _GL_X).reshape(shape)
+    w = (half[..., None] * _GL_W).reshape(shape)
     return u, w
 
 

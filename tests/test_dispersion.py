@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
+import bdfvac.dispersion
 from bdfvac.dispersion import (
     ALPHA_REGIME_LIMIT,
     Dispersion,
+    KernelRules,
     ModelParams,
+    _k1_bracket_series,
+    _pchip_slopes,
     angular_kernel_K0,
     angular_kernel_K1,
     check_asymptotics,
@@ -19,7 +24,7 @@ from bdfvac.dispersion import (
     scf_step,
     solve_dispersion,
 )
-from bdfvac.numerics import InvalidParameterError, make_grid
+from bdfvac.numerics import InvalidParameterError, _distance_panels, make_grid
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -116,6 +121,141 @@ class TestScfStep:
             assert np.all(d.g0 >= 1.0)
             assert np.all(d.g1 >= g.nodes * (1.0 - 1e-14))
             assert np.all(d.g1 <= g.nodes * d.g0 * (1.0 + 1e-12))
+
+
+class _ReferenceRules:
+    """The singular rules node by node, unfolded: abscissae S and the K0/K1
+    weights WK0/WK1 per row, as the quadrature was built before the PCHIP
+    was folded into it."""
+
+    def __init__(self, grid):
+        S_rows, K0_rows, K1_rows = [], [], []
+        for p in grid.nodes:
+            u_l, w_l = _distance_panels(p)
+            u_r, w_r = _distance_panels(grid.cutoff - p)
+            s = np.concatenate([p - u_l, p + u_r])
+            u = np.concatenate([u_l, u_r])
+            w = np.concatenate([w_l, w_r])
+            logf = np.log((p + s) / u)
+            t = np.minimum(p, s) / np.maximum(p, s)
+            sym = (p * p + s * s) / (2.0 * p * s)
+            brack = np.where(t <= 0.5, _k1_bracket_series(np.minimum(t, 0.5)), sym * logf - 1.0)
+            S_rows.append(s)
+            K0_rows.append(w * s * logf)
+            K1_rows.append(w * s * brack)
+        self.S = np.vstack(S_rows)
+        self.WK0 = np.vstack(K0_rows)
+        self.WK1 = np.vstack(K1_rows)
+
+
+def _reference_step(d, rules):
+    """scf_step with scipy's PCHIP evaluated at every abscissa."""
+    p = d.grid.nodes
+    et = d.e_tilde_samples
+    F0 = PchipInterpolator(p, d.g0 / et, extrapolate=True)(rules.S)
+    F1 = PchipInterpolator(p, d.g1 / et, extrapolate=True)(rules.S)
+    i0 = np.einsum("ij,ij->i", F0, rules.WK0)
+    i1 = np.einsum("ij,ij->i", F1, rules.WK1)
+    pref = d.params.alpha / (2.0 * math.pi) / p
+    return 1.0 + pref * i0, p + pref * i1
+
+
+STRONG_ALPHA = 1.2
+
+
+class TestFoldedQuadrature:
+    @pytest.fixture(
+        scope="class",
+        params=[(128, 1e4), (128, 1.7e7), (512, 1e4), (512, 1.7e7)],
+        ids=lambda q: f"n{q[0]}-cutoff{q[1]:g}",
+    )
+    def grid_and_rules(self, request):
+        n, cutoff = request.param
+        grid = make_grid(cutoff, n, "geometric")
+        return grid, _ReferenceRules(grid), KernelRules(grid)
+
+    @pytest.mark.parametrize("profile", ["free", "dressed"])
+    def test_step_matches_pchip_at_every_abscissa(self, grid_and_rules, profile):
+        grid, ref_rules, rules = grid_and_rules
+        # both extrapolated end intervals are in use
+        assert ref_rules.S.min() < grid.nodes[0] and ref_rules.S.max() > grid.nodes[-1]
+        params = ModelParams(STRONG_ALPHA, grid.cutoff)
+        if profile == "free":
+            d = free_dispersion(params, grid)
+        else:
+            d = solve_dispersion(params, grid)
+        g0_ref, g1_ref = _reference_step(d, ref_rules)
+        out = scf_step(d, rules)
+        assert np.max(np.abs(out.g0 - g0_ref) / np.abs(g0_ref)) <= 1e-14
+        assert np.max(np.abs(out.g1 - g1_ref) / np.abs(g1_ref)) <= 1e-14
+
+    def test_solve_builds_no_interpolant(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the SCF loop built a PchipInterpolator")
+
+        monkeypatch.setattr(bdfvac.dispersion, "PchipInterpolator", refuse)
+        d = solve_dispersion(ModelParams(ALPHA, CUTOFF))
+        assert d.report.converged
+
+
+def _branch_data():
+    """Nonuniform nodes and samples reaching every branch of the PCHIP
+    slopes: a sign change, a flat segment, the left end slope set to 0 and
+    the right one set to 3 m0."""
+    x = np.array([0.0, 1.0, 2.0, 3.5, 4.0, 5.5, 6.0, 7.0, 8.0])
+    y = np.array([0.0, 1.0, 6.0, 6.0, 2.0, 3.0, 9.0, 4.0, 5.0])
+    return x, y
+
+
+class TestPchipSlopes:
+    def test_branch_data_reaches_every_branch(self):
+        x, y = _branch_data()
+        m = np.diff(y) / np.diff(x)
+        dk = _pchip_slopes(x, y)
+        assert np.any(m == 0.0)
+        assert np.any(np.sign(m[1:]) * np.sign(m[:-1]) < 0)
+        assert dk[0] == 0.0
+        assert dk[-1] == 3.0 * m[-1]
+
+    @pytest.mark.parametrize("case", ["branches", "geometric", "random"])
+    def test_equal_to_scipy(self, case):
+        if case == "branches":
+            x, y = _branch_data()
+        elif case == "geometric":
+            grid = make_grid(CUTOFF, 512, "geometric")
+            x = grid.nodes
+            y = 1.0 / np.hypot(1.0 + 0.01 * np.log1p(x), x)
+        else:
+            rng = np.random.default_rng(7)
+            x = np.cumsum(rng.uniform(0.1, 2.0, 200))
+            y = rng.normal(size=200)
+        dk = _pchip_slopes(x, y)
+        pchip = PchipInterpolator(x, y)
+        assert np.array_equal(dk[:-1], pchip.c[2])
+        last = float(pchip.derivative()(x[-1]))
+        assert abs(dk[-1] - last) <= 1e-12 * max(1.0, abs(last))
+
+
+class TestStrongCoupling:
+    @pytest.mark.parametrize("alpha,iterations", [(0.01, 5), (0.3, 14), (1.2, 33)])
+    def test_iterates_keep_ordering(self, monkeypatch, alpha, iterations):
+        grid = make_grid(CUTOFF, 512, "geometric")
+        p = grid.nodes
+        real = bdfvac.dispersion.scf_step
+        steps = []
+
+        def checked(d, rules=None):
+            out = real(d, rules)
+            assert np.all(out.g0 >= 1.0)
+            assert np.all(out.g1 >= p * (1.0 - 1e-14))
+            assert np.all(out.g1 <= p * out.g0 * (1.0 + 1e-12))
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(bdfvac.dispersion, "scf_step", checked)
+        d = solve_dispersion(ModelParams(alpha, CUTOFF), grid)
+        assert d.report.iterations == iterations
+        assert len(steps) == iterations
 
 
 class TestSolveDispersion:
