@@ -1,7 +1,7 @@
 """Numerical laboratory for the dressed Dirac vacuum.
 
 Modules:
-    numerics     — radial grids, log-singular quadrature, fixed-point driver
+    numerics     — radial grids, quadrature, fixed-point driver, artifact writers
     dispersion   — self-consistent dressed dispersion profiles g0, g1
     polarization — vacuum polarization B(k), screening b(k), renormalization
     pekar        — Choquard-Pekar variational minimizer
@@ -25,9 +25,7 @@ from .energy import (
     SweepTable,
     assemble_breakdown,
     c0_squared,
-    predicted_ground_energy,
     regime_sweep,
-    scaling_lambda,
 )
 from .numerics import (
     FixedPointError,
@@ -38,7 +36,6 @@ from .numerics import (
     ShapeMismatchError,
     fixed_point_solve,
     integrate,
-    interp,
     make_grid,
 )
 from .pekar import (
@@ -47,7 +44,6 @@ from .pekar import (
     PekarState,
     el_residual,
     gaussian_state,
-    gaussian_trial_energy,
     solve_pekar,
 )
 from .polarization import (

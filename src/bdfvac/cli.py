@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,22 +39,9 @@ from .dispersion import (
     scf_step,
     solve_dispersion,
 )
-from .energy import (
-    assemble_breakdown,
-    breakdown_to_json,
-    c0_squared,
-    regime_sweep,
-    sweep_to_csv,
-    sweep_to_json,
-)
-from .numerics import FixedPointError, InvalidParameterError, make_grid
-from .pekar import (
-    GAUSSIAN_BOUND,
-    PekarConvergenceError,
-    el_residual,
-    solve_pekar,
-    state_to_csv,
-)
+from .energy import assemble_breakdown, c0_squared, regime_sweep, sweep_to_csv, sweep_to_json
+from .numerics import FixedPointError, InvalidParameterError, make_grid, write_json
+from .pekar import GAUSSIAN_BOUND, PekarConvergenceError, el_residual, solve_pekar, state_to_csv
 from .polarization import (
     DEFAULT_K_MIN,
     charge_renormalization,
@@ -77,75 +63,78 @@ class ConfigError(ValueError):
     """The configuration is malformed or inconsistent."""
 
 
+def _knob(default, **bound):
+    """A config value with its lower bound, min=x (value >= x) or above=x
+    (value > x); a tuple value is bounded element by element."""
+    return field(default=default, metadata=bound)
+
+
+@dataclass
+class ModelConfig:
+    alpha: float = _knob(0.01, min=0.0)
+    cutoff: float = _knob(1e4, above=1.0)
+    L: float | None = None  # given instead of cutoff, which is then exp(L / alpha)
+
+
+@dataclass
+class DispersionConfig:
+    n_nodes: int = _knob(512, min=8)
+    tol: float = _knob(1e-9, above=0.0)
+    max_iter: int = _knob(200, min=1)
+    damping: float = 1.0
+
+
+@dataclass
+class PolarizationConfig:
+    k_nodes: int = _knob(128, min=8)
+    k_min: float = _knob(1e-4, above=0.0)
+
+
+@dataclass
+class PekarConfig:
+    r_max: float = _knob(40.0, min=40.0)
+    n_nodes: int = _knob(1024, min=8)
+    dt: float = _knob(0.5, above=0.0)
+    tol: float = _knob(1e-6, above=0.0)
+    max_iter: int = _knob(50_000, min=1)
+
+
+@dataclass
+class SweepConfig:
+    alphas: tuple = _knob((0.02, 0.01, 0.005), above=0.0)
+    L: float = _knob(0.05, above=0.0)
+    n_nodes: int = _knob(512, min=8)
+
+
+@dataclass
+class OutputConfig:
+    seed: int = _knob(0, min=0)
+
+
 @dataclass
 class RunConfig:
-    """All knobs of a run, with working defaults for every field."""
+    """All knobs of a run, one dataclass per INI section, whose field names
+    are the keys; every field has a working default."""
 
-    alpha: float = 0.01
-    cutoff: float = 1e4
-    disp_n_nodes: int = 512
-    disp_tol: float = 1e-9
-    disp_max_iter: int = 200
-    disp_damping: float = 1.0
-    pol_k_nodes: int = 128
-    pol_k_min: float = 1e-4
-    pekar_r_max: float = 40.0
-    pekar_n_nodes: int = 1024
-    pekar_dt: float = 0.5
-    pekar_tol: float = 1e-6
-    pekar_max_iter: int = 50_000
-    sweep_alphas: tuple = (0.02, 0.01, 0.005)
-    sweep_L: float = 0.05
-    sweep_n_nodes: int = 512
-    seed: int = 0
+    model: ModelConfig = field(default_factory=ModelConfig)
+    dispersion: DispersionConfig = field(default_factory=DispersionConfig)
+    polarization: PolarizationConfig = field(default_factory=PolarizationConfig)
+    pekar: PekarConfig = field(default_factory=PekarConfig)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
 
     def params(self) -> ModelParams:
-        return ModelParams(alpha=self.alpha, cutoff=self.cutoff)
+        return ModelParams(alpha=self.model.alpha, cutoff=self.model.cutoff)
 
 
-_SCHEMA = {
-    ("model", "alpha"): ("alpha", float),
-    ("model", "cutoff"): ("cutoff", float),
-    ("dispersion", "n_nodes"): ("disp_n_nodes", int),
-    ("dispersion", "tol"): ("disp_tol", float),
-    ("dispersion", "max_iter"): ("disp_max_iter", int),
-    ("dispersion", "damping"): ("disp_damping", float),
-    ("polarization", "k_nodes"): ("pol_k_nodes", int),
-    ("polarization", "k_min"): ("pol_k_min", float),
-    ("pekar", "r_max"): ("pekar_r_max", float),
-    ("pekar", "n_nodes"): ("pekar_n_nodes", int),
-    ("pekar", "dt"): ("pekar_dt", float),
-    ("pekar", "tol"): ("pekar_tol", float),
-    ("pekar", "max_iter"): ("pekar_max_iter", int),
-    ("sweep", "alphas"): ("sweep_alphas", "alphas"),
-    ("sweep", "L"): ("sweep_L", float),
-    ("sweep", "n_nodes"): ("sweep_n_nodes", int),
-    ("output", "seed"): ("seed", int),
-}
-
-
-def _apply_item(cfg: RunConfig, section: str, key: str, value: str, seen_model: set):
-    if section == "model" and key == "L":
-        seen_model.add("L")
-        cfg.cutoff = None  # resolved after alpha is known
-        cfg._L = float(value)  # type: ignore[attr-defined]
-        return
-    try:
-        attr, conv = _SCHEMA[(section, key)]
-    except KeyError:
-        raise ConfigError(f"unknown configuration key [{section}] {key}") from None
-    if section == "model" and key == "cutoff":
-        seen_model.add("cutoff")
-    if conv == "alphas":
-        parsed = tuple(float(tok) for tok in value.replace(",", " ").split())
-        if not parsed:
-            raise ConfigError("sweep alphas list is empty")
-        setattr(cfg, attr, parsed)
-    else:
-        try:
-            setattr(cfg, attr, conv(value))
-        except ValueError:
-            raise ConfigError(f"bad value for [{section}] {key}: {value!r}") from None
+def _parse(spec, text: str):
+    """Convert INI text to the type the field is declared with."""
+    if spec.type != "tuple":
+        return int(text) if spec.type == "int" else float(text)
+    values = tuple(float(tok) for tok in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def load_config(path: str | None, overrides: list[str]) -> RunConfig:
@@ -155,7 +144,6 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     derived.  With neither, the default cutoff applies.
     """
     cfg = RunConfig()
-    seen_model: set = set()
     items: list[tuple[str, str, str]] = []
     if path is not None:
         p = Path(path)
@@ -176,74 +164,74 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
         loc, value = ov.split("=", 1)
         section, key = loc.split(".", 1)
         items.append((section.strip(), key.strip(), value.strip()))
+    specs = {(s.name, f.name): f for s in fields(cfg) for f in fields(getattr(cfg, s.name))}
+    given = set()
     for section, key, value in items:
-        _apply_item(cfg, section, key, value, seen_model)
-    if "L" in seen_model and "cutoff" in seen_model:
+        spec = specs.get((section, key))
+        if spec is None:
+            raise ConfigError(f"unknown configuration key [{section}] {key}")
+        try:
+            setattr(getattr(cfg, section), key, _parse(spec, value))
+        except ValueError:
+            raise ConfigError(f"bad value for [{section}] {key}: {value!r}") from None
+        given.add((section, key))
+    model = cfg.model
+    if {("model", "L"), ("model", "cutoff")} <= given:
         raise ConfigError("supply exactly one of [model] cutoff or [model] L")
-    if "L" in seen_model:
-        if cfg.alpha <= 0:
-            raise ConfigError("deriving cutoff from L needs alpha > 0")
-        cfg.cutoff = math.exp(cfg._L / cfg.alpha)  # type: ignore[attr-defined]
+    if model.L is not None:
+        try:
+            model.cutoff = ModelParams.from_L(model.alpha, model.L).cutoff
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc)) from None
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.alpha < 0:
-        raise ConfigError("alpha must be >= 0")
-    if cfg.cutoff is None or cfg.cutoff <= 1:
-        raise ConfigError("cutoff must exceed 1")
-    for name in ("disp_tol", "pekar_tol", "pol_k_min", "pekar_dt", "sweep_L"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    for name in ("disp_n_nodes", "pol_k_nodes", "pekar_n_nodes", "sweep_n_nodes"):
-        if getattr(cfg, name) < 8:
-            raise ConfigError(f"{name} must be at least 8")
-
-
-def config_to_ini(cfg: RunConfig) -> str:
-    """Serialize back to INI text; load_config(parse of this) == cfg."""
-    lines = []
-    by_section: dict[str, list[str]] = {}
-    for (section, key), (attr, conv) in _SCHEMA.items():
-        value = getattr(cfg, attr)
-        if conv == "alphas":
-            text = ", ".join(repr(a) for a in value)
-        else:
-            text = repr(value)
-        by_section.setdefault(section, []).append(f"{key} = {text}")
-    for section, entries in by_section.items():
-        lines.append(f"[{section}]")
-        lines.extend(entries)
-        lines.append("")
-    return "\n".join(lines)
+    """Every number finite and within the lower bound of its field."""
+    for section in fields(cfg):
+        part = getattr(cfg, section.name)
+        for spec in fields(part):
+            value = getattr(part, spec.name)
+            if value is None:  # model.L when the cutoff is given
+                continue
+            name = f"{section.name}.{spec.name}"
+            for v in value if isinstance(value, tuple) else (value,):
+                if not math.isfinite(v):
+                    raise ConfigError(f"{name} must be finite, got {v}")
+                if "min" in spec.metadata and v < spec.metadata["min"]:
+                    raise ConfigError(f"{name} must be at least {spec.metadata['min']:g}")
+                if "above" in spec.metadata and v <= spec.metadata["above"]:
+                    raise ConfigError(f"{name} must exceed {spec.metadata['above']:g}")
 
 
 # ---------------------------------------------------------------- stages
 
 
 def _solve_dispersion(cfg: RunConfig):
-    grid = make_grid(cfg.cutoff, cfg.disp_n_nodes, "geometric")
-    return solve_dispersion(
-        cfg.params(), grid, tol=cfg.disp_tol, max_iter=cfg.disp_max_iter,
-        damping=cfg.disp_damping,
-    )
+    c = cfg.dispersion
+    grid = make_grid(cfg.model.cutoff, c.n_nodes, "geometric")
+    return solve_dispersion(cfg.params(), grid, tol=c.tol, max_iter=c.max_iter, damping=c.damping)
+
+
+def _solve_pekar(cfg: RunConfig):
+    c = cfg.pekar
+    grid = make_grid(c.r_max, c.n_nodes, "uniform")
+    return solve_pekar(grid, tol=c.tol, max_iter=c.max_iter, dt=c.dt)
 
 
 def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
     try:
         d = _solve_dispersion(cfg)
     except FixedPointError as exc:
-        (out / "asymptotics.json").write_text(
-            json.dumps({"converged": False, "report": exc.report.to_dict()}, indent=2) + "\n"
-        )
+        write_json(out / "asymptotics.json", {"converged": False, "report": asdict(exc.report)})
         print(f"dispersion: no convergence ({exc})", file=sys.stderr)
         return EXIT_FAIL
     dispersion_to_csv(d, out / "dispersion.csv")
     payload = {"converged": True, "regime_warning": cfg.params().regime_warning}
-    if cfg.alpha > 0:
+    if cfg.model.alpha > 0:
         payload.update(check_asymptotics(d).to_dict())
-    (out / "asymptotics.json").write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(out / "asymptotics.json", payload)
     return EXIT_OK
 
 
@@ -253,18 +241,15 @@ def cmd_polarization(cfg: RunConfig, out: Path) -> int:
     except FixedPointError as exc:
         print(f"polarization: dispersion stage failed ({exc})", file=sys.stderr)
         return EXIT_FAIL
-    k_nodes = default_k_nodes(cfg.cutoff, cfg.pol_k_nodes, cfg.pol_k_min)
-    table = polarization_table(d, k_nodes)
+    c = cfg.polarization
+    table = polarization_table(d, default_k_nodes(cfg.model.cutoff, c.k_nodes, c.k_min))
     table_to_csv(table, out / "polarization.csv", out / "polarization.json")
     return EXIT_OK
 
 
 def cmd_pekar(cfg: RunConfig, out: Path) -> int:
-    grid = make_grid(cfg.pekar_r_max, cfg.pekar_n_nodes, "uniform")
     try:
-        state = solve_pekar(
-            grid, tol=cfg.pekar_tol, max_iter=cfg.pekar_max_iter, dt=cfg.pekar_dt
-        )
+        state = _solve_pekar(cfg)
     except PekarConvergenceError as exc:
         print(f"pekar: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -275,37 +260,32 @@ def cmd_pekar(cfg: RunConfig, out: Path) -> int:
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
     try:
         d = _solve_dispersion(cfg)
-        grid = make_grid(cfg.pekar_r_max, cfg.pekar_n_nodes, "uniform")
-        p = solve_pekar(grid, tol=cfg.pekar_tol, max_iter=cfg.pekar_max_iter, dt=cfg.pekar_dt)
+        p = _solve_pekar(cfg)
     except (FixedPointError, PekarConvergenceError) as exc:
         stage = "dispersion" if isinstance(exc, FixedPointError) else "pekar"
         print(f"predict: {stage} stage failed ({exc})", file=sys.stderr)
         return EXIT_FAIL
-    t = polarization_table(d, k_nodes=np.array([cfg.pol_k_min]))
+    # only B0_at_zero is read: a k below K_SWITCH skips the 2-d integral
+    k_zero = np.array([DEFAULT_K_MIN])
+    t = polarization_table(d, k_nodes=k_zero)
     br = assemble_breakdown(d, t, p)
-    payload = br.to_dict()
+    payload = asdict(br)
     # companion prediction with the undressed polarization value, and the
     # associated coupling renormalization, reported side by side
-    t_free = free_polarization_table(cfg.params(), k_nodes=np.array([cfg.pol_k_min]))
+    t_free = free_polarization_table(cfg.params(), k_nodes=k_zero)
     Z3, alpha_phys = charge_renormalization(cfg.params(), t_free.B0_at_zero)
     br_free = assemble_breakdown(d, t_free, p)
-    payload.update(
-        {
-            "total_pred_free_screening": br_free.total_pred,
-            "b0_free": br_free.b0,
-            "Z3": Z3,
-            "alpha_physical": alpha_phys,
-        }
-    )
-    (out / "prediction.json").write_text(json.dumps(payload, indent=2) + "\n")
+    payload.update(total_pred_free_screening=br_free.total_pred, b0_free=br_free.b0)
+    payload.update(Z3=Z3, alpha_physical=alpha_phys)
+    write_json(out / "prediction.json", payload)
     return EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    grid = make_grid(cfg.pekar_r_max, cfg.pekar_n_nodes, "uniform")
+    c = cfg.sweep
     try:
-        p = solve_pekar(grid, tol=cfg.pekar_tol, max_iter=cfg.pekar_max_iter, dt=cfg.pekar_dt)
-        table = regime_sweep(cfg.sweep_alphas, cfg.sweep_L, p, n_nodes=cfg.sweep_n_nodes)
+        p = _solve_pekar(cfg)
+        table = regime_sweep(c.alphas, c.L, p, n_nodes=c.n_nodes)
     except (FixedPointError, PekarConvergenceError, InvalidParameterError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -326,14 +306,6 @@ class _Check:
     value: float
     budget: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": float(self.value),
-            "budget": float(self.budget),
-        }
-
 
 def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
     """The full cross-module invariant suite on the configured run."""
@@ -343,7 +315,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         checks.append(_Check(name, bool(passed), float(value), float(budget)))
 
     params = cfg.params()
-    grid = make_grid(cfg.cutoff, cfg.disp_n_nodes, "geometric")
+    grid = make_grid(params.cutoff, cfg.dispersion.n_nodes, "geometric")
 
     # iterate ordering: 1 <= g0 and p <= g1 <= p*g0 on every iterate
     d_it = free_dispersion(params, grid)
@@ -364,23 +336,23 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
     d = None
     try:
         d = _solve_dispersion(cfg)
-        add("dispersion.converged", True, d.report.final_residual, cfg.disp_tol)
+        add("dispersion.converged", True, d.report.final_residual, cfg.dispersion.tol)
     except FixedPointError as exc:
-        add("dispersion.converged", False, exc.report.final_residual, cfg.disp_tol)
+        add("dispersion.converged", False, exc.report.final_residual, cfg.dispersion.tol)
 
     if d is not None:
-        if cfg.alpha > 0 and params.L > 0:
+        if params.alpha > 0 and params.L > 0:
             L = params.L
             m_ratio = (m_alpha(d) - 1.0) * math.pi / L
             slope_ratio = (g1_prime_zero(d) - 1.0) * 3.0 * math.pi / (2.0 * L)
             add("dispersion.window.m_alpha", 0.7 <= m_ratio <= 1.3, m_ratio, 1.3)
             add("dispersion.window.g1_slope", 0.7 <= slope_ratio <= 1.3, slope_ratio, 1.3)
-        k_nodes = default_k_nodes(cfg.cutoff, cfg.pol_k_nodes, cfg.pol_k_min)
-        table = polarization_table(d, k_nodes)
+        c = cfg.polarization
+        table = polarization_table(d, default_k_nodes(params.cutoff, c.k_nodes, c.k_min))
         add("polarization.B_nonnegative", np.all(table.B >= 0.0), float(table.B.min()), 0.0)
         b_ok = np.all(table.b >= 0.0) and np.all(table.b < 1.0)
         add("polarization.b_in_unit_interval", b_ok, float(table.b.max()), 1.0)
-        bound = kernel_difference_bound_check(d, 100, seed=cfg.seed)
+        bound = kernel_difference_bound_check(d, 100, seed=cfg.output.seed)
         add("polarization.pointwise_kernel_bound", bound.violations == 0, bound.violations, 0.0)
         cont = continuity_modulus(table)
         add("polarization.continuity_modulus", cont.max_ratio <= 10.0, cont.max_ratio, 10.0)
@@ -394,7 +366,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         add("polarization.response_sign", sign_ok, float(resp1.max()), 0.0)
 
     # coupling-off reductions are exact in every module
-    zero = ModelParams(0.0, cfg.cutoff)
+    zero = ModelParams(0.0, params.cutoff)
     d0 = free_dispersion(zero, grid)
     d0s = scf_step(d0)
     red = max(float(np.max(np.abs(d0s.g0 - 1.0))), float(np.max(np.abs(d0s.g1 - grid.nodes))))
@@ -404,22 +376,21 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
 
     # direct-space minimizer
     try:
-        pk_grid = make_grid(cfg.pekar_r_max, cfg.pekar_n_nodes, "uniform")
-        st = solve_pekar(pk_grid, tol=cfg.pekar_tol, max_iter=cfg.pekar_max_iter, dt=cfg.pekar_dt)
+        st = _solve_pekar(cfg)
         add("pekar.beats_gaussian_bound", st.E <= GAUSSIAN_BOUND + 1e-4, st.E, GAUSSIAN_BOUND + 1e-4)
         virial = abs(st.D - 2.0 * st.T) / st.D
         add("pekar.virial", virial <= 1e-3, virial, 1e-3)
         res = el_residual(st)
-        add("pekar.el_residual", res <= cfg.pekar_tol, res, cfg.pekar_tol)
-    except PekarConvergenceError as exc:
-        add("pekar.converged", False, math.inf, cfg.pekar_tol)
+        add("pekar.el_residual", res <= cfg.pekar.tol, res, cfg.pekar.tol)
+    except PekarConvergenceError:
+        add("pekar.converged", False, math.inf, cfg.pekar.tol)
         st = None
 
     if d is not None and st is not None:
         t1 = polarization_table(d, k_nodes=np.array([DEFAULT_K_MIN]))
         br = assemble_breakdown(d, t1, st)
         total_corr = br.kinetic_corr + br.vacuum_corr + br.direct_corr
-        if cfg.alpha > 0:
+        if params.alpha > 0:
             expected = (st.T - st.D) / c0_squared(d, t1)
             rel = abs(total_corr - expected) / abs(expected)
             add("energy.correction_identity", rel <= 1e-12, rel, 1e-12)
@@ -436,14 +407,15 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     checks, all_ok = run_verification(cfg)
+    params = cfg.params()
     payload = {
         "passed": all_ok,
-        "regime_warning": cfg.params().regime_warning,
-        "alpha": cfg.alpha,
-        "cutoff": cfg.cutoff,
-        "checks": [c.to_dict() for c in checks],
+        "regime_warning": params.regime_warning,
+        "alpha": params.alpha,
+        "cutoff": params.cutoff,
+        "checks": [asdict(c) for c in checks],
     }
-    (out / "verify.json").write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(out / "verify.json", payload)
     width = max(len(c.name) for c in checks)
     for c in checks:
         print(f"{c.name:<{width}}  {'PASS' if c.passed else 'FAIL'}  value={c.value:.6g}")
@@ -497,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if cfg.params().regime_warning:
         print(
-            f"warning: alpha={cfg.alpha} is outside the admissible regime "
+            f"warning: alpha={cfg.model.alpha} is outside the admissible regime "
             f"(limit {ALPHA_REGIME_LIMIT:.6f})",
             file=sys.stderr,
         )

@@ -20,7 +20,7 @@ exactly once, in scf_step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,12 +30,11 @@ from scipy.sparse import csr_array
 from .numerics import (
     FixedPointReport,
     InvalidParameterError,
-    OutOfRangeError,
     RadialGrid,
     _distance_panels,
     fixed_point_solve,
-    interp,
     make_grid,
+    write_csv,
 )
 
 ALPHA_REGIME_LIMIT = 4.0 / math.pi
@@ -53,10 +52,10 @@ class ModelParams:
     cutoff: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise InvalidParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if self.cutoff <= 1:
-            raise InvalidParameterError(f"cutoff must exceed 1, got {self.cutoff}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InvalidParameterError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 1):
+            raise InvalidParameterError(f"cutoff must be finite and exceed 1, got {self.cutoff}")
 
     @property
     def L(self) -> float:
@@ -70,9 +69,13 @@ class ModelParams:
 
     @classmethod
     def from_L(cls, alpha: float, L: float) -> "ModelParams":
-        if alpha <= 0:
+        if not alpha > 0:
             raise InvalidParameterError("alpha must be positive to derive the cutoff from L")
-        return cls(alpha=alpha, cutoff=math.exp(L / alpha))
+        try:
+            cutoff = math.exp(L / alpha)
+        except OverflowError:
+            raise InvalidParameterError(f"cutoff exp({L / alpha:g}) overflows a float") from None
+        return cls(alpha=alpha, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -111,33 +114,6 @@ def free_dispersion(params: ModelParams, grid: RadialGrid) -> Dispersion:
         )
     report = FixedPointReport(True, 0, [], 0.0)
     return Dispersion(params, grid, np.ones_like(grid.nodes), grid.nodes.copy(), report)
-
-
-def angular_kernel_K0(p, s):
-    """Angular reduction of the isotropic Coulomb-square kernel:
-    int_{|r|<Cut} f(|r|)/|p-r|^2 dr = int_0^Cut K0(p, s) f(s) ds."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(p <= 0) or np.any(s <= 0):
-        raise InvalidParameterError("angular kernels need p > 0 and s > 0")
-    if np.any(p == s):
-        raise InvalidParameterError("p = s is singular; integrate through numerics")
-    out = (2.0 * np.pi * s / p) * np.log((p + s) / np.abs(p - s))
-    return float(out) if out.ndim == 0 else out
-
-
-def angular_kernel_K1(p, s):
-    """Angular reduction of the kernel carrying the <w_p, w_r> factor:
-    int_{|r|<Cut} <w_p, w_r> f(|r|)/|p-r|^2 dr = int_0^Cut K1(p, s) f(s) ds."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(p <= 0) or np.any(s <= 0):
-        raise InvalidParameterError("angular kernels need p > 0 and s > 0")
-    if np.any(p == s):
-        raise InvalidParameterError("p = s is singular; integrate through numerics")
-    bracket = (p**2 + s**2) / (2.0 * p * s) * np.log((p + s) / np.abs(p - s)) - 1.0
-    out = (2.0 * np.pi * s / p) * bracket
-    return float(out) if out.ndim == 0 else out
 
 
 def _k1_bracket_series(t):
@@ -340,16 +316,9 @@ def _unpack(template: Dispersion, y: np.ndarray) -> Dispersion:
     return replace(template, g0=y[:n], g1=y[n:])
 
 
-def e_tilde(d: Dispersion, p) -> float:
-    """Modulus of the dressed symbol at momentum p."""
-    if np.any(np.asarray(p) < 0) or np.any(np.asarray(p) > d.grid.cutoff):
-        raise OutOfRangeError(f"p={p} outside [0, {d.grid.cutoff}]")
-    return np.hypot(interp(d.grid, d.g0, p), interp(d.grid, d.g1, p))
-
-
 def m_alpha(d: Dispersion) -> float:
     """Effective rest energy g0(0), extrapolated to the origin."""
-    return float(interp(d.grid, d.g0, 0.0))
+    return float(d.interpolant(0.0)[0])
 
 
 def _require_fine_origin(d: Dispersion):
@@ -400,20 +369,9 @@ class AsymptoticsReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.params.alpha,
-            "cutoff": self.params.cutoff,
-            "L": self.params.L,
-            "entries": [
-                {
-                    "name": e.name,
-                    "measured": e.measured,
-                    "predicted": e.predicted,
-                    "rel_deviation": e.rel_deviation,
-                }
-                for e in self.entries
-            ],
-        }
+        params = self.params
+        entries = [asdict(e) for e in self.entries]
+        return {"alpha": params.alpha, "cutoff": params.cutoff, "L": params.L, "entries": entries}
 
 
 def check_asymptotics(d: Dispersion) -> AsymptoticsReport:
@@ -450,8 +408,4 @@ def check_asymptotics(d: Dispersion) -> AsymptoticsReport:
 
 def dispersion_to_csv(d: Dispersion, path):
     """Write p, g0, g1, e_tilde (17 significant digits, one row per node)."""
-    et = d.e_tilde_samples
-    with open(path, "w") as fh:
-        fh.write("p,g0,g1,e_tilde\n")
-        for p, a, b, c in zip(d.grid.nodes, d.g0, d.g1, et):
-            fh.write(f"{p:.17g},{a:.17g},{b:.17g},{c:.17g}\n")
+    write_csv(path, ("p", "g0", "g1", "e_tilde"), (d.grid.nodes, d.g0, d.g1, d.e_tilde_samples))

@@ -13,13 +13,11 @@ the variational profile itself is never resampled.
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .dispersion import Dispersion, ModelParams, g1_prime_zero, m_alpha, solve_dispersion
-from .numerics import InvalidParameterError, make_grid
+from .numerics import InvalidParameterError, make_grid, write_csv, write_json
 from .pekar import PekarState, solve_pekar
 from .polarization import DEFAULT_K_MIN, PolarizationTable, b_screening, polarization_table
 
@@ -50,22 +48,6 @@ class EnergyBreakdown:
     g1_slope: float
     E_CP: float
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "lambda_inv": self.lambda_inv,
-            "tau": self.tau,
-            "kinetic_corr": self.kinetic_corr,
-            "vacuum_corr": self.vacuum_corr,
-            "direct_corr": self.direct_corr,
-            "exchange_bound": self.exchange_bound,
-            "total_pred": self.total_pred,
-            "C0_sq": self.C0_sq,
-            "b0": self.b0,
-            "g1_slope": self.g1_slope,
-            "E_CP": self.E_CP,
-        }
-
 
 def _check_params(d: Dispersion, t: PolarizationTable) -> None:
     if d.params != t.params:
@@ -82,16 +64,6 @@ def _ingredients(d: Dispersion, t: PolarizationTable):
     return m, g1p, alpha, b0
 
 
-def scaling_lambda(d: Dispersion, t: PolarizationTable) -> float:
-    """Reciprocal length scale lambda^{-1} = alpha * b(0) * m / g1'(0)^2.
-
-    Zero at alpha = 0 (no screening, no binding scale).
-    """
-    _check_params(d, t)
-    m, g1p, alpha, b0 = _ingredients(d, t)
-    return alpha * b0 * m / g1p**2
-
-
 def c0_squared(d: Dispersion, t: PolarizationTable) -> float:
     """Normalization constant C0^2 = 2 g1'(0)^2 / ((alpha b(0))^2 m).
 
@@ -102,18 +74,6 @@ def c0_squared(d: Dispersion, t: PolarizationTable) -> float:
     if alpha * b0 == 0.0:
         return math.inf
     return 2.0 * g1p**2 / ((alpha * b0) ** 2 * m)
-
-
-def predicted_ground_energy(d: Dispersion, t: PolarizationTable, E_CP: float) -> float:
-    """m + C0^{-2} * E_CP; warns when E_CP >= 0 (no binding predicted)."""
-    _check_params(d, t)
-    if E_CP >= 0:
-        warnings.warn("E_CP >= 0: no binding predicted", stacklevel=2)
-    c0sq = c0_squared(d, t)
-    m = m_alpha(d)
-    if math.isinf(c0sq):
-        return m
-    return m + E_CP / c0sq
 
 
 def assemble_breakdown(
@@ -207,7 +167,10 @@ def regime_sweep(
     for alpha in alphas:
         if alpha <= 0:
             raise InvalidParameterError("sweep alphas must be positive")
-        cutoff = math.exp(L_fixed / alpha)
+        try:
+            cutoff = math.exp(L_fixed / alpha)
+        except OverflowError:
+            cutoff = math.inf
         if cutoff > CUTOFF_CAP:
             skipped.append(float(alpha))
             continue
@@ -233,28 +196,13 @@ def regime_sweep(
 
 
 def breakdown_to_json(br: EnergyBreakdown, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(br.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, asdict(br))
 
 
 def sweep_to_csv(table: SweepTable, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in table.rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_csv(path, SWEEP_COLUMNS, zip(*table.rows))
 
 
 def sweep_to_json(table: SweepTable, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "L": table.L,
-                "E_CP": table.E_CP,
-                "rows": table.to_dicts(),
-                "skipped_alphas": table.skipped,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    rows, skipped = table.to_dicts(), table.skipped
+    write_json(path, {"L": table.L, "E_CP": table.E_CP, "rows": rows, "skipped_alphas": skipped})

@@ -1,4 +1,5 @@
-"""Radial grids, quadrature and a damped fixed-point driver.
+"""Radial grids, quadrature, a damped fixed-point driver and the artifact
+writers.
 
 Everything here works in natural units (hbar = c = 1, bare mass 1).  Grids
 cover (0, cutoff]; the origin is never a node because the singular kernels
@@ -8,10 +9,10 @@ monotone-cubic extrapolation from the smallest nodes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 class InvalidParameterError(ValueError):
@@ -100,50 +101,8 @@ def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
     return float(np.dot(grid.weights, samples))
 
 
-def interp(grid: RadialGrid, samples: np.ndarray, p) -> float | np.ndarray:
-    """Monotone piecewise-cubic interpolation of node samples.
-
-    p = 0 is allowed (extrapolation from the smallest nodes); p > cutoff is
-    an error.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.nodes.shape:
-        raise ShapeMismatchError("samples do not match grid")
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0) or np.any(p_arr > grid.cutoff):
-        raise OutOfRangeError(f"query point outside [0, {grid.cutoff}]")
-    out = PchipInterpolator(grid.nodes, samples, extrapolate=True)(p_arr)
-    return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
-
-
 # 8-point Gauss-Legendre on [-1, 1], used per panel of the singular rules.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
-
-def dyadic_gauss_panels(a: float, b: float, singular_at: str, levels: int = 52):
-    """Quadrature points/weights for [a, b] with an integrable singularity
-    at one endpoint.
-
-    Panels halve geometrically toward the singular end; an 8-point Gauss
-    rule per panel resolves any log-type endpoint singularity to near
-    machine precision.  The unresolved sliver next to the endpoint has
-    width (b-a)*2**-levels and contributes O(eps*log(1/eps)).
-    """
-    d = b - a
-    j = np.arange(levels)
-    if singular_at == "b":
-        lo = b - d * 0.5**j
-        hi = b - d * 0.5 ** (j + 1)
-    elif singular_at == "a":
-        lo = a + d * 0.5 ** (j + 1)
-        hi = a + d * 0.5**j
-    else:
-        raise InvalidParameterError("singular_at must be 'a' or 'b'")
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wts = (half[:, None] * _GL_W[None, :]).ravel()
-    return pts, wts
 
 
 def _distance_panels(d, levels: int = 52):
@@ -163,65 +122,12 @@ def _distance_panels(d, levels: int = 52):
     return u, w
 
 
-def log_singular_points(cutoff: float, p: float):
-    """Points and weights for integrating smooth(s)*ln((p+s)/|p-s|) over
-    (0, cutoff), with the log factor folded into the weights.
-
-    The rule is built in the distance u = |s - p|, so the log factor is
-    evaluated without cancellation arbitrarily close to s = p.
-    """
-    u_l, w_l = _distance_panels(p)
-    u_r, w_r = _distance_panels(cutoff - p)
-    pts = np.concatenate([p - u_l, p + u_r])
-    logf = np.concatenate([np.log((2.0 * p - u_l) / u_l), np.log((2.0 * p + u_r) / u_r)])
-    wts = np.concatenate([w_l, w_r]) * logf
-    return pts, wts
-
-
-def integrate_with_log_singularity(
-    grid: RadialGrid,
-    p: float,
-    smooth_part: np.ndarray,
-    log_weight_fn=None,
-) -> float:
-    """Integrate smooth(s) * ln((p+s)/|p-s|) over (0, cutoff).
-
-    smooth_part holds samples of the smooth factor at the grid nodes; it is
-    interpolated onto a rule split at s = p with panels graded toward the
-    singular point, so the integrable log endpoint costs no accuracy.
-    """
-    if not 0 < p < grid.cutoff:
-        raise InvalidParameterError(f"singular point p={p} must lie inside (0, {grid.cutoff})")
-    smooth_part = np.asarray(smooth_part, dtype=float)
-    if smooth_part.shape != grid.nodes.shape:
-        raise ShapeMismatchError("smooth_part does not match grid")
-    if not np.any(smooth_part):
-        return 0.0
-    h = PchipInterpolator(grid.nodes, smooth_part, extrapolate=True)
-    if log_weight_fn is None:
-        pts, wts = log_singular_points(grid.cutoff, p)
-        return float(np.dot(wts, h(pts)))
-    pts_l, w_l = dyadic_gauss_panels(0.0, p, singular_at="b")
-    pts_r, w_r = dyadic_gauss_panels(p, grid.cutoff, singular_at="a")
-    pts = np.concatenate([pts_l, pts_r])
-    wts = np.concatenate([w_l, w_r])
-    return float(np.dot(wts * log_weight_fn(pts), h(pts)))
-
-
 @dataclass
 class FixedPointReport:
     converged: bool
     iterations: int
     residual_history: list = field(default_factory=list)
     final_residual: float = np.inf
-
-    def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_history": [float(r) for r in self.residual_history],
-            "final_residual": float(self.final_residual),
-        }
 
 
 def fixed_point_solve(
@@ -242,6 +148,8 @@ def fixed_point_solve(
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
+    if max_iter < 1:
+        raise InvalidParameterError(f"max_iter must be at least 1, got {max_iter}")
     if not 0 < damping <= 1:
         raise InvalidParameterError("damping must be in (0, 1]")
     if norm is None:
@@ -267,3 +175,17 @@ def fixed_point_solve(
         report,
         state=x,
     )
+
+
+def write_csv(path, header, columns) -> None:
+    """One row per index of the equal-length columns, every value in 17
+    significant digits, under a header line of the column names."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")

@@ -10,13 +10,20 @@ every run must beat.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InvalidParameterError, RadialGrid, ShapeMismatchError, integrate, make_grid
+from .numerics import (
+    InvalidParameterError,
+    RadialGrid,
+    ShapeMismatchError,
+    integrate,
+    make_grid,
+    write_csv,
+    write_json,
+)
 
 DEFAULT_R_MAX = 40.0
 DEFAULT_N_NODES = 1024
@@ -109,14 +116,6 @@ def make_state(grid: RadialGrid, phi: np.ndarray) -> PekarState:
     return PekarState(grid=grid, phi=phi, T=T, D=D, E=T - D, mu=T - 2.0 * D)
 
 
-def gaussian_trial_energy(sigma: float) -> float:
-    """Energy of the normalized Gaussian of width sigma:
-    3/(2 sigma^2) - sqrt(2/pi)/sigma, minimized at sigma = 3 sqrt(pi/2)."""
-    if sigma <= 0:
-        raise InvalidParameterError("sigma must be positive")
-    return 1.5 / sigma**2 - math.sqrt(2.0 / math.pi) / sigma
-
-
 def gaussian_state(grid: RadialGrid, sigma: float = GAUSSIAN_SIGMA_STAR) -> PekarState:
     phi = np.exp(-grid.nodes**2 / (2.0 * sigma**2))
     return make_state(grid, phi)
@@ -129,25 +128,11 @@ def _apply_h(grid: RadialGrid, phi: np.ndarray, h: float) -> np.ndarray:
     return -_laplacian_u(u, h) / grid.nodes - 2.0 * V * phi
 
 
-def imaginary_time_step(state: PekarState, dt: float) -> PekarState:
-    """One projected descent step phi <- normalize(clip(phi - dt H phi)).
-
-    Negative overshoots are clipped to zero before renormalization to keep
-    the iterate in the positive cone where the minimizer lives.
-    """
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
-    h = _uniform_spacing(state.grid)
-    phi = state.phi - dt * _apply_h(state.grid, state.phi, h)
-    np.clip(phi, 0.0, None, out=phi)
-    return make_state(state.grid, phi)
-
-
 def _semi_implicit_step(state: PekarState, dt: float) -> PekarState:
     """Descent step with the whole linearized Hamiltonian implicit.
 
     Solves (I + dt (A - 2V)) u_new = u for the tridiagonal A = -d^2/dr^2
-    (same ghost closure as the explicit step) with the Hartree potential V
+    (the ghost closure of _laplacian_u) with the Hartree potential V
     frozen at the current iterate.  After renormalization the fixed point
     satisfies the discrete Euler-Lagrange equation exactly for any dt, and
     there is no h^2 stability ceiling, so large steps are admissible and
@@ -233,18 +218,8 @@ def solve_pekar(
 def state_to_csv(state: PekarState, csv_path, json_path=None):
     """CSV body r, phi, V plus a JSON summary of the scalars."""
     V = hartree_potential(state.grid, state.phi**2)
-    with open(csv_path, "w") as fh:
-        fh.write("r,phi,V\n")
-        for r, p, v in zip(state.grid.nodes, state.phi, V):
-            fh.write(f"{r:.17g},{p:.17g},{v:.17g}\n")
+    write_csv(csv_path, ("r", "phi", "V"), (state.grid.nodes, state.phi, V))
     if json_path is not None:
-        summary = {
-            "T": state.T,
-            "D": state.D,
-            "E": state.E,
-            "mu": state.mu,
-            "residual": el_residual(state),
-        }
-        with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        summary = {"T": state.T, "D": state.D, "E": state.E, "mu": state.mu}
+        summary["residual"] = el_residual(state)
+        write_json(json_path, summary)

@@ -20,7 +20,6 @@ the result does not depend on the batching.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,9 +35,10 @@ from .dispersion import (
 from .numerics import (
     InvalidParameterError,
     OutOfRangeError,
-    RadialGrid,
     ShapeMismatchError,
     integrate,
+    write_csv,
+    write_json,
 )
 
 # Below this k the 2-d integral cancels catastrophically; continuity of B
@@ -85,7 +85,7 @@ def b_lambda_zero_radial(d: Dispersion) -> float:
 
 
 def _momenta(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
-    """Shared set-up of both integrands: for l at |l| = u, cos(l, k) = c,
+    """Set-up shared by the B(k) integrands: for l at |l| = u, cos(l, k) = c,
     the transverse component lx, the axial components pz, qz and the norms
     pn, qn of p = l + k/2 and q = l - k/2, and the (g0, g1) profiles at pn
     and qn.
@@ -127,19 +127,8 @@ def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
     return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
 
 
-def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
-    """Textbook-form integrand, kept only to validate the wedge form."""
-    lx, pz, qz, pn, qn, gp, gq = _momenta(d, k, u, c)
-    g0p, g1p = gp[..., 0], gp[..., 1]
-    g0q, g1q = gq[..., 0], gq[..., 1]
-    cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
-    etp = np.hypot(g0p, g1p)
-    etq = etp[..., ::-1]  # the mirror image, as for qn in _momenta
-    dot = g0p * g0q + g1p * g1q * cosang
-    return (etp * etq - dot) / (etp * etq * (etp + etq))
-
-
 def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
+    """B(k) with integrand(d, k, u, c) on the (u, c) rule of every panel."""
     cut = d.grid.cutoff
     if k <= 0 or k > 2.0 * cut:
         raise OutOfRangeError(f"k={k} outside (0, {2 * cut}]")
@@ -178,11 +167,6 @@ def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
 def b_lambda_k(d: Dispersion, k: float) -> float:
     """B(k) for k > 0 by 2-d reduction of the momentum-ball integral."""
     return _b_lambda_k_generic(d, k, _wedge_integrand)
-
-
-def b_lambda_k_raw(d: Dispersion, k: float) -> float:
-    """B(k) from the cancellation-prone raw integrand (validation only)."""
-    return _b_lambda_k_generic(d, k, _raw_integrand)
 
 
 def b_screening(B_value: float, alpha: float) -> float:
@@ -247,27 +231,11 @@ def linear_response_density(table: PolarizationTable, rho_hat: np.ndarray) -> np
     return -table.B * rho_hat
 
 
-def screened_density(table: PolarizationTable, n_hat: np.ndarray) -> np.ndarray:
-    """Leading screening response -b(k) n_hat(k); the total effective
-    density is (1 - b(k)) n_hat(k)."""
-    n_hat = np.asarray(n_hat)
-    if n_hat.shape != table.k_nodes.shape:
-        raise ShapeMismatchError("n_hat does not match the table's k grid")
-    return -table.b * n_hat
-
-
 @dataclass(frozen=True)
 class ContinuityReport:
     k_values: np.ndarray
     ratios: np.ndarray
     max_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "k_values": self.k_values.tolist(),
-            "ratios": self.ratios.tolist(),
-            "max_ratio": self.max_ratio,
-        }
 
 
 def continuity_modulus(table: PolarizationTable) -> ContinuityReport:
@@ -289,13 +257,6 @@ class KernelBoundReport:
     n_samples: int
     violations: int
     max_excess: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "violations": self.violations,
-            "max_excess": self.max_excess,
-        }
 
 
 def kernel_difference_bound_check(
@@ -341,10 +302,7 @@ def kernel_difference_bound_check(
 
 def table_to_csv(table: PolarizationTable, csv_path, json_path=None):
     """CSV body k, B, b; the header metadata goes to a JSON side file."""
-    with open(csv_path, "w") as fh:
-        fh.write("k,B,b\n")
-        for k, B, b in zip(table.k_nodes, table.B, table.b):
-            fh.write(f"{k:.17g},{B:.17g},{b:.17g}\n")
+    write_csv(csv_path, ("k", "B", "b"), (table.k_nodes, table.B, table.b))
     if json_path is not None:
         meta = {
             "alpha": table.params.alpha,
@@ -353,6 +311,4 @@ def table_to_csv(table: PolarizationTable, csv_path, json_path=None):
             "dispersion_kind": table.dispersion_kind,
             "B0_at_zero": table.B0_at_zero,
         }
-        with open(json_path, "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        write_json(json_path, meta)

@@ -1,0 +1,262 @@
+"""Reference implementations that the tests check the pipeline against.
+
+None of these is run by a bdfvac subcommand.  They are independent routes
+to quantities the pipeline computes another way (the quadrature of
+numerics and the angular kernels against KernelRules, the raw B(k)
+integrand against the wedge form, the explicit descent step against the
+implicit one, closed forms against the assembled breakdown) or small
+helpers the tests use.  pytest does not collect this module: its name has
+no test_ prefix.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import fields
+
+import numpy as np
+from scipy.interpolate import PchipInterpolator
+
+from bdfvac.cli import RunConfig
+from bdfvac.dispersion import Dispersion, m_alpha
+from bdfvac.energy import _check_params, _ingredients, c0_squared
+from bdfvac.numerics import (
+    _GL_W,
+    _GL_X,
+    InvalidParameterError,
+    OutOfRangeError,
+    RadialGrid,
+    ShapeMismatchError,
+    _distance_panels,
+)
+from bdfvac.pekar import PekarState, _apply_h, _uniform_spacing, make_state
+from bdfvac.polarization import PolarizationTable, _b_lambda_k_generic, _momenta
+
+# ---------------------------------------------------------------- numerics
+
+
+def interp(grid: RadialGrid, samples: np.ndarray, p) -> float | np.ndarray:
+    """Monotone piecewise-cubic interpolation of node samples.
+
+    p = 0 is allowed (extrapolation from the smallest nodes); p > cutoff is
+    an error.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape != grid.nodes.shape:
+        raise ShapeMismatchError("samples do not match grid")
+    p_arr = np.asarray(p, dtype=float)
+    if np.any(p_arr < 0) or np.any(p_arr > grid.cutoff):
+        raise OutOfRangeError(f"query point outside [0, {grid.cutoff}]")
+    out = PchipInterpolator(grid.nodes, samples, extrapolate=True)(p_arr)
+    return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
+
+
+def dyadic_gauss_panels(a: float, b: float, singular_at: str, levels: int = 52):
+    """Quadrature points/weights for [a, b] with an integrable singularity
+    at one endpoint.
+
+    Panels halve geometrically toward the singular end; an 8-point Gauss
+    rule per panel resolves any log-type endpoint singularity to near
+    machine precision.  The unresolved sliver next to the endpoint has
+    width (b-a)*2**-levels and contributes O(eps*log(1/eps)).
+    """
+    d = b - a
+    j = np.arange(levels)
+    if singular_at == "b":
+        lo = b - d * 0.5**j
+        hi = b - d * 0.5 ** (j + 1)
+    elif singular_at == "a":
+        lo = a + d * 0.5 ** (j + 1)
+        hi = a + d * 0.5**j
+    else:
+        raise InvalidParameterError("singular_at must be 'a' or 'b'")
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    pts = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    return pts, wts
+
+
+def log_singular_points(cutoff: float, p: float):
+    """Points and weights for integrating smooth(s)*ln((p+s)/|p-s|) over
+    (0, cutoff), with the log factor folded into the weights.
+
+    The rule is built in the distance u = |s - p|, so the log factor is
+    evaluated without cancellation arbitrarily close to s = p.
+    """
+    u_l, w_l = _distance_panels(p)
+    u_r, w_r = _distance_panels(cutoff - p)
+    pts = np.concatenate([p - u_l, p + u_r])
+    logf = np.concatenate([np.log((2.0 * p - u_l) / u_l), np.log((2.0 * p + u_r) / u_r)])
+    wts = np.concatenate([w_l, w_r]) * logf
+    return pts, wts
+
+
+def integrate_with_log_singularity(
+    grid: RadialGrid,
+    p: float,
+    smooth_part: np.ndarray,
+    log_weight_fn=None,
+) -> float:
+    """Integrate smooth(s) * ln((p+s)/|p-s|) over (0, cutoff).
+
+    smooth_part holds samples of the smooth factor at the grid nodes; it is
+    interpolated onto a rule split at s = p with panels graded toward the
+    singular point, so the integrable log endpoint costs no accuracy.
+    """
+    if not 0 < p < grid.cutoff:
+        raise InvalidParameterError(f"singular point p={p} must lie inside (0, {grid.cutoff})")
+    smooth_part = np.asarray(smooth_part, dtype=float)
+    if smooth_part.shape != grid.nodes.shape:
+        raise ShapeMismatchError("smooth_part does not match grid")
+    if not np.any(smooth_part):
+        return 0.0
+    h = PchipInterpolator(grid.nodes, smooth_part, extrapolate=True)
+    if log_weight_fn is None:
+        pts, wts = log_singular_points(grid.cutoff, p)
+        return float(np.dot(wts, h(pts)))
+    pts_l, w_l = dyadic_gauss_panels(0.0, p, singular_at="b")
+    pts_r, w_r = dyadic_gauss_panels(p, grid.cutoff, singular_at="a")
+    pts = np.concatenate([pts_l, pts_r])
+    wts = np.concatenate([w_l, w_r])
+    return float(np.dot(wts * log_weight_fn(pts), h(pts)))
+
+
+# ---------------------------------------------------------------- dispersion
+
+
+def angular_kernel_K0(p, s):
+    """Angular reduction of the isotropic Coulomb-square kernel:
+    int_{|r|<Cut} f(|r|)/|p-r|^2 dr = int_0^Cut K0(p, s) f(s) ds."""
+    p = np.asarray(p, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if np.any(p <= 0) or np.any(s <= 0):
+        raise InvalidParameterError("angular kernels need p > 0 and s > 0")
+    if np.any(p == s):
+        raise InvalidParameterError("p = s is singular; integrate through numerics")
+    out = (2.0 * np.pi * s / p) * np.log((p + s) / np.abs(p - s))
+    return float(out) if out.ndim == 0 else out
+
+
+def angular_kernel_K1(p, s):
+    """Angular reduction of the kernel carrying the <w_p, w_r> factor:
+    int_{|r|<Cut} <w_p, w_r> f(|r|)/|p-r|^2 dr = int_0^Cut K1(p, s) f(s) ds."""
+    p = np.asarray(p, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if np.any(p <= 0) or np.any(s <= 0):
+        raise InvalidParameterError("angular kernels need p > 0 and s > 0")
+    if np.any(p == s):
+        raise InvalidParameterError("p = s is singular; integrate through numerics")
+    bracket = (p**2 + s**2) / (2.0 * p * s) * np.log((p + s) / np.abs(p - s)) - 1.0
+    out = (2.0 * np.pi * s / p) * bracket
+    return float(out) if out.ndim == 0 else out
+
+
+def e_tilde(d: Dispersion, p) -> float:
+    """Modulus of the dressed symbol at momentum p."""
+    if np.any(np.asarray(p) < 0) or np.any(np.asarray(p) > d.grid.cutoff):
+        raise OutOfRangeError(f"p={p} outside [0, {d.grid.cutoff}]")
+    return np.hypot(interp(d.grid, d.g0, p), interp(d.grid, d.g1, p))
+
+
+# ---------------------------------------------------------------- polarization
+
+
+def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
+    """Textbook-form integrand, kept only to validate the wedge form."""
+    lx, pz, qz, pn, qn, gp, gq = _momenta(d, k, u, c)
+    g0p, g1p = gp[..., 0], gp[..., 1]
+    g0q, g1q = gq[..., 0], gq[..., 1]
+    cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
+    etp = np.hypot(g0p, g1p)
+    etq = etp[..., ::-1]  # the mirror image, as for qn in _momenta
+    dot = g0p * g0q + g1p * g1q * cosang
+    return (etp * etq - dot) / (etp * etq * (etp + etq))
+
+
+def b_lambda_k_raw(d: Dispersion, k: float) -> float:
+    """B(k) from the cancellation-prone raw integrand (validation only)."""
+    return _b_lambda_k_generic(d, k, _raw_integrand)
+
+
+def screened_density(table: PolarizationTable, n_hat: np.ndarray) -> np.ndarray:
+    """Leading screening response -b(k) n_hat(k); the total effective
+    density is (1 - b(k)) n_hat(k)."""
+    n_hat = np.asarray(n_hat)
+    if n_hat.shape != table.k_nodes.shape:
+        raise ShapeMismatchError("n_hat does not match the table's k grid")
+    return -table.b * n_hat
+
+
+# ---------------------------------------------------------------- pekar
+
+
+def gaussian_trial_energy(sigma: float) -> float:
+    """Energy of the normalized Gaussian of width sigma:
+    3/(2 sigma^2) - sqrt(2/pi)/sigma, minimized at sigma = 3 sqrt(pi/2)."""
+    if sigma <= 0:
+        raise InvalidParameterError("sigma must be positive")
+    return 1.5 / sigma**2 - math.sqrt(2.0 / math.pi) / sigma
+
+
+def imaginary_time_step(state: PekarState, dt: float) -> PekarState:
+    """One projected descent step phi <- normalize(clip(phi - dt H phi)).
+
+    Negative overshoots are clipped to zero before renormalization to keep
+    the iterate in the positive cone where the minimizer lives.
+    """
+    if dt <= 0:
+        raise InvalidParameterError("dt must be positive")
+    h = _uniform_spacing(state.grid)
+    phi = state.phi - dt * _apply_h(state.grid, state.phi, h)
+    np.clip(phi, 0.0, None, out=phi)
+    return make_state(state.grid, phi)
+
+
+# ---------------------------------------------------------------- energy
+
+
+def scaling_lambda(d: Dispersion, t: PolarizationTable) -> float:
+    """Reciprocal length scale lambda^{-1} = alpha * b(0) * m / g1'(0)^2.
+
+    Zero at alpha = 0 (no screening, no binding scale).
+    """
+    _check_params(d, t)
+    m, g1p, alpha, b0 = _ingredients(d, t)
+    return alpha * b0 * m / g1p**2
+
+
+def predicted_ground_energy(d: Dispersion, t: PolarizationTable, E_CP: float) -> float:
+    """m + C0^{-2} * E_CP; warns when E_CP >= 0 (no binding predicted)."""
+    _check_params(d, t)
+    if E_CP >= 0:
+        warnings.warn("E_CP >= 0: no binding predicted", stacklevel=2)
+    c0sq = c0_squared(d, t)
+    m = m_alpha(d)
+    if math.isinf(c0sq):
+        return m
+    return m + E_CP / c0sq
+
+
+# ---------------------------------------------------------------- cli
+
+
+def config_to_ini(cfg: RunConfig) -> str:
+    """Serialize back to INI text; load_config(parse of this) == cfg.
+
+    [model] carries L instead of cutoff when the cutoff was derived from L.
+    """
+    derived = {("model", "cutoff")} if cfg.model.L is not None else set()
+    lines = []
+    for section in fields(cfg):
+        part = getattr(cfg, section.name)
+        lines.append(f"[{section.name}]")
+        for spec in fields(part):
+            value = getattr(part, spec.name)
+            if value is None or (section.name, spec.name) in derived:
+                continue
+            text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+            lines.append(f"{spec.name} = {text}")
+        lines.append("")
+    return "\n".join(lines)

@@ -10,7 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from bdfvac.cli import RunConfig, run_verification
+from bdfvac.cli import (
+    DispersionConfig,
+    ModelConfig,
+    PekarConfig,
+    PolarizationConfig,
+    RunConfig,
+    run_verification,
+)
 from bdfvac.dispersion import (
     ModelParams,
     free_dispersion,
@@ -105,11 +112,10 @@ def test_criterion_5_energy_identity_and_binding(dressed, table, minimizer, caps
 
 def test_criterion_6_invariant_suite(capsys):
     cfg = RunConfig(
-        alpha=ALPHA,
-        cutoff=CUTOFF,
-        disp_n_nodes=512,
-        pol_k_nodes=64,
-        pekar_n_nodes=1024,
+        model=ModelConfig(alpha=ALPHA, cutoff=CUTOFF),
+        dispersion=DispersionConfig(n_nodes=512),
+        polarization=PolarizationConfig(k_nodes=64),
+        pekar=PekarConfig(n_nodes=1024),
     )
     checks, ok = run_verification(cfg)
     if not ok:

@@ -5,17 +5,22 @@ import pytest
 
 import bdfvac.cli
 import bdfvac.dispersion
+import bdfvac.polarization
 from bdfvac.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
+    DispersionConfig,
+    ModelConfig,
+    PekarConfig,
+    PolarizationConfig,
     RunConfig,
-    config_to_ini,
     load_config,
     main,
     run_verification,
 )
+from oracles import config_to_ini
 
 # small, fast parameter set reused across command tests
 FAST = [
@@ -27,25 +32,34 @@ FAST = [
 ]
 
 
+def fast_config():
+    return RunConfig(
+        model=ModelConfig(cutoff=100.0),
+        dispersion=DispersionConfig(n_nodes=128),
+        polarization=PolarizationConfig(k_nodes=12),
+        pekar=PekarConfig(n_nodes=512),
+    )
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None, [])
-        assert cfg.alpha == 0.01
-        assert cfg.cutoff == 1e4
+        assert cfg.model.alpha == 0.01
+        assert cfg.model.cutoff == 1e4
 
     def test_ini_file(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[model]\nalpha = 0.02\ncutoff = 500\n\n[pekar]\nn_nodes = 512\n")
         cfg = load_config(str(ini), [])
-        assert cfg.alpha == 0.02
-        assert cfg.cutoff == 500.0
-        assert cfg.pekar_n_nodes == 512
+        assert cfg.model.alpha == 0.02
+        assert cfg.model.cutoff == 500.0
+        assert cfg.pekar.n_nodes == 512
 
     def test_L_derives_cutoff(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[model]\nalpha = 0.02\nL = 0.05\n")
         cfg = load_config(str(ini), [])
-        assert math.isclose(cfg.cutoff, math.exp(0.05 / 0.02), rel_tol=1e-12)
+        assert math.isclose(cfg.model.cutoff, math.exp(0.05 / 0.02), rel_tol=1e-12)
 
     def test_cutoff_and_L_conflict(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -59,8 +73,8 @@ class TestConfig:
 
     def test_overrides(self):
         cfg = load_config(None, ["model.alpha=0.05", "sweep.alphas=0.1 0.2"])
-        assert cfg.alpha == 0.05
-        assert cfg.sweep_alphas == (0.1, 0.2)
+        assert cfg.model.alpha == 0.05
+        assert cfg.sweep.alphas == (0.1, 0.2)
 
     def test_bad_override_forms(self):
         with pytest.raises(ConfigError):
@@ -78,6 +92,41 @@ class TestConfig:
 
     def test_round_trip(self, tmp_path):
         cfg = load_config(None, ["model.alpha=0.03", "polarization.k_nodes=33"])
+        ini = tmp_path / "rt.ini"
+        ini.write_text(config_to_ini(cfg))
+        assert load_config(str(ini), []) == cfg
+
+
+class TestConfigErrors:
+    """A bad config value exits 2 with one "config error:" line, before any
+    stage runs: no traceback and no run on non-finite numbers."""
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("dispersion", ["dispersion.max_iter=0"]),
+            ("pekar", ["pekar.max_iter=0"]),
+            ("dispersion", ["model.alpha=1e-4", "model.L=0.1"]),
+            ("dispersion", ["model.cutoff=inf"]),
+            ("dispersion", ["model.cutoff=nan"]),
+            ("dispersion", ["model.L=abc"]),
+            ("sweep", ["sweep.alphas=-0.01"]),
+            ("sweep", ["sweep.alphas="]),
+            ("sweep", ["pekar.r_max=30"]),
+            ("verify", ["output.seed=-1"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ",".join(v),
+    )
+    def test_exit_2_with_one_line(self, command, overrides, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path)]
+        for ov in overrides:
+            argv += ["--override", ov]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    def test_round_trip_with_L(self, tmp_path):
+        cfg = load_config(None, ["model.alpha=0.02", "model.L=0.05"])
         ini = tmp_path / "rt.ini"
         ini.write_text(config_to_ini(cfg))
         assert load_config(str(ini), []) == cfg
@@ -133,6 +182,14 @@ class TestCommands:
         assert "total_pred_free_screening" in pred
         assert 0.0 < pred["Z3"] < 1.0
 
+    def test_predict_reads_b0_only(self, tmp_path, monkeypatch):
+        def refuse(d, k):
+            raise AssertionError("predict evaluated a 2-d B(k)")
+
+        monkeypatch.setattr(bdfvac.polarization, "b_lambda_k", refuse)
+        args = ["predict", "--out", str(tmp_path), "--override", "polarization.k_min=0.01"]
+        assert main(args + FAST) == EXIT_OK
+
     def test_predict_zero_coupling(self, tmp_path):
         assert (
             main(["predict", "--out", str(tmp_path), "--override", "model.alpha=0"] + FAST)
@@ -180,7 +237,7 @@ class TestVerify:
         assert len(report["checks"]) > 5  # checks still executed
 
     def test_run_verification_api(self):
-        cfg = RunConfig(cutoff=100.0, disp_n_nodes=128, pol_k_nodes=12, pekar_n_nodes=512)
+        cfg = fast_config()
         checks, ok = run_verification(cfg)
         assert ok
         assert any(c.name == "energy.correction_identity" for c in checks)
@@ -195,7 +252,7 @@ class TestVerify:
 
         monkeypatch.setattr(bdfvac.dispersion, "KernelRules", counting)
         monkeypatch.setattr(bdfvac.cli, "KernelRules", counting)
-        cfg = RunConfig(cutoff=100.0, disp_n_nodes=128, pol_k_nodes=12, pekar_n_nodes=512)
+        cfg = fast_config()
         run_verification(cfg)
         # one for the six iterate-ordering steps, one inside solve_dispersion
         assert len(builds) == 2

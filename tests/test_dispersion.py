@@ -13,8 +13,6 @@ from bdfvac.dispersion import (
     ModelParams,
     _k1_bracket_series,
     _pchip_slopes,
-    angular_kernel_K0,
-    angular_kernel_K1,
     check_asymptotics,
     dispersion_to_csv,
     free_dispersion,
@@ -25,6 +23,7 @@ from bdfvac.dispersion import (
     solve_dispersion,
 )
 from bdfvac.numerics import InvalidParameterError, _distance_panels, make_grid
+from oracles import angular_kernel_K0, angular_kernel_K1, e_tilde, interp
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -53,6 +52,17 @@ class TestModelParams:
             ModelParams(-0.1, 10.0)
         with pytest.raises(InvalidParameterError):
             ModelParams(0.1, 0.5)
+
+    @pytest.mark.parametrize(
+        "alpha, cutoff", [(math.nan, 10.0), (math.inf, 10.0), (0.1, math.inf), (0.1, math.nan)]
+    )
+    def test_non_finite_rejected(self, alpha, cutoff):
+        with pytest.raises(InvalidParameterError):
+            ModelParams(alpha, cutoff)
+
+    def test_from_L_overflow_is_a_parameter_error(self):
+        with pytest.raises(InvalidParameterError):
+            ModelParams.from_L(1e-4, 0.1)
 
 
 class TestAngularKernels:
@@ -302,6 +312,20 @@ class TestSolveDispersion:
         d = solve_dispersion(ModelParams(0.0, 100.0), make_grid(100.0, 64, "geometric"))
         assert np.all(d.g0 == 1.0)
         assert np.array_equal(d.g1, d.grid.nodes)
+
+
+class TestOneInterpolant:
+    """Values read from Dispersion.interpolant equal those of a fresh PCHIP
+    per profile, as the reference interp builds, to the bit."""
+
+    @pytest.mark.parametrize(
+        "alpha, cutoff, n", [(0.01, 1e4, 512), (1.2, 1e4, 128), (0.003, 1.7e7, 512)]
+    )
+    def test_matches_per_profile_pchip(self, alpha, cutoff, n):
+        d = solve_dispersion(ModelParams(alpha, cutoff), make_grid(cutoff, n, "geometric"))
+        assert m_alpha(d) == interp(d.grid, d.g0, 0.0)
+        p = np.array([0.0, 1e-3, 1.0, 0.5 * cutoff])
+        assert np.array_equal(np.hypot(*d.interpolant(p).T), e_tilde(d, p))
 
 
 class TestAsymptoticsReport:

@@ -11,15 +11,14 @@ from bdfvac.energy import (
     assemble_breakdown,
     breakdown_to_json,
     c0_squared,
-    predicted_ground_energy,
     regime_sweep,
-    scaling_lambda,
     sweep_to_csv,
     sweep_to_json,
 )
 from bdfvac.numerics import InvalidParameterError, make_grid
 from bdfvac.pekar import solve_pekar
 from bdfvac.polarization import PolarizationTable, polarization_table
+from oracles import predicted_ground_energy, scaling_lambda
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -196,6 +195,12 @@ class TestSweep:
         alpha = 0.05 / (math.log(CUTOFF_CAP) + 1.0)
         sw = regime_sweep([alpha], 0.05, minimizer, n_nodes=256)
         assert sw.skipped == [alpha]
+        assert not sw.rows
+
+    def test_overflowing_cutoff_skipped(self, minimizer):
+        # exp(0.1 / 1e-4) overflows a float: the row is skipped, not raised
+        sw = regime_sweep([1e-4], 0.1, minimizer, n_nodes=128)
+        assert sw.skipped == [1e-4]
         assert not sw.rows
 
     def test_validation(self, minimizer):

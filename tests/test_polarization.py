@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from bdfvac.polarization import (
     _GL64_X,
     K_SWITCH,
     b_lambda_k,
-    b_lambda_k_raw,
     b_lambda_zero_radial,
     b_screening,
     charge_renormalization,
@@ -28,9 +27,9 @@ from bdfvac.polarization import (
     kernel_difference_bound_check,
     linear_response_density,
     polarization_table,
-    screened_density,
     table_to_csv,
 )
+from oracles import b_lambda_k_raw, screened_density
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -250,7 +249,7 @@ class TestContinuity:
         assert rep.max_ratio <= 10.0
 
     def test_report_serializes(self, table):
-        d = continuity_modulus(table).to_dict()
+        d = asdict(continuity_modulus(table))
         assert "max_ratio" in d
 
 
