@@ -52,7 +52,6 @@ from .polarization import (
     b_lambda_zero_radial,
     b_screening,
     charge_renormalization,
-    free_polarization_table,
     linear_response_density,
     polarization_table,
 )

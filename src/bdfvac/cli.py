@@ -47,7 +47,6 @@ from .polarization import (
     charge_renormalization,
     continuity_modulus,
     default_k_nodes,
-    free_polarization_table,
     kernel_difference_bound_check,
     linear_response_density,
     polarization_table,
@@ -65,7 +64,8 @@ class ConfigError(ValueError):
 
 def _knob(default, **bound):
     """A config value with its lower bound, min=x (value >= x) or above=x
-    (value > x); a tuple value is bounded element by element."""
+    (value > x), and optionally its upper bound max=x (value <= x); a tuple
+    value is bounded element by element."""
     return field(default=default, metadata=bound)
 
 
@@ -81,7 +81,7 @@ class DispersionConfig:
     n_nodes: int = _knob(512, min=8)
     tol: float = _knob(1e-9, above=0.0)
     max_iter: int = _knob(200, min=1)
-    damping: float = 1.0
+    damping: float = _knob(1.0, above=0.0, max=1.0)
 
 
 @dataclass
@@ -103,7 +103,6 @@ class PekarConfig:
 class SweepConfig:
     alphas: tuple = _knob((0.02, 0.01, 0.005), above=0.0)
     L: float = _knob(0.05, above=0.0)
-    n_nodes: int = _knob(512, min=8)
 
 
 @dataclass
@@ -188,7 +187,7 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Every number finite and within the lower bound of its field."""
+    """Every number finite and within the bounds of its field."""
     for section in fields(cfg):
         part = getattr(cfg, section.name)
         for spec in fields(part):
@@ -203,15 +202,22 @@ def _validate(cfg: RunConfig) -> None:
                     raise ConfigError(f"{name} must be at least {spec.metadata['min']:g}")
                 if "above" in spec.metadata and v <= spec.metadata["above"]:
                     raise ConfigError(f"{name} must exceed {spec.metadata['above']:g}")
+                if "max" in spec.metadata and v > spec.metadata["max"]:
+                    raise ConfigError(f"{name} must be at most {spec.metadata['max']:g}")
 
 
 # ---------------------------------------------------------------- stages
 
 
-def _solve_dispersion(cfg: RunConfig):
+def _momentum_grid(cfg: RunConfig, cutoff: float):
+    """The grid every dispersion of a run is solved on, sweep included."""
+    return make_grid(cutoff, cfg.dispersion.n_nodes, "geometric")
+
+
+def _solve_dispersion(cfg: RunConfig, params: ModelParams):
     c = cfg.dispersion
-    grid = make_grid(cfg.model.cutoff, c.n_nodes, "geometric")
-    return solve_dispersion(cfg.params(), grid, tol=c.tol, max_iter=c.max_iter, damping=c.damping)
+    grid = _momentum_grid(cfg, params.cutoff)
+    return solve_dispersion(params, grid, tol=c.tol, max_iter=c.max_iter, damping=c.damping)
 
 
 def _solve_pekar(cfg: RunConfig):
@@ -222,7 +228,7 @@ def _solve_pekar(cfg: RunConfig):
 
 def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
     try:
-        d = _solve_dispersion(cfg)
+        d = _solve_dispersion(cfg, cfg.params())
     except FixedPointError as exc:
         write_json(out / "asymptotics.json", {"converged": False, "report": asdict(exc.report)})
         print(f"dispersion: no convergence ({exc})", file=sys.stderr)
@@ -237,7 +243,7 @@ def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
 
 def cmd_polarization(cfg: RunConfig, out: Path) -> int:
     try:
-        d = _solve_dispersion(cfg)
+        d = _solve_dispersion(cfg, cfg.params())
     except FixedPointError as exc:
         print(f"polarization: dispersion stage failed ({exc})", file=sys.stderr)
         return EXIT_FAIL
@@ -259,7 +265,7 @@ def cmd_pekar(cfg: RunConfig, out: Path) -> int:
 
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
     try:
-        d = _solve_dispersion(cfg)
+        d = _solve_dispersion(cfg, cfg.params())
         p = _solve_pekar(cfg)
     except (FixedPointError, PekarConvergenceError) as exc:
         stage = "dispersion" if isinstance(exc, FixedPointError) else "pekar"
@@ -270,10 +276,10 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
     t = polarization_table(d, k_nodes=k_zero)
     br = assemble_breakdown(d, t, p)
     payload = asdict(br)
-    # companion prediction with the undressed polarization value, and the
-    # associated coupling renormalization, reported side by side
-    t_free = free_polarization_table(cfg.params(), k_nodes=k_zero)
-    Z3, alpha_phys = charge_renormalization(cfg.params(), t_free.B0_at_zero)
+    # companion prediction with the undressed polarization value on the same
+    # grid, and the associated coupling renormalization, side by side
+    t_free = polarization_table(free_dispersion(d.params, d.grid), k_zero, "free")
+    Z3, alpha_phys = charge_renormalization(d.params, t_free.B0_at_zero)
     br_free = assemble_breakdown(d, t_free, p)
     payload.update(total_pred_free_screening=br_free.total_pred, b0_free=br_free.b0)
     payload.update(Z3=Z3, alpha_physical=alpha_phys)
@@ -285,8 +291,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     c = cfg.sweep
     try:
         p = _solve_pekar(cfg)
-        table = regime_sweep(c.alphas, c.L, p, n_nodes=c.n_nodes)
-    except (FixedPointError, PekarConvergenceError, InvalidParameterError) as exc:
+        table = regime_sweep(c.alphas, c.L, p, lambda params: _solve_dispersion(cfg, params))
+    except (FixedPointError, PekarConvergenceError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return EXIT_FAIL
     sweep_to_csv(table, out / "sweep.csv")
@@ -315,7 +321,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         checks.append(_Check(name, bool(passed), float(value), float(budget)))
 
     params = cfg.params()
-    grid = make_grid(params.cutoff, cfg.dispersion.n_nodes, "geometric")
+    grid = _momentum_grid(cfg, params.cutoff)
 
     # iterate ordering: 1 <= g0 and p <= g1 <= p*g0 on every iterate
     d_it = free_dispersion(params, grid)
@@ -335,7 +341,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
 
     d = None
     try:
-        d = _solve_dispersion(cfg)
+        d = _solve_dispersion(cfg, params)
         add("dispersion.converged", True, d.report.final_residual, cfg.dispersion.tol)
     except FixedPointError as exc:
         add("dispersion.converged", False, exc.report.final_residual, cfg.dispersion.tol)
@@ -387,11 +393,10 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         st = None
 
     if d is not None and st is not None:
-        t1 = polarization_table(d, k_nodes=np.array([DEFAULT_K_MIN]))
-        br = assemble_breakdown(d, t1, st)
+        br = assemble_breakdown(d, table, st)
         total_corr = br.kinetic_corr + br.vacuum_corr + br.direct_corr
         if params.alpha > 0:
-            expected = (st.T - st.D) / c0_squared(d, t1)
+            expected = (st.T - st.D) / c0_squared(d, table)
             rel = abs(total_corr - expected) / abs(expected)
             add("energy.correction_identity", rel <= 1e-12, rel, 1e-12)
             add("energy.vacuum_corr_positive", br.vacuum_corr > 0, br.vacuum_corr, 0.0)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .dispersion import Dispersion, ModelParams, g1_prime_zero, m_alpha, solve_dispersion
-from .numerics import InvalidParameterError, make_grid, write_csv, write_json
-from .pekar import PekarState, solve_pekar
+from .dispersion import Dispersion, ModelParams, g1_prime_zero, m_alpha
+from .numerics import InvalidParameterError, write_csv, write_json
+from .pekar import PekarState
 from .polarization import DEFAULT_K_MIN, PolarizationTable, b_screening, polarization_table
 
 CUTOFF_CAP = 1e8
@@ -145,44 +145,39 @@ class SweepTable:
         return [dict(zip(SWEEP_COLUMNS, row)) for row in self.rows]
 
 
-def regime_sweep(
-    alphas,
-    L_fixed: float,
-    pekar_state: PekarState | None = None,
-    n_nodes: int = 512,
-) -> SweepTable:
+def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> SweepTable:
     """Solve the pipeline for each alpha at cutoff = exp(L/alpha).
 
-    The variational problem is alpha-independent and solved once.  Alphas
-    whose derived cutoff exceeds CUTOFF_CAP are recorded in `skipped`
-    rather than solved.  Row columns: SWEEP_COLUMNS, where binding is
-    m - E_pred (positive when E_CP < 0).
+    solve(params) returns the Dispersion for one alpha; the variational
+    problem is alpha-independent and solved once, by the caller.  Alphas
+    whose derived cutoff overflows or exceeds CUTOFF_CAP are recorded in
+    `skipped` rather than solved.  Row columns: SWEEP_COLUMNS, where
+    binding is m - E_pred (positive when E_CP < 0).
     """
     if L_fixed <= 0:
         raise InvalidParameterError("L must be positive")
-    if pekar_state is None:
-        pekar_state = solve_pekar()
     rows = []
     skipped = []
     for alpha in alphas:
-        if alpha <= 0:
+        if not alpha > 0:
             raise InvalidParameterError("sweep alphas must be positive")
         try:
-            cutoff = math.exp(L_fixed / alpha)
-        except OverflowError:
-            cutoff = math.inf
-        if cutoff > CUTOFF_CAP:
+            params = ModelParams.from_L(float(alpha), L_fixed)
+        except InvalidParameterError:
+            if L_fixed / alpha < 1.0:  # exp(L/alpha) rounds to 1, it did not overflow
+                raise
+            params = None
+        if params is None or params.cutoff > CUTOFF_CAP:
             skipped.append(float(alpha))
             continue
-        params = ModelParams(alpha=float(alpha), cutoff=cutoff)
-        d = solve_dispersion(params, make_grid(cutoff, n_nodes, "geometric"))
+        d = solve(params)
         # only B0_at_zero is needed: a k below K_SWITCH skips the 2-d integral
         t = polarization_table(d, k_nodes=[DEFAULT_K_MIN])
         br = assemble_breakdown(d, t, pekar_state)
         rows.append(
             (
-                float(alpha),
-                cutoff,
+                params.alpha,
+                params.cutoff,
                 br.m,
                 br.b0,
                 br.g1_slope,

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (
-    Dispersion,
-    ModelParams,
-    free_dispersion,
-    g0_derivatives,
-    make_grid,
-)
+from .dispersion import Dispersion, ModelParams, g0_derivatives
 from .numerics import (
     InvalidParameterError,
     OutOfRangeError,
@@ -201,24 +195,8 @@ def polarization_table(
     return PolarizationTable(d.params, k_nodes, B, b, B0, dispersion_kind)
 
 
-def free_polarization_table(
-    params: ModelParams,
-    k_nodes: np.ndarray | None = None,
-    n_momentum_nodes: int = 512,
-) -> PolarizationTable:
-    """Same pipeline with the undressed profiles g0 = 1, g1(p) = p."""
-    grid = make_grid(params.cutoff, n_momentum_nodes, "geometric")
-    d = free_dispersion(params, grid)
-    return polarization_table(d, k_nodes, dispersion_kind="free")
-
-
-def charge_renormalization(
-    params: ModelParams, B0_zero: float | None = None
-) -> tuple[float, float]:
-    """(Z3, alpha_phys) from the free-dispersion polarization at k = 0."""
-    if B0_zero is None:
-        grid = make_grid(params.cutoff, 512, "geometric")
-        B0_zero = b_lambda_zero_radial(free_dispersion(params, grid))
+def charge_renormalization(params: ModelParams, B0_zero: float) -> tuple[float, float]:
+    """(Z3, alpha_phys) from the free-dispersion polarization B0_zero at k = 0."""
     Z3 = 1.0 / (1.0 + params.alpha * B0_zero)
     return Z3, params.alpha * Z3
 

@@ -28,7 +28,12 @@ from bdfvac.dispersion import (
 from bdfvac.energy import assemble_breakdown, c0_squared, regime_sweep
 from bdfvac.numerics import make_grid
 from bdfvac.pekar import GAUSSIAN_BOUND, el_residual, solve_pekar
-from bdfvac.polarization import b_lambda_k, b_lambda_zero_radial, polarization_table
+from bdfvac.polarization import (
+    DEFAULT_K_MIN,
+    b_lambda_k,
+    b_lambda_zero_radial,
+    polarization_table,
+)
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -46,7 +51,7 @@ def minimizer():
 
 @pytest.fixture(scope="module")
 def table(dressed):
-    return polarization_table(dressed, k_nodes=dressed.grid.nodes[:1])
+    return polarization_table(dressed, k_nodes=[DEFAULT_K_MIN])
 
 
 def _report(capsys, idx, name, ok):
@@ -102,7 +107,12 @@ def test_criterion_5_energy_identity_and_binding(dressed, table, minimizer, caps
     total = br.kinetic_corr + br.vacuum_corr + br.direct_corr
     expected = (minimizer.T - minimizer.D) / c0_squared(dressed, table)
     identity = abs(total - expected) / abs(expected) <= 1e-12
-    sweep = regime_sweep([0.02, 0.01, 0.005], 0.05, minimizer, n_nodes=256)
+    sweep = regime_sweep(
+        [0.02, 0.01, 0.005],
+        0.05,
+        minimizer,
+        lambda params: solve_dispersion(params, make_grid(params.cutoff, 256, "geometric")),
+    )
     binds = all(
         row["E_pred"] < row["m"] for row in sweep.to_dicts()
     )  # E_CP < 0 in every row by construction
@@ -145,7 +155,7 @@ def test_criterion_7_determinism_and_refinement(dressed, table, minimizer, capsy
 
     # headline scalars stable under doubling of every grid
     d2 = solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 1024, "geometric"))
-    t2 = polarization_table(d2, k_nodes=d2.grid.nodes[:1])
+    t2 = polarization_table(d2, k_nodes=[DEFAULT_K_MIN])
     p2 = solve_pekar(make_grid(40.0, 2048, "uniform"))
     m_stable = abs(m_alpha(d2) - m_alpha(dressed)) <= 1e-6
     B0_stable = abs(t2.B0_at_zero / table.B0_at_zero - 1.0) <= 1e-3

@@ -20,6 +20,9 @@ from bdfvac.cli import (
     main,
     run_verification,
 )
+from bdfvac.dispersion import ModelParams, free_dispersion
+from bdfvac.numerics import make_grid
+from bdfvac.polarization import b_lambda_zero_radial, b_screening
 from oracles import config_to_ini
 
 # small, fast parameter set reused across command tests
@@ -28,7 +31,6 @@ FAST = [
     "--override", "dispersion.n_nodes=128",
     "--override", "polarization.k_nodes=12",
     "--override", "pekar.n_nodes=512",
-    "--override", "sweep.n_nodes=128",
 ]
 
 
@@ -125,6 +127,14 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    @pytest.mark.parametrize("command", ["dispersion", "sweep"])
+    @pytest.mark.parametrize("damping", ["7", "0"])
+    def test_damping_out_of_range(self, command, damping, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path), "--override", f"dispersion.damping={damping}"]
+        assert main(argv + FAST) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: dispersion.damping ")
+
     def test_round_trip_with_L(self, tmp_path):
         cfg = load_config(None, ["model.alpha=0.02", "model.L=0.05"])
         ini = tmp_path / "rt.ini"
@@ -198,11 +208,22 @@ class TestCommands:
         pred = json.loads((tmp_path / "prediction.json").read_text())
         assert pred["total_pred"] == pred["m"] == 1.0
 
+    def test_predict_free_companion_on_the_dressed_grid(self, tmp_path):
+        assert main(["predict", "--out", str(tmp_path)] + FAST) == EXIT_OK
+        pred = json.loads((tmp_path / "prediction.json").read_text())
+        # FAST solves the dispersion on 128 nodes; the free B(0) uses the same grid
+        free = free_dispersion(ModelParams(0.01, 100.0), make_grid(100.0, 128, "geometric"))
+        assert pred["b0_free"] == b_screening(b_lambda_zero_radial(free), 0.01)
+
     def test_sweep_row_count(self, tmp_path):
         args = ["sweep", "--out", str(tmp_path), "--override", "sweep.alphas=0.02 0.01 0.005"]
         assert main(args + FAST) == EXIT_OK
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 4  # header + 3
+
+    def test_sweep_uses_the_dispersion_section(self, tmp_path):
+        args = ["sweep", "--out", str(tmp_path), "--override", "dispersion.max_iter=1"]
+        assert main(args + FAST) == EXIT_FAIL
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -17,7 +17,7 @@ from bdfvac.energy import (
 )
 from bdfvac.numerics import InvalidParameterError, make_grid
 from bdfvac.pekar import solve_pekar
-from bdfvac.polarization import PolarizationTable, polarization_table
+from bdfvac.polarization import DEFAULT_K_MIN, PolarizationTable, polarization_table
 from oracles import predicted_ground_energy, scaling_lambda
 
 ALPHA = 0.01
@@ -31,7 +31,7 @@ def dressed():
 
 @pytest.fixture(scope="module")
 def table(dressed):
-    return polarization_table(dressed, k_nodes=dressed.grid.nodes[:1])
+    return polarization_table(dressed, k_nodes=[DEFAULT_K_MIN])
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ class TestC0Squared:
         params = ModelParams(0.0, 100.0)
         grid = make_grid(100.0, 64, "geometric")
         d = free_dispersion(params, grid)
-        t = polarization_table(d, k_nodes=grid.nodes[:1])
+        t = polarization_table(d, k_nodes=[DEFAULT_K_MIN])
         assert math.isinf(c0_squared(d, t))
 
 
@@ -138,7 +138,7 @@ class TestBreakdown:
         params = ModelParams(0.0, 100.0)
         grid = make_grid(100.0, 64, "geometric")
         d = free_dispersion(params, grid)
-        t = polarization_table(d, k_nodes=grid.nodes[:1])
+        t = polarization_table(d, k_nodes=[DEFAULT_K_MIN])
         br = assemble_breakdown(d, t, minimizer)
         assert br.total_pred == br.m == 1.0
         assert br.kinetic_corr == br.vacuum_corr == br.direct_corr == 0.0
@@ -160,9 +160,13 @@ class TestPrediction:
             predicted_ground_energy(dressed, table, 0.5)
 
 
+def _solver(n_nodes):
+    return lambda params: solve_dispersion(params, make_grid(params.cutoff, n_nodes, "geometric"))
+
+
 @pytest.fixture(scope="module")
 def sweep(minimizer):
-    return regime_sweep([0.02, 0.01, 0.005], 0.05, minimizer, n_nodes=256)
+    return regime_sweep([0.02, 0.01, 0.005], 0.05, minimizer, _solver(256))
 
 
 class TestSweep:
@@ -193,21 +197,26 @@ class TestSweep:
 
     def test_over_cap_rows_skipped(self, minimizer):
         alpha = 0.05 / (math.log(CUTOFF_CAP) + 1.0)
-        sw = regime_sweep([alpha], 0.05, minimizer, n_nodes=256)
+        sw = regime_sweep([alpha], 0.05, minimizer, _solver(256))
         assert sw.skipped == [alpha]
         assert not sw.rows
 
     def test_overflowing_cutoff_skipped(self, minimizer):
         # exp(0.1 / 1e-4) overflows a float: the row is skipped, not raised
-        sw = regime_sweep([1e-4], 0.1, minimizer, n_nodes=128)
+        sw = regime_sweep([1e-4], 0.1, minimizer, _solver(128))
         assert sw.skipped == [1e-4]
         assert not sw.rows
 
+    def test_cutoff_rounding_to_one_raises(self, minimizer):
+        # exp(1e-18 / 1) is 1.0, no cutoff: an error, not a skipped row
+        with pytest.raises(InvalidParameterError):
+            regime_sweep([1.0], 1e-18, minimizer, solve_dispersion)
+
     def test_validation(self, minimizer):
         with pytest.raises(InvalidParameterError):
-            regime_sweep([0.01], -1.0, minimizer)
+            regime_sweep([0.01], -1.0, minimizer, solve_dispersion)
         with pytest.raises(InvalidParameterError):
-            regime_sweep([-0.01], 0.05, minimizer)
+            regime_sweep([-0.01], 0.05, minimizer, solve_dispersion)
 
     def test_serialization(self, sweep, tmp_path):
         c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"

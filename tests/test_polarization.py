@@ -23,7 +23,6 @@ from bdfvac.polarization import (
     charge_renormalization,
     continuity_modulus,
     default_k_nodes,
-    free_polarization_table,
     kernel_difference_bound_check,
     linear_response_density,
     polarization_table,
@@ -190,7 +189,12 @@ class TestBatchedQuadrature:
 
         monkeypatch.setattr(bdfvac.polarization, "b_lambda_k", refuse)
         # cutoff e^10: the grid's first node lies above K_SWITCH
-        sweep = regime_sweep([0.01], 0.1, solve_pekar(), n_nodes=128)
+        sweep = regime_sweep(
+            [0.01],
+            0.1,
+            solve_pekar(),
+            lambda params: solve_dispersion(params, make_grid(params.cutoff, 128, "geometric")),
+        )
         assert len(sweep.rows) == 1
 
 
@@ -227,7 +231,8 @@ class TestTable:
         assert np.all(table.B[mask] == table.B0_at_zero)
 
     def test_free_table_kind(self):
-        t = free_polarization_table(ModelParams(ALPHA, 100.0), n_momentum_nodes=128)
+        d = free_dispersion(ModelParams(ALPHA, 100.0), make_grid(100.0, 128, "geometric"))
+        t = polarization_table(d, dispersion_kind="free")
         assert t.dispersion_kind == "free"
         assert np.all(t.B >= 0.0)
 
@@ -269,10 +274,6 @@ class TestChargeRenormalization:
         Z3, alpha_phys = charge_renormalization(ModelParams(ALPHA, CUTOFF), B0)
         assert math.isclose(Z3, 1.0 / (1.0 + ALPHA * B0), rel_tol=1e-14)
         assert 0.0 < alpha_phys < ALPHA
-
-    def test_self_computes_free_value(self):
-        Z3, _ = charge_renormalization(ModelParams(ALPHA, 100.0))
-        assert 0.0 < Z3 < 1.0
 
 
 class TestLinearResponse:
