@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dispersion, pekar
 from .dispersion import (
     ALPHA_REGIME_LIMIT,
     KernelRules,
@@ -79,24 +80,24 @@ class ModelConfig:
 @dataclass
 class DispersionConfig:
     n_nodes: int = _knob(512, min=8)
-    tol: float = _knob(1e-9, above=0.0)
-    max_iter: int = _knob(200, min=1)
+    tol: float = _knob(dispersion.DEFAULT_TOL, above=0.0)
+    max_iter: int = _knob(dispersion.DEFAULT_MAX_ITER, min=1)
     damping: float = _knob(1.0, above=0.0, max=1.0)
 
 
 @dataclass
 class PolarizationConfig:
     k_nodes: int = _knob(128, min=8)
-    k_min: float = _knob(1e-4, above=0.0)
+    k_min: float = _knob(DEFAULT_K_MIN, above=0.0)
 
 
 @dataclass
 class PekarConfig:
-    r_max: float = _knob(40.0, min=40.0)
+    r_max: float = _knob(pekar.DEFAULT_R_MAX, min=pekar.DEFAULT_R_MAX)
     n_nodes: int = _knob(1024, min=8)
-    dt: float = _knob(0.5, above=0.0)
-    tol: float = _knob(1e-6, above=0.0)
-    max_iter: int = _knob(50_000, min=1)
+    dt: float = _knob(pekar.DEFAULT_DT, above=0.0)
+    tol: float = _knob(pekar.DEFAULT_TOL, above=0.0)
+    max_iter: int = _knob(pekar.DEFAULT_MAX_ITER, min=1)
 
 
 @dataclass
@@ -242,11 +243,7 @@ def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_polarization(cfg: RunConfig, out: Path) -> int:
-    try:
-        d = _solve_dispersion(cfg, cfg.params())
-    except FixedPointError as exc:
-        print(f"polarization: dispersion stage failed ({exc})", file=sys.stderr)
-        return EXIT_FAIL
+    d = _solve_dispersion(cfg, cfg.params())
     c = cfg.polarization
     table = polarization_table(d, default_k_nodes(cfg.model.cutoff, c.k_nodes, c.k_min))
     table_to_csv(table, out / "polarization.csv", out / "polarization.json")
@@ -254,23 +251,14 @@ def cmd_polarization(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_pekar(cfg: RunConfig, out: Path) -> int:
-    try:
-        state = _solve_pekar(cfg)
-    except PekarConvergenceError as exc:
-        print(f"pekar: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    state = _solve_pekar(cfg)
     state_to_csv(state, out / "pekar.csv", out / "pekar_summary.json")
     return EXIT_OK
 
 
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
-    try:
-        d = _solve_dispersion(cfg, cfg.params())
-        p = _solve_pekar(cfg)
-    except (FixedPointError, PekarConvergenceError) as exc:
-        stage = "dispersion" if isinstance(exc, FixedPointError) else "pekar"
-        print(f"predict: {stage} stage failed ({exc})", file=sys.stderr)
-        return EXIT_FAIL
+    d = _solve_dispersion(cfg, cfg.params())
+    p = _solve_pekar(cfg)
     # only B0_at_zero is read: a k below K_SWITCH skips the 2-d integral
     k_zero = np.array([DEFAULT_K_MIN])
     t = polarization_table(d, k_nodes=k_zero)
@@ -289,12 +277,8 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     c = cfg.sweep
-    try:
-        p = _solve_pekar(cfg)
-        table = regime_sweep(c.alphas, c.L, p, lambda params: _solve_dispersion(cfg, params))
-    except (FixedPointError, PekarConvergenceError) as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    p = _solve_pekar(cfg)
+    table = regime_sweep(c.alphas, c.L, p, lambda params: _solve_dispersion(cfg, params))
     sweep_to_csv(table, out / "sweep.csv")
     sweep_to_json(table, out / "sweep.json")
     for alpha in table.skipped:
@@ -336,6 +320,10 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
             float(np.max((p_nodes - d_it.g1) / p_nodes)),
             float(np.max((d_it.g1 - p_nodes * d_it.g0) / p_nodes)),
         )
+    # coupling off: scf_step is the identity and leaves the rules unread
+    zero = ModelParams(0.0, params.cutoff)
+    d0 = free_dispersion(zero, grid)
+    d0s = scf_step(d0, rules)
     del rules  # solve_dispersion builds its own; do not hold two at once
     add("dispersion.iterate_ordering", worst <= 1e-12, worst, 1e-12)
 
@@ -358,7 +346,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         add("polarization.B_nonnegative", np.all(table.B >= 0.0), float(table.B.min()), 0.0)
         b_ok = np.all(table.b >= 0.0) and np.all(table.b < 1.0)
         add("polarization.b_in_unit_interval", b_ok, float(table.b.max()), 1.0)
-        bound = kernel_difference_bound_check(d, 100, seed=cfg.output.seed)
+        bound = kernel_difference_bound_check(d, seed=cfg.output.seed)
         add("polarization.pointwise_kernel_bound", bound.violations == 0, bound.violations, 0.0)
         cont = continuity_modulus(table)
         add("polarization.continuity_modulus", cont.max_ratio <= 10.0, cont.max_ratio, 10.0)
@@ -372,9 +360,6 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         add("polarization.response_sign", sign_ok, float(resp1.max()), 0.0)
 
     # coupling-off reductions are exact in every module
-    zero = ModelParams(0.0, params.cutoff)
-    d0 = free_dispersion(zero, grid)
-    d0s = scf_step(d0)
     red = max(float(np.max(np.abs(d0s.g0 - 1.0))), float(np.max(np.abs(d0s.g1 - grid.nodes))))
     t0 = polarization_table(d0, k_nodes=np.array([DEFAULT_K_MIN]))
     red = max(red, float(np.max(np.abs(t0.b))))
@@ -483,6 +468,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (FixedPointError, PekarConvergenceError) as exc:
+        stage = "dispersion" if isinstance(exc, FixedPointError) else "pekar"
+        print(f"{args.command}: {stage} stage failed ({exc})", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -33,13 +33,11 @@ from .numerics import (
     RadialGrid,
     _distance_panels,
     fixed_point_solve,
-    make_grid,
     write_csv,
 )
 
 ALPHA_REGIME_LIMIT = 4.0 / math.pi
 
-DEFAULT_N_NODES = 512
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 
@@ -240,7 +238,7 @@ class KernelRules:
         self.A1 = csr_array((np.concatenate(values1), indices, indptr), shape=(n, width))
 
 
-def scf_step(d: Dispersion, rules: KernelRules | None = None) -> Dispersion:
+def scf_step(d: Dispersion, rules: KernelRules) -> Dispersion:
     """One application of the self-consistency map to (g0, g1).
 
     Each integral is the folded operator of KernelRules applied to the node
@@ -248,12 +246,13 @@ def scf_step(d: Dispersion, rules: KernelRules | None = None) -> Dispersion:
     nonnegative, so the exact map gives g0 >= 1 and p <= g1 <= p g0; the
     folded rows carry signed Hermite weights, so in floating point these
     bounds hold to rounding, which the tests check up to strong coupling.
+    At alpha = 0 the map is the identity and the rules are not read.
     """
     alpha = d.params.alpha
     if alpha == 0.0:
         return d
-    if rules is None or rules.grid is not d.grid:
-        rules = KernelRules(d.grid)
+    if rules.grid is not d.grid:
+        raise InvalidParameterError("kernel rules were built on another grid")
     p = d.grid.nodes
     et = d.e_tilde_samples
     f0 = d.g0 / et
@@ -283,15 +282,13 @@ def _scf_norm(nodes: np.ndarray):
 
 def solve_dispersion(
     params: ModelParams,
-    grid: RadialGrid | None = None,
+    grid: RadialGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     damping: float = 1.0,
 ) -> Dispersion:
     """Solve the self-consistent equations for (g0, g1) by damped Picard
     iteration; raises FixedPointError with the report on non-convergence."""
-    if grid is None:
-        grid = make_grid(params.cutoff, DEFAULT_N_NODES, "geometric")
     d0 = free_dispersion(params, grid)
     if params.alpha == 0.0:
         _, report = fixed_point_solve(lambda y: y, _pack(d0), tol, max_iter)

@@ -66,12 +66,13 @@ class RadialGrid:
         return self.nodes.size
 
 
-def make_grid(cutoff: float, n_points: int, clustering: str = "uniform") -> RadialGrid:
+def make_grid(cutoff: float, n_points: int, clustering: str) -> RadialGrid:
     """Build a midpoint rule on (0, cutoff].
 
-    clustering="geometric" packs nodes near the origin (boundaries in
-    geometric progression from cutoff*1e-6 up to cutoff), which is what the
-    small-p extraction of dispersion derivatives needs.
+    clustering="uniform" spaces the cells evenly.  clustering="geometric"
+    packs nodes near the origin (boundaries in geometric progression from
+    cutoff*1e-6 up to cutoff), which is what the small-p extraction of
+    dispersion derivatives needs.
     """
     if cutoff <= 0:
         raise InvalidParameterError(f"cutoff must be positive, got {cutoff}")
@@ -105,13 +106,13 @@ def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
-def _distance_panels(d, levels: int = 52):
+def _distance_panels(d):
     """Dyadic Gauss points/weights in the distance u from the singular
-    endpoint, covering (d*2**-levels, d].
+    endpoint, covering (d*2**-52, d] in 52 halvings.
 
     d may be a scalar or an array of shape (..., 1); the points of each
     distance then lie along the last axis."""
-    j = np.arange(levels)
+    j = np.arange(52)
     lo = d * 0.5 ** (j + 1)
     hi = d * 0.5**j
     mid = 0.5 * (lo + hi)
@@ -134,14 +135,15 @@ def fixed_point_solve(
     map_fn,
     init,
     tol: float,
-    max_iter: int = 200,
+    max_iter: int,
     damping: float = 1.0,
     norm=None,
 ):
     """Damped Picard iteration x <- (1-w) x + w map(x).
 
     The residual is norm(map(x) - x) (sup-norm by default).  Whenever the
-    residual increases, the damping factor is halved, floored at 1/64; the
+    residual increases, the damping factor is halved, floored at 1/64 (or
+    at the given damping if that is smaller: a rise never raises it); the
     iteration degrades gracefully outside the contraction regime.  Raises
     FixedPointError (carrying the report and last state) if max_iter is
     reached above tolerance.
@@ -163,7 +165,7 @@ def fixed_point_solve(
         res = norm(fx - x)
         history.append(res)
         if res > prev:
-            omega = max(omega / 2.0, 1.0 / 64.0)
+            omega = max(omega / 2.0, min(omega, 1.0 / 64.0))
         prev = res
         x = (1.0 - omega) * x + omega * fx
         if res <= tol:

@@ -20,13 +20,11 @@ from .numerics import (
     RadialGrid,
     ShapeMismatchError,
     integrate,
-    make_grid,
     write_csv,
     write_json,
 )
 
-DEFAULT_R_MAX = 40.0
-DEFAULT_N_NODES = 1024
+DEFAULT_R_MAX = 40.0  # also the smallest admissible box
 DEFAULT_DT = 0.5
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50_000
@@ -116,8 +114,9 @@ def make_state(grid: RadialGrid, phi: np.ndarray) -> PekarState:
     return PekarState(grid=grid, phi=phi, T=T, D=D, E=T - D, mu=T - 2.0 * D)
 
 
-def gaussian_state(grid: RadialGrid, sigma: float = GAUSSIAN_SIGMA_STAR) -> PekarState:
-    phi = np.exp(-grid.nodes**2 / (2.0 * sigma**2))
+def gaussian_state(grid: RadialGrid) -> PekarState:
+    """The optimal Gaussian trial, where every descent starts."""
+    phi = np.exp(-grid.nodes**2 / (2.0 * GAUSSIAN_SIGMA_STAR**2))
     return make_state(grid, phi)
 
 
@@ -175,24 +174,22 @@ class PekarConvergenceError(RuntimeError):
 
 
 def solve_pekar(
-    grid: RadialGrid | None = None,
-    init: PekarState | None = None,
+    grid: RadialGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     dt: float = DEFAULT_DT,
 ) -> PekarState:
-    """Imaginary-time minimization to EL residual <= tol.
+    """Imaginary-time minimization to EL residual <= tol, from the optimal
+    Gaussian.
 
     Uses the implicit step, whose fixed point is the Euler-Lagrange
     equation itself; the step size halves on any energy increase beyond
     rounding level, which keeps the iteration monotone far from the
     minimizer.
     """
-    if grid is None:
-        grid = make_grid(DEFAULT_R_MAX, DEFAULT_N_NODES, "uniform")
-    if grid.cutoff < 40.0:
-        raise InvalidParameterError("direct-space box must extend to R_max >= 40")
-    state = init if init is not None else gaussian_state(grid)
+    if grid.cutoff < DEFAULT_R_MAX:
+        raise InvalidParameterError(f"direct-space box must extend to R_max >= {DEFAULT_R_MAX:g}")
+    state = gaussian_state(grid)
     check_every = 20
     for it in range(1, max_iter + 1):
         new = _semi_implicit_step(state, dt)
@@ -215,11 +212,10 @@ def solve_pekar(
     )
 
 
-def state_to_csv(state: PekarState, csv_path, json_path=None):
+def state_to_csv(state: PekarState, csv_path, json_path):
     """CSV body r, phi, V plus a JSON summary of the scalars."""
     V = hartree_potential(state.grid, state.phi**2)
     write_csv(csv_path, ("r", "phi", "V"), (state.grid.nodes, state.phi, V))
-    if json_path is not None:
-        summary = {"T": state.T, "D": state.D, "E": state.E, "mu": state.mu}
-        summary["residual"] = el_residual(state)
-        write_json(json_path, summary)
+    summary = {"T": state.T, "D": state.D, "E": state.E, "mu": state.mu}
+    summary["residual"] = el_residual(state)
+    write_json(json_path, summary)

@@ -39,7 +39,6 @@ from .numerics import (
 # at 0 lets us report the radial k=0 closed form instead.
 K_SWITCH = 1e-3
 
-DEFAULT_K_NODES = 128
 DEFAULT_K_MIN = 1e-4
 
 # leggauss symmetrizes its nodes, so _GL64_X == -_GL64_X[::-1] exactly, as
@@ -173,20 +172,18 @@ def b_screening(B_value: float, alpha: float) -> float:
     return x / (1.0 + x)
 
 
-def default_k_nodes(cutoff: float, n: int = DEFAULT_K_NODES, k_min: float = DEFAULT_K_MIN):
+def default_k_nodes(cutoff: float, n: int, k_min: float):
     """Geometric k grid from k_min to 2*cutoff."""
     return np.geomspace(k_min, 2.0 * cutoff, n)
 
 
 def polarization_table(
     d: Dispersion,
-    k_nodes: np.ndarray | None = None,
+    k_nodes: np.ndarray,
     dispersion_kind: str = "dressed",
 ) -> PolarizationTable:
     """Tabulate B and b on a k grid; k below K_SWITCH uses the radial
     closed form (continuity at 0 backs the substitution)."""
-    if k_nodes is None:
-        k_nodes = default_k_nodes(d.grid.cutoff)
     k_nodes = np.asarray(k_nodes, dtype=float)
     B0 = b_lambda_zero_radial(d)
     alpha = d.params.alpha
@@ -237,12 +234,10 @@ class KernelBoundReport:
     max_excess: float
 
 
-def kernel_difference_bound_check(
-    d: Dispersion, n_samples: int = 100, seed: int = 0
-) -> KernelBoundReport:
+def kernel_difference_bound_check(d: Dispersion, seed: int) -> KernelBoundReport:
     """Sampled check of the pointwise kernel-difference bound.
 
-    For random momenta p, q in the cutoff ball, the dimensionless kernel
+    For 100 random momenta p, q in the cutoff ball, the dimensionless kernel
 
         (E(p)E(q) - g(p).g(q)) / (E(p)E(q)(E(p)+E(q)))
 
@@ -251,6 +246,7 @@ def kernel_difference_bound_check(
     the violation count and the largest excess over the bound.
     """
     rng = np.random.default_rng(seed)
+    n_samples = 100
     cutoff = d.grid.cutoff
     violations = 0
     max_excess = -np.inf
@@ -278,15 +274,14 @@ def kernel_difference_bound_check(
     return KernelBoundReport(n_samples, violations, max_excess)
 
 
-def table_to_csv(table: PolarizationTable, csv_path, json_path=None):
+def table_to_csv(table: PolarizationTable, csv_path, json_path):
     """CSV body k, B, b; the header metadata goes to a JSON side file."""
     write_csv(csv_path, ("k", "B", "b"), (table.k_nodes, table.B, table.b))
-    if json_path is not None:
-        meta = {
-            "alpha": table.params.alpha,
-            "cutoff": table.params.cutoff,
-            "L": table.params.L,
-            "dispersion_kind": table.dispersion_kind,
-            "B0_at_zero": table.B0_at_zero,
-        }
-        write_json(json_path, meta)
+    meta = {
+        "alpha": table.params.alpha,
+        "cutoff": table.params.cutoff,
+        "L": table.params.L,
+        "dispersion_kind": table.dispersion_kind,
+        "B0_at_zero": table.B0_at_zero,
+    }
+    write_json(json_path, meta)

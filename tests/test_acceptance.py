@@ -41,7 +41,7 @@ CUTOFF = 1e4
 
 @pytest.fixture(scope="module")
 def dressed():
-    return solve_dispersion(ModelParams(ALPHA, CUTOFF))
+    return solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
 
 
 @pytest.fixture(scope="module")
@@ -143,14 +143,15 @@ def test_criterion_7_determinism_and_refinement(dressed, table, minimizer, capsy
 
     # byte-identical reruns of every CSV writer
     deterministic = True
-    for writer, obj in (
-        (dispersion_to_csv, dressed),
-        (table_to_csv, table),
-        (state_to_csv, minimizer),
+    side = (tmp_path / "side.json",)  # the JSON side file of the table and state writers
+    for writer, obj, extra in (
+        (dispersion_to_csv, dressed, ()),
+        (table_to_csv, table, side),
+        (state_to_csv, minimizer, side),
     ):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        writer(obj, a)
-        writer(obj, b)
+        writer(obj, a, *extra)
+        writer(obj, b, *extra)
         deterministic = deterministic and a.read_bytes() == b.read_bytes()
 
     # headline scalars stable under doubling of every grid

@@ -156,6 +156,20 @@ class TestExitCodes:
         report = json.loads((tmp_path / "asymptotics.json").read_text())
         assert report["converged"] is False
 
+    @pytest.mark.parametrize(
+        "command, stage, override",
+        [
+            ("pekar", "pekar", "pekar.max_iter=1"),
+            ("polarization", "dispersion", "dispersion.max_iter=1"),
+            ("predict", "dispersion", "dispersion.max_iter=1"),
+        ],
+    )
+    def test_stage_failure_is_one_line(self, command, stage, override, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path), "--override", override]
+        assert main(argv + FAST) == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{command}: {stage} stage failed ("), err
+
 
 class TestCommands:
     def test_dispersion_writes_artifacts(self, tmp_path):

@@ -31,7 +31,7 @@ CUTOFF = 1e4
 
 @pytest.fixture(scope="module")
 def solved():
-    return solve_dispersion(ModelParams(ALPHA, CUTOFF))
+    return solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
 
 
 class TestModelParams:
@@ -119,15 +119,22 @@ class TestScfStep:
     def test_identity_at_zero_coupling(self):
         g = make_grid(100.0, 64, "geometric")
         d = free_dispersion(ModelParams(0.0, 100.0), g)
-        d2 = scf_step(d)
+        d2 = scf_step(d, KernelRules(g))
         assert np.array_equal(d2.g0, d.g0)
         assert np.array_equal(d2.g1, d.g1)
+
+    def test_rules_from_another_grid_rejected(self):
+        d = free_dispersion(ModelParams(ALPHA, 100.0), make_grid(100.0, 64, "geometric"))
+        other = KernelRules(make_grid(100.0, 64, "geometric"))
+        with pytest.raises(InvalidParameterError):
+            scf_step(d, other)
 
     def test_iterates_keep_ordering(self):
         g = make_grid(CUTOFF, 128, "geometric")
         d = free_dispersion(ModelParams(ALPHA, CUTOFF), g)
+        rules = KernelRules(g)
         for _ in range(4):
-            d = scf_step(d)
+            d = scf_step(d, rules)
             assert np.all(d.g0 >= 1.0)
             assert np.all(d.g1 >= g.nodes * (1.0 - 1e-14))
             assert np.all(d.g1 <= g.nodes * d.g0 * (1.0 + 1e-12))
@@ -204,7 +211,7 @@ class TestFoldedQuadrature:
             raise AssertionError("the SCF loop built a PchipInterpolator")
 
         monkeypatch.setattr(bdfvac.dispersion, "PchipInterpolator", refuse)
-        d = solve_dispersion(ModelParams(ALPHA, CUTOFF))
+        d = solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
         assert d.report.converged
 
 
@@ -303,7 +310,8 @@ class TestSolveDispersion:
         assert abs(m_alpha(d2) - m_alpha(solved)) < 1e-6
 
     def test_mass_shift_nearly_linear_in_alpha(self, solved):
-        d2 = solve_dispersion(ModelParams(2.0 * ALPHA, CUTOFF))
+        grid = make_grid(CUTOFF, 512, "geometric")
+        d2 = solve_dispersion(ModelParams(2.0 * ALPHA, CUTOFF), grid)
         shift1 = m_alpha(solved) - 1.0
         shift2 = m_alpha(d2) - 1.0
         assert abs(shift2 / (2.0 * shift1) - 1.0) < 0.02

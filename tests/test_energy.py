@@ -26,7 +26,7 @@ CUTOFF = 1e4
 
 @pytest.fixture(scope="module")
 def dressed():
-    return solve_dispersion(ModelParams(ALPHA, CUTOFF))
+    return solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def table(dressed):
 
 @pytest.fixture(scope="module")
 def minimizer():
-    return solve_pekar()
+    return solve_pekar(make_grid(40.0, 1024, "uniform"))
 
 
 @pytest.fixture(scope="module")

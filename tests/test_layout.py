@@ -7,7 +7,13 @@ re-exports names, so it neither defines nor uses any.  Reference
 implementations that only the tests call belong in tests/oracles.py.
 
 Each pipeline stage is also set up in one place: the geometric momentum
-grid and the radial B(0) each have a single caller in src/bdfvac.
+grid, the uniform direct-space grid and the radial B(0) each have a single
+caller in src/bdfvac.
+
+Each default value of a top-level function's parameter is used, and is
+needed: some call in src/bdfvac or bench/ leaves the parameter at its
+default, and some call passes it.  A parameter that every caller passes is
+required; one that no caller passes is a constant, not a parameter.
 """
 
 import ast
@@ -31,7 +37,13 @@ def _used_names(nodes) -> set:
     return names
 
 
-BENCH_NAMES = _used_names(ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py")))
+BENCH_TREES = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+BENCH_NAMES = _used_names(BENCH_TREES)
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def test_modules_found():
@@ -59,18 +71,17 @@ def _callers(callee: str, matches=lambda call: True) -> set:
     for path, tree in TREES.items():
         for node in tree.body:
             for sub in ast.walk(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                func = sub.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee and matches(sub):
+                if isinstance(sub, ast.Call) and _callee(sub) == callee and matches(sub):
                     found.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
     return found
 
 
-def _geometric(call: ast.Call) -> bool:
-    args = [*call.args, *(kw.value for kw in call.keywords)]
-    return any(isinstance(a, ast.Constant) and a.value == "geometric" for a in args)
+def _clustering(kind: str):
+    def matches(call: ast.Call) -> bool:
+        args = [*call.args, *(kw.value for kw in call.keywords)]
+        return any(isinstance(a, ast.Constant) and a.value == kind for a in args)
+
+    return matches
 
 
 def test_b0_has_one_caller():
@@ -80,7 +91,45 @@ def test_b0_has_one_caller():
 
 
 def test_geometric_grid_is_built_in_one_place():
-    # the cli's grid helper, and solve_dispersion's default when no grid is given
-    allowed = {"cli._momentum_grid", "dispersion.solve_dispersion"}
-    found = _callers("make_grid", _geometric)
+    allowed = {"cli._momentum_grid"}
+    found = _callers("make_grid", _clustering("geometric"))
     assert found == allowed, f"a geometric grid is also built in {sorted(found - allowed)}"
+
+
+def test_uniform_grid_is_built_in_one_place():
+    allowed = {"cli._solve_pekar"}
+    found = _callers("make_grid", _clustering("uniform"))
+    assert found == allowed, f"a uniform grid is also built in {sorted(found - allowed)}"
+
+
+def _defaulted(fn: ast.FunctionDef):
+    """(name, position or None if keyword-only) of each defaulted parameter."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    found = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+    return found + [(a.arg, None) for a, default in kwonly if default is not None]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_default_is_passed_and_left(path):
+    calls = [
+        sub
+        for tree in [*TREES.values(), *BENCH_TREES]
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Call)
+    ]
+    bad = []
+    for fn in TREES[path].body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        own = [call for call in calls if _callee(call) == fn.name]
+        for name, pos in _defaulted(fn):
+            passed = [
+                any(kw.arg == name for kw in call.keywords)
+                or (pos is not None and len(call.args) > pos)
+                for call in own
+            ]
+            if all(passed) or not any(passed):
+                bad.append(f"{fn.name}({name})")
+    assert not bad, f"{path.name}: always or never passed by src/ and bench/: {bad}"

@@ -43,9 +43,9 @@ class TestMakeGrid:
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
-            make_grid(-1.0, 64)
+            make_grid(-1.0, 64, "uniform")
         with pytest.raises(InvalidParameterError):
-            make_grid(1.0, 4)
+            make_grid(1.0, 4, "uniform")
         with pytest.raises(InvalidParameterError):
             make_grid(1.0, 64, "exotic")
 
@@ -60,14 +60,14 @@ class TestMakeGrid:
 
 class TestIntegrate:
     def test_shape_mismatch(self):
-        g = make_grid(1.0, 16)
+        g = make_grid(1.0, 16, "uniform")
         with pytest.raises(ShapeMismatchError):
             integrate(g, np.ones(8))
 
     def test_smooth_integral_converges(self):
         # int_0^1 exp(-s) ds = 1 - 1/e
         exact = 1.0 - math.exp(-1.0)
-        g = make_grid(1.0, 2048)
+        g = make_grid(1.0, 2048, "uniform")
         assert math.isclose(integrate(g, np.exp(-g.nodes)), exact, rel_tol=1e-7)
 
 
@@ -84,7 +84,7 @@ class TestInterp:
         assert math.isclose(val, 1.0, abs_tol=1e-8)
 
     def test_rejects_points_beyond_cutoff(self):
-        g = make_grid(2.0, 64)
+        g = make_grid(2.0, 64, "uniform")
         with pytest.raises(OutOfRangeError):
             interp(g, np.ones(64), 2.5)
 
@@ -92,7 +92,7 @@ class TestInterp:
 class TestLogSingularQuadrature:
     def test_unit_smooth_oracle(self):
         # int_0^2 ln((1+s)/|1-s|) ds = 3 ln 3, by explicit antiderivative
-        g = make_grid(2.0, 64)
+        g = make_grid(2.0, 64, "uniform")
         val = integrate_with_log_singularity(g, 1.0, np.ones(64))
         assert math.isclose(val, 3.0 * math.log(3.0), rel_tol=1e-12)
 
@@ -103,7 +103,7 @@ class TestLogSingularQuadrature:
         oracle, _ = quad(
             lambda s: s * math.log((1.0 + s) / abs(1.0 - s)), 0.0, 2.0, points=[1.0]
         )
-        g = make_grid(2.0, 512)
+        g = make_grid(2.0, 512, "uniform")
         val = integrate_with_log_singularity(g, 1.0, g.nodes.copy())
         assert math.isclose(val, oracle, rel_tol=1e-9)
 
@@ -113,14 +113,16 @@ class TestLogSingularQuadrature:
         assert np.all(pts > 0) and np.all(pts < 10.0)
 
     def test_singular_point_must_be_interior(self):
-        g = make_grid(2.0, 64)
+        g = make_grid(2.0, 64, "uniform")
         with pytest.raises(InvalidParameterError):
             integrate_with_log_singularity(g, 2.5, np.ones(64))
 
 
 class TestFixedPoint:
     def test_affine_contraction(self):
-        x, report = fixed_point_solve(lambda x: 0.5 * x + 1.0, np.array([0.0]), tol=1e-12)
+        x, report = fixed_point_solve(
+            lambda x: 0.5 * x + 1.0, np.array([0.0]), tol=1e-12, max_iter=200
+        )
         assert report.converged
         assert math.isclose(float(x[0]), 2.0, rel_tol=1e-11)
 
@@ -132,7 +134,7 @@ class TestFixedPoint:
     def test_geometric_residual_decay(self, slope, start):
         target = 3.0
         _, report = fixed_point_solve(
-            lambda x: slope * (x - target) + target, np.array([start]), tol=1e-9
+            lambda x: slope * (x - target) + target, np.array([start]), tol=1e-9, max_iter=200
         )
         hist = report.residual_history
         # above the rounding floor the residual contracts by the map's slope
@@ -149,16 +151,31 @@ class TestFixedPoint:
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
-            fixed_point_solve(lambda x: x, np.array([0.0]), tol=-1.0)
+            fixed_point_solve(lambda x: x, np.array([0.0]), tol=-1.0, max_iter=200)
         with pytest.raises(InvalidParameterError):
-            fixed_point_solve(lambda x: x, np.array([0.0]), tol=1e-6, damping=2.0)
+            fixed_point_solve(lambda x: x, np.array([0.0]), tol=1e-6, max_iter=200, damping=2.0)
+
+    def test_residual_rise_never_raises_the_damping(self):
+        # x -> 2x from 1 moves away, so every residual rises; a step of
+        # damping w multiplies x by 1 + w
+        inputs = []
+
+        def doubling(x):
+            inputs.append(float(x[0]))
+            return 2.0 * x
+
+        with pytest.raises(FixedPointError):
+            fixed_point_solve(doubling, np.array([1.0]), tol=1e-12, max_iter=6, damping=0.01)
+        steps = [b / a - 1.0 for a, b in zip(inputs, inputs[1:])]
+        assert len(steps) == 5
+        assert all(w <= 0.01 * (1.0 + 1e-12) for w in steps), steps
 
     def test_max_iter_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             fixed_point_solve(lambda x: x, np.array([0.0]), tol=1e-6, max_iter=0)
 
     def test_report_serializes(self):
-        _, report = fixed_point_solve(lambda x: 0.5 * x, np.array([1.0]), tol=1e-10)
+        _, report = fixed_point_solve(lambda x: 0.5 * x, np.array([1.0]), tol=1e-10, max_iter=200)
         d = asdict(report)
         assert d["converged"] is True
         assert isinstance(d["residual_history"], list)

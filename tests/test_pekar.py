@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bdfvac.pekar
 from bdfvac.numerics import InvalidParameterError, make_grid
 from bdfvac.pekar import (
     GAUSSIAN_BOUND,
@@ -143,9 +144,12 @@ class TestMinimizer:
         st2 = solve_pekar(make_grid(80.0, 2048, "uniform"))
         assert abs(st2.E - minimizer.E) < 1e-3
 
-    def test_init_independence(self, grid, minimizer):
-        phi = np.exp(-grid.nodes / 3.0)
-        st2 = solve_pekar(grid, init=make_state(grid, phi))
+    def test_init_independence(self, grid, minimizer, monkeypatch):
+        def start(g):
+            return make_state(g, np.exp(-g.nodes / 3.0))
+
+        monkeypatch.setattr(bdfvac.pekar, "gaussian_state", start)
+        st2 = solve_pekar(grid)
         assert abs(st2.E - minimizer.E) < 1e-8
 
     def test_small_box_rejected(self):
@@ -164,7 +168,7 @@ class TestSerialization:
     def test_csv_and_summary(self, minimizer, tmp_path):
         csv1, csv2 = tmp_path / "a.csv", tmp_path / "b.csv"
         state_to_csv(minimizer, csv1, tmp_path / "s.json")
-        state_to_csv(minimizer, csv2)
+        state_to_csv(minimizer, csv2, tmp_path / "t.json")
         assert csv1.read_bytes() == csv2.read_bytes()
         import json
 

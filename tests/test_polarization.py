@@ -16,6 +16,7 @@ from bdfvac.pekar import solve_pekar
 from bdfvac.polarization import (
     _GL64_W,
     _GL64_X,
+    DEFAULT_K_MIN,
     K_SWITCH,
     b_lambda_k,
     b_lambda_zero_radial,
@@ -106,7 +107,7 @@ def per_panel_b_lambda_k(d, k, integrand):
 
 @pytest.fixture(scope="module")
 def dressed():
-    return solve_dispersion(ModelParams(ALPHA, CUTOFF))
+    return solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +117,7 @@ def free():
 
 @pytest.fixture(scope="module")
 def table(dressed):
-    return polarization_table(dressed)
+    return polarization_table(dressed, default_k_nodes(CUTOFF, 128, DEFAULT_K_MIN))
 
 
 class TestZeroMomentumValue:
@@ -179,7 +180,7 @@ class TestBatchedQuadrature:
 
         monkeypatch.setattr(bdfvac.dispersion, "PchipInterpolator", counting)
         fresh = replace(dressed)  # a new instance starts with no cached interpolant
-        t = polarization_table(fresh, default_k_nodes(CUTOFF, 16))
+        t = polarization_table(fresh, default_k_nodes(CUTOFF, 16, DEFAULT_K_MIN))
         assert np.count_nonzero(t.k_nodes >= K_SWITCH) > 1
         assert len(builds) == 1
 
@@ -192,7 +193,7 @@ class TestBatchedQuadrature:
         sweep = regime_sweep(
             [0.01],
             0.1,
-            solve_pekar(),
+            solve_pekar(make_grid(40.0, 1024, "uniform")),
             lambda params: solve_dispersion(params, make_grid(params.cutoff, 128, "geometric")),
         )
         assert len(sweep.rows) == 1
@@ -232,19 +233,19 @@ class TestTable:
 
     def test_free_table_kind(self):
         d = free_dispersion(ModelParams(ALPHA, 100.0), make_grid(100.0, 128, "geometric"))
-        t = polarization_table(d, dispersion_kind="free")
+        t = polarization_table(d, default_k_nodes(100.0, 128, DEFAULT_K_MIN), "free")
         assert t.dispersion_kind == "free"
         assert np.all(t.B >= 0.0)
 
     def test_default_k_nodes_span(self):
-        k = default_k_nodes(CUTOFF)
+        k = default_k_nodes(CUTOFF, 128, DEFAULT_K_MIN)
         assert k[0] == pytest.approx(1e-4)
         assert k[-1] == pytest.approx(2.0 * CUTOFF)
 
     def test_csv_deterministic(self, table, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         table_to_csv(table, a, tmp_path / "a.json")
-        table_to_csv(table, b)
+        table_to_csv(table, b, tmp_path / "b.json")
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -260,11 +261,11 @@ class TestContinuity:
 
 class TestPointwiseKernelBound:
     def test_no_violations_dressed(self, dressed):
-        rep = kernel_difference_bound_check(dressed, 100, seed=0)
+        rep = kernel_difference_bound_check(dressed, seed=0)
         assert rep.violations == 0
 
     def test_no_violations_free(self, free):
-        rep = kernel_difference_bound_check(free, 100, seed=3)
+        rep = kernel_difference_bound_check(free, seed=3)
         assert rep.violations == 0
 
 
