@@ -65,8 +65,7 @@ class ConfigError(ValueError):
 
 def _knob(default, **bound):
     """A config value with its lower bound, min=x (value >= x) or above=x
-    (value > x), and optionally its upper bound max=x (value <= x); a tuple
-    value is bounded element by element."""
+    (value > x); a tuple value is bounded element by element."""
     return field(default=default, metadata=bound)
 
 
@@ -82,20 +81,16 @@ class DispersionConfig:
     n_nodes: int = _knob(512, min=8)
     tol: float = _knob(dispersion.DEFAULT_TOL, above=0.0)
     max_iter: int = _knob(dispersion.DEFAULT_MAX_ITER, min=1)
-    damping: float = _knob(1.0, above=0.0, max=1.0)
 
 
 @dataclass
 class PolarizationConfig:
     k_nodes: int = _knob(128, min=8)
-    k_min: float = _knob(DEFAULT_K_MIN, above=0.0)
 
 
 @dataclass
 class PekarConfig:
-    r_max: float = _knob(pekar.DEFAULT_R_MAX, min=pekar.DEFAULT_R_MAX)
     n_nodes: int = _knob(1024, min=8)
-    dt: float = _knob(pekar.DEFAULT_DT, above=0.0)
     tol: float = _knob(pekar.DEFAULT_TOL, above=0.0)
     max_iter: int = _knob(pekar.DEFAULT_MAX_ITER, min=1)
 
@@ -203,8 +198,6 @@ def _validate(cfg: RunConfig) -> None:
                     raise ConfigError(f"{name} must be at least {spec.metadata['min']:g}")
                 if "above" in spec.metadata and v <= spec.metadata["above"]:
                     raise ConfigError(f"{name} must exceed {spec.metadata['above']:g}")
-                if "max" in spec.metadata and v > spec.metadata["max"]:
-                    raise ConfigError(f"{name} must be at most {spec.metadata['max']:g}")
 
 
 # ---------------------------------------------------------------- stages
@@ -218,13 +211,13 @@ def _momentum_grid(cfg: RunConfig, cutoff: float):
 def _solve_dispersion(cfg: RunConfig, params: ModelParams):
     c = cfg.dispersion
     grid = _momentum_grid(cfg, params.cutoff)
-    return solve_dispersion(params, grid, tol=c.tol, max_iter=c.max_iter, damping=c.damping)
+    return solve_dispersion(params, grid, tol=c.tol, max_iter=c.max_iter)
 
 
 def _solve_pekar(cfg: RunConfig):
     c = cfg.pekar
-    grid = make_grid(c.r_max, c.n_nodes, "uniform")
-    return solve_pekar(grid, tol=c.tol, max_iter=c.max_iter, dt=c.dt)
+    grid = make_grid(pekar.DEFAULT_R_MAX, c.n_nodes, "uniform")
+    return solve_pekar(grid, tol=c.tol, max_iter=c.max_iter)
 
 
 def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
@@ -244,8 +237,8 @@ def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
 
 def cmd_polarization(cfg: RunConfig, out: Path) -> int:
     d = _solve_dispersion(cfg, cfg.params())
-    c = cfg.polarization
-    table = polarization_table(d, default_k_nodes(cfg.model.cutoff, c.k_nodes, c.k_min))
+    k_nodes = default_k_nodes(cfg.model.cutoff, cfg.polarization.k_nodes, DEFAULT_K_MIN)
+    table = polarization_table(d, k_nodes)
     table_to_csv(table, out / "polarization.csv", out / "polarization.json")
     return EXIT_OK
 
@@ -266,7 +259,7 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
     payload = asdict(br)
     # companion prediction with the undressed polarization value on the same
     # grid, and the associated coupling renormalization, side by side
-    t_free = polarization_table(free_dispersion(d.params, d.grid), k_zero, "free")
+    t_free = polarization_table(free_dispersion(d.params, d.grid), k_zero)
     Z3, alpha_phys = charge_renormalization(d.params, t_free.B0_at_zero)
     br_free = assemble_breakdown(d, t_free, p)
     payload.update(total_pred_free_screening=br_free.total_pred, b0_free=br_free.b0)
@@ -341,8 +334,8 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
             slope_ratio = (g1_prime_zero(d) - 1.0) * 3.0 * math.pi / (2.0 * L)
             add("dispersion.window.m_alpha", 0.7 <= m_ratio <= 1.3, m_ratio, 1.3)
             add("dispersion.window.g1_slope", 0.7 <= slope_ratio <= 1.3, slope_ratio, 1.3)
-        c = cfg.polarization
-        table = polarization_table(d, default_k_nodes(params.cutoff, c.k_nodes, c.k_min))
+        k_nodes = default_k_nodes(params.cutoff, cfg.polarization.k_nodes, DEFAULT_K_MIN)
+        table = polarization_table(d, k_nodes)
         add("polarization.B_nonnegative", np.all(table.B >= 0.0), float(table.B.min()), 0.0)
         b_ok = np.all(table.b >= 0.0) and np.all(table.b < 1.0)
         add("polarization.b_in_unit_interval", b_ok, float(table.b.max()), 1.0)

@@ -285,7 +285,6 @@ def solve_dispersion(
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = 1.0,
 ) -> Dispersion:
     """Solve the self-consistent equations for (g0, g1) by damped Picard
     iteration; raises FixedPointError with the report on non-convergence."""
@@ -298,9 +297,7 @@ def solve_dispersion(
     def step(y):
         return _pack(scf_step(_unpack(d0, y), rules))
 
-    y, report = fixed_point_solve(
-        step, _pack(d0), tol, max_iter, damping=damping, norm=_scf_norm(grid.nodes)
-    )
+    y, report = fixed_point_solve(step, _pack(d0), tol, max_iter, norm=_scf_norm(grid.nodes))
     return replace(_unpack(d0, y), report=report)
 
 

@@ -60,7 +60,7 @@ def _ingredients(d: Dispersion, t: PolarizationTable):
     m = m_alpha(d)
     g1p = g1_prime_zero(d)
     alpha = d.params.alpha
-    b0 = b_screening(t.B0_at_zero, alpha) if alpha > 0 else 0.0
+    b0 = b_screening(t.B0_at_zero, alpha)
     return m, g1p, alpha, b0
 
 

@@ -30,7 +30,7 @@ class OutOfRangeError(ValueError):
 class FixedPointError(RuntimeError):
     """Fixed-point iteration stopped without reaching the tolerance."""
 
-    def __init__(self, message, report, state=None):
+    def __init__(self, message, report, state):
         super().__init__(message)
         self.report = report
         self.state = state
@@ -136,15 +136,13 @@ def fixed_point_solve(
     init,
     tol: float,
     max_iter: int,
-    damping: float = 1.0,
     norm=None,
 ):
-    """Damped Picard iteration x <- (1-w) x + w map(x).
+    """Damped Picard iteration x <- (1-w) x + w map(x), from w = 1.
 
     The residual is norm(map(x) - x) (sup-norm by default).  Whenever the
-    residual increases, the damping factor is halved, floored at 1/64 (or
-    at the given damping if that is smaller: a rise never raises it); the
-    iteration degrades gracefully outside the contraction regime.  Raises
+    residual increases, the damping factor w is halved, floored at 1/64;
+    the iteration degrades gracefully outside the contraction regime.  Raises
     FixedPointError (carrying the report and last state) if max_iter is
     reached above tolerance.
     """
@@ -152,12 +150,10 @@ def fixed_point_solve(
         raise InvalidParameterError("tol must be positive")
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be at least 1, got {max_iter}")
-    if not 0 < damping <= 1:
-        raise InvalidParameterError("damping must be in (0, 1]")
     if norm is None:
         norm = lambda d: float(np.max(np.abs(d)))
     x = np.asarray(init, dtype=float)
-    omega = damping
+    omega = 1.0
     history = []
     prev = np.inf
     for it in range(1, max_iter + 1):
@@ -165,7 +161,7 @@ def fixed_point_solve(
         res = norm(fx - x)
         history.append(res)
         if res > prev:
-            omega = max(omega / 2.0, min(omega, 1.0 / 64.0))
+            omega = max(omega / 2.0, 1.0 / 64.0)
         prev = res
         x = (1.0 - omega) * x + omega * fx
         if res <= tol:

@@ -177,19 +177,19 @@ def solve_pekar(
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    dt: float = DEFAULT_DT,
 ) -> PekarState:
     """Imaginary-time minimization to EL residual <= tol, from the optimal
     Gaussian.
 
     Uses the implicit step, whose fixed point is the Euler-Lagrange
-    equation itself; the step size halves on any energy increase beyond
-    rounding level, which keeps the iteration monotone far from the
-    minimizer.
+    equation itself; the step size starts at DEFAULT_DT and halves on any
+    energy increase beyond rounding level, which keeps the iteration
+    monotone far from the minimizer.
     """
     if grid.cutoff < DEFAULT_R_MAX:
         raise InvalidParameterError(f"direct-space box must extend to R_max >= {DEFAULT_R_MAX:g}")
     state = gaussian_state(grid)
+    dt = DEFAULT_DT
     check_every = 20
     for it in range(1, max_iter + 1):
         new = _semi_implicit_step(state, dt)

@@ -55,11 +55,6 @@ class PolarizationTable:
     B: np.ndarray
     b: np.ndarray
     B0_at_zero: float
-    dispersion_kind: str
-
-    def __post_init__(self):
-        if self.dispersion_kind not in ("dressed", "free"):
-            raise InvalidParameterError(f"unknown dispersion_kind {self.dispersion_kind!r}")
 
 
 def b_lambda_zero_radial(d: Dispersion) -> float:
@@ -163,11 +158,12 @@ def b_lambda_k(d: Dispersion, k: float) -> float:
 
 
 def b_screening(B_value: float, alpha: float) -> float:
-    """Dielectric screening fraction alpha B / (1 + alpha B) in [0, 1)."""
+    """Dielectric screening fraction alpha B / (1 + alpha B) in [0, 1),
+    exactly 0 at alpha = 0."""
     if B_value < 0:
         raise InvalidParameterError(f"B must be nonnegative, got {B_value}")
-    if alpha <= 0:
-        raise InvalidParameterError(f"alpha must be positive, got {alpha}")
+    if alpha < 0:
+        raise InvalidParameterError(f"alpha must be nonnegative, got {alpha}")
     x = alpha * B_value
     return x / (1.0 + x)
 
@@ -177,19 +173,15 @@ def default_k_nodes(cutoff: float, n: int, k_min: float):
     return np.geomspace(k_min, 2.0 * cutoff, n)
 
 
-def polarization_table(
-    d: Dispersion,
-    k_nodes: np.ndarray,
-    dispersion_kind: str = "dressed",
-) -> PolarizationTable:
+def polarization_table(d: Dispersion, k_nodes: np.ndarray) -> PolarizationTable:
     """Tabulate B and b on a k grid; k below K_SWITCH uses the radial
     closed form (continuity at 0 backs the substitution)."""
     k_nodes = np.asarray(k_nodes, dtype=float)
     B0 = b_lambda_zero_radial(d)
     alpha = d.params.alpha
     B = np.array([B0 if k < K_SWITCH else b_lambda_k(d, k) for k in k_nodes])
-    b = np.array([b_screening(Bk, alpha) if alpha > 0 else 0.0 for Bk in B])
-    return PolarizationTable(d.params, k_nodes, B, b, B0, dispersion_kind)
+    b = np.array([b_screening(Bk, alpha) for Bk in B])
+    return PolarizationTable(d.params, k_nodes, B, b, B0)
 
 
 def charge_renormalization(params: ModelParams, B0_zero: float) -> tuple[float, float]:
@@ -281,7 +273,7 @@ def table_to_csv(table: PolarizationTable, csv_path, json_path):
         "alpha": table.params.alpha,
         "cutoff": table.params.cutoff,
         "L": table.params.L,
-        "dispersion_kind": table.dispersion_kind,
+        "dispersion_kind": "dressed",
         "B0_at_zero": table.B0_at_zero,
     }
     write_json(json_path, meta)

@@ -114,7 +114,6 @@ class TestConfigErrors:
             ("dispersion", ["model.L=abc"]),
             ("sweep", ["sweep.alphas=-0.01"]),
             ("sweep", ["sweep.alphas="]),
-            ("sweep", ["pekar.r_max=30"]),
             ("verify", ["output.seed=-1"]),
         ],
         ids=lambda v: v if isinstance(v, str) else ",".join(v),
@@ -127,13 +126,22 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
-    @pytest.mark.parametrize("command", ["dispersion", "sweep"])
-    @pytest.mark.parametrize("damping", ["7", "0"])
-    def test_damping_out_of_range(self, command, damping, tmp_path, capsys):
-        argv = [command, "--out", str(tmp_path), "--override", f"dispersion.damping={damping}"]
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("dispersion", "dispersion.damping=1.0"),
+            ("polarization", "polarization.k_min=1e-4"),
+            ("pekar", "pekar.dt=0.5"),
+            ("sweep", "pekar.r_max=30"),
+        ],
+    )
+    def test_removed_key_is_unknown(self, command, override, tmp_path, capsys):
+        # the starting steps, the Pekar box and the k-grid floor are constants
+        argv = [command, "--out", str(tmp_path), "--override", override]
         assert main(argv + FAST) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: dispersion.damping ")
+        assert len(err) == 1
+        assert err[0].startswith("config error: unknown configuration key [")
 
     def test_round_trip_with_L(self, tmp_path):
         cfg = load_config(None, ["model.alpha=0.02", "model.L=0.05"])
@@ -211,8 +219,7 @@ class TestCommands:
             raise AssertionError("predict evaluated a 2-d B(k)")
 
         monkeypatch.setattr(bdfvac.polarization, "b_lambda_k", refuse)
-        args = ["predict", "--out", str(tmp_path), "--override", "polarization.k_min=0.01"]
-        assert main(args + FAST) == EXIT_OK
+        assert main(["predict", "--out", str(tmp_path)] + FAST) == EXIT_OK
 
     def test_predict_zero_coupling(self, tmp_path):
         assert (

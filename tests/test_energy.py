@@ -48,7 +48,7 @@ def _table_with_screening_half(params, grid):
     # alpha * B = 1 makes the screening fraction exactly 1/2
     B0 = 1.0 / params.alpha
     k = grid.nodes[:1]
-    return PolarizationTable(params, k, np.array([B0]), np.array([0.5]), B0, "free")
+    return PolarizationTable(params, k, np.array([B0]), np.array([0.5]), B0)
 
 
 class TestScalingLambda:
@@ -66,9 +66,7 @@ class TestScalingLambda:
 
     def test_params_mismatch_rejected(self, dressed):
         other = ModelParams(0.02, CUTOFF)
-        t = PolarizationTable(
-            other, np.array([1.0]), np.array([1.0]), np.array([0.5]), 1.0, "dressed"
-        )
+        t = PolarizationTable(other, np.array([1.0]), np.array([1.0]), np.array([0.5]), 1.0)
         with pytest.raises(InvalidParameterError):
             scaling_lambda(dressed, t)
 

@@ -2,24 +2,34 @@
 
 A name counts as used when code refers to it (an ast.Name or ast.Attribute,
 never a string) from another module of the package, from its own module
-outside its own definition, or from bench/.  The package __init__ only
-re-exports names, so it neither defines nor uses any.  Reference
-implementations that only the tests call belong in tests/oracles.py.
+outside its own definition, or from bench/.  The package __init__ holds
+only its docstring and version and imports nothing: callers import from
+the modules.  Reference implementations that only the tests call belong in
+tests/oracles.py.
 
 Each pipeline stage is also set up in one place: the geometric momentum
 grid, the uniform direct-space grid and the radial B(0) each have a single
 caller in src/bdfvac.
 
-Each default value of a top-level function's parameter is used, and is
-needed: some call in src/bdfvac or bench/ leaves the parameter at its
-default, and some call passes it.  A parameter that every caller passes is
-required; one that no caller passes is a constant, not a parameter.
+Each default value of a parameter of a top-level function, or of a method
+of a top-level class, is used, and is needed: some call in src/bdfvac or
+bench/ leaves the parameter at its default, and some call passes it.  A
+parameter that every caller passes is required; one that no caller passes
+is a constant, not a parameter.
+
+The README's INI example is a complete default config: it sets every key
+but the derived model.L, to its default.
 """
 
 import ast
+import configparser
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from bdfvac.cli import RunConfig, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "bdfvac").glob("*.py") if p.name != "__init__.py")
@@ -48,6 +58,12 @@ def _callee(call: ast.Call):
 
 def test_modules_found():
     assert {p.stem for p in MODULES} >= {"numerics", "dispersion", "cli"}
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((ROOT / "src" / "bdfvac" / "__init__.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not imports, "bdfvac/__init__.py re-exports; import from the modules instead"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -111,6 +127,21 @@ def _defaulted(fn: ast.FunctionDef):
     return found + [(a.arg, None) for a, default in kwonly if default is not None]
 
 
+def _callables(tree: ast.Module):
+    """(label, definition, name its calls use, leading parameters no call
+    passes) of each top-level function and each method of a top-level
+    class; a constructor is called by its class name, and no call passes a
+    method's self or cls."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, node.name, 0
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    callee = node.name if fn.name == "__init__" else fn.name
+                    yield f"{node.name}.{fn.name}", fn, callee, 1
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_default_is_passed_and_left(path):
     calls = [
@@ -120,16 +151,29 @@ def test_every_default_is_passed_and_left(path):
         if isinstance(sub, ast.Call)
     ]
     bad = []
-    for fn in TREES[path].body:
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        own = [call for call in calls if _callee(call) == fn.name]
+    for label, fn, callee, skip in _callables(TREES[path]):
+        own = [call for call in calls if _callee(call) == callee]
         for name, pos in _defaulted(fn):
             passed = [
                 any(kw.arg == name for kw in call.keywords)
-                or (pos is not None and len(call.args) > pos)
+                or (pos is not None and len(call.args) > pos - skip)
                 for call in own
             ]
             if all(passed) or not any(passed):
-                bad.append(f"{fn.name}({name})")
+                bad.append(f"{label}({name})")
     assert not bad, f"{path.name}: always or never passed by src/ and bench/: {bad}"
+
+
+def test_readme_ini_example_is_the_default_config(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    ini = tmp_path / "example.ini"
+    ini.write_text(example)
+    assert load_config(str(ini), []) == RunConfig()
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(example)
+    keys = {(section, key) for section in parser.sections() for key in parser[section]}
+    cfg = RunConfig()
+    every = {(s.name, f.name) for s in fields(cfg) for f in fields(getattr(cfg, s.name))}
+    assert keys == every - {("model", "L")}

@@ -218,7 +218,8 @@ class TestScreening:
         with pytest.raises(InvalidParameterError):
             b_screening(-1.0, 0.1)
         with pytest.raises(InvalidParameterError):
-            b_screening(1.0, 0.0)
+            b_screening(1.0, -0.1)
+        assert b_screening(1.0, 0.0) == 0.0
 
 
 class TestTable:
@@ -233,8 +234,7 @@ class TestTable:
 
     def test_free_table_kind(self):
         d = free_dispersion(ModelParams(ALPHA, 100.0), make_grid(100.0, 128, "geometric"))
-        t = polarization_table(d, default_k_nodes(100.0, 128, DEFAULT_K_MIN), "free")
-        assert t.dispersion_kind == "free"
+        t = polarization_table(d, default_k_nodes(100.0, 128, DEFAULT_K_MIN))
         assert np.all(t.B >= 0.0)
 
     def test_default_k_nodes_span(self):
