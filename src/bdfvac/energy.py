@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from .dispersion import Dispersion, ModelParams, g1_prime_zero, m_alpha
 from .numerics import InvalidParameterError, write_csv, write_json
 from .pekar import PekarState
-from .polarization import DEFAULT_K_MIN, PolarizationTable, b_screening, polarization_table
+from .polarization import PolarizationTable, b_screening, polarization_table
 
 CUTOFF_CAP = 1e8
 EXCHANGE_BUDGET_FRACTION = 0.1
@@ -67,7 +67,8 @@ def _ingredients(d: Dispersion, t: PolarizationTable):
 def c0_squared(d: Dispersion, t: PolarizationTable) -> float:
     """Normalization constant C0^2 = 2 g1'(0)^2 / ((alpha b(0))^2 m).
 
-    Infinite at alpha = 0; its reciprocal scales E_CP in the prediction.
+    Infinite when alpha b(0) = 0, i.e. with the coupling off; its reciprocal
+    scales E_CP in the prediction.
     """
     _check_params(d, t)
     m, g1p, alpha, b0 = _ingredients(d, t)
@@ -84,33 +85,22 @@ def assemble_breakdown(
     The three correction terms carry the exact algebraic split of
     C0^{-2}(T - D): kinetic_corr = C0^{-2} T, while the potential part
     splits into a positive vacuum-polarization cost alpha(b-b^2)D/(2 lambda)
-    and a larger negative screening gain -alpha(2b-b^2)D/(2 lambda).
+    and a larger negative screening gain -alpha(2b-b^2)D/(2 lambda).  At
+    alpha = 0 each term is 0 and C0^2 is infinite, so the total is m.
     """
-    _check_params(d, t)
+    c0sq = c0_squared(d, t)
     m, g1p, alpha, b0 = _ingredients(d, t)
     lam_inv = alpha * b0 * m / g1p**2
     tau = alpha * b0
-    T, D = p.T, p.D
-    if tau == 0.0:
-        kinetic = vacuum = direct = exch = 0.0
-        c0sq = math.inf
-        total = m
-    else:
-        kinetic = g1p**2 * T * lam_inv**2 / (2.0 * m)
-        vacuum = alpha * (b0 - b0**2) * D * lam_inv / 2.0
-        direct = -alpha * (2.0 * b0 - b0**2) * D * lam_inv / 2.0
-        exch = EXCHANGE_BUDGET_FRACTION * tau * lam_inv
-        c0sq = 2.0 * g1p**2 / (tau**2 * m)
-        total = m + p.E / c0sq
     return EnergyBreakdown(
         m=m,
         lambda_inv=lam_inv,
         tau=tau,
-        kinetic_corr=kinetic,
-        vacuum_corr=vacuum,
-        direct_corr=direct,
-        exchange_bound=exch,
-        total_pred=total,
+        kinetic_corr=g1p**2 * p.T * lam_inv**2 / (2.0 * m),
+        vacuum_corr=alpha * (b0 - b0**2) * p.D * lam_inv / 2.0,
+        direct_corr=alpha * (b0**2 - 2.0 * b0) * p.D * lam_inv / 2.0,
+        exchange_bound=EXCHANGE_BUDGET_FRACTION * tau * lam_inv,
+        total_pred=m + p.E / c0sq,
         C0_sq=c0sq,
         b0=b0,
         g1_slope=g1p,
@@ -171,8 +161,7 @@ def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> Swee
             skipped.append(float(alpha))
             continue
         d = solve(params)
-        # only B0_at_zero is needed: a k below K_SWITCH skips the 2-d integral
-        t = polarization_table(d, k_nodes=[DEFAULT_K_MIN])
+        t = polarization_table(d, k_nodes=())
         br = assemble_breakdown(d, t, pekar_state)
         rows.append(
             (

@@ -136,22 +136,20 @@ def fixed_point_solve(
     init,
     tol: float,
     max_iter: int,
-    norm=None,
+    norm,
 ):
     """Damped Picard iteration x <- (1-w) x + w map(x), from w = 1.
 
-    The residual is norm(map(x) - x) (sup-norm by default).  Whenever the
-    residual increases, the damping factor w is halved, floored at 1/64;
-    the iteration degrades gracefully outside the contraction regime.  Raises
-    FixedPointError (carrying the report and last state) if max_iter is
-    reached above tolerance.
+    The residual is norm(map(x) - x).  Whenever the residual increases,
+    the damping factor w is halved, floored at 1/64; the iteration degrades
+    gracefully outside the contraction regime.  Raises FixedPointError
+    (carrying the report and last state) if max_iter is reached above
+    tolerance.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be at least 1, got {max_iter}")
-    if norm is None:
-        norm = lambda d: float(np.max(np.abs(d)))
     x = np.asarray(init, dtype=float)
     omega = 1.0
     history = []

@@ -203,10 +203,11 @@ def solve_pekar(
         state = new
         if it % check_every == 0 and el_residual(state) <= tol:
             return state
-    if el_residual(state) <= tol:
+    res = el_residual(state)
+    if res <= tol:
         return state
     raise PekarConvergenceError(
-        f"EL residual {el_residual(state):.3e} > {tol:.3e} after {max_iter} steps "
+        f"EL residual {res:.3e} > {tol:.3e} after {max_iter} steps "
         f"(E = {state.E:.8f}, Gaussian bound {GAUSSIAN_BOUND:.8f}); "
         "grid too small or the step-size schedule failed"
     )

@@ -1,4 +1,4 @@
-"""Vacuum-polarization function B(k), screening b(k) and linear response.
+"""Vacuum-polarization function B(k) and screening b(k).
 
 B(k) is the momentum-space linear-response kernel of the dressed Dirac
 sea,
@@ -29,7 +29,6 @@ from .dispersion import Dispersion, ModelParams, g0_derivatives
 from .numerics import (
     InvalidParameterError,
     OutOfRangeError,
-    ShapeMismatchError,
     integrate,
     write_csv,
     write_json,
@@ -175,7 +174,8 @@ def default_k_nodes(cutoff: float, n: int, k_min: float):
 
 def polarization_table(d: Dispersion, k_nodes: np.ndarray) -> PolarizationTable:
     """Tabulate B and b on a k grid; k below K_SWITCH uses the radial
-    closed form (continuity at 0 backs the substitution)."""
+    closed form (continuity at 0 backs the substitution).  An empty k grid
+    gives B0_at_zero alone."""
     k_nodes = np.asarray(k_nodes, dtype=float)
     B0 = b_lambda_zero_radial(d)
     alpha = d.params.alpha
@@ -188,14 +188,6 @@ def charge_renormalization(params: ModelParams, B0_zero: float) -> tuple[float, 
     """(Z3, alpha_phys) from the free-dispersion polarization B0_zero at k = 0."""
     Z3 = 1.0 / (1.0 + params.alpha * B0_zero)
     return Z3, params.alpha * Z3
-
-
-def linear_response_density(table: PolarizationTable, rho_hat: np.ndarray) -> np.ndarray:
-    """First-order vacuum density induced by rho: -B(k) rho_hat(k)."""
-    rho_hat = np.asarray(rho_hat)
-    if rho_hat.shape != table.k_nodes.shape:
-        raise ShapeMismatchError("rho_hat does not match the table's k grid")
-    return -table.B * rho_hat
 
 
 @dataclass(frozen=True)
@@ -239,19 +231,16 @@ def kernel_difference_bound_check(d: Dispersion, seed: int) -> KernelBoundReport
     """
     rng = np.random.default_rng(seed)
     n_samples = 100
-    cutoff = d.grid.cutoff
     violations = 0
     max_excess = -np.inf
     for _ in range(n_samples):
-        # uniform directions, radii biased toward small |p| where the
-        # bound is tightest
+        # uniform directions, radii in [1/cutoff, cutoff] biased toward
+        # small |p| where the bound is tightest
         vec = rng.normal(size=(2, 3))
         vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-        radii = cutoff ** rng.uniform(-1.0, 1.0, size=2)
+        radii = d.grid.cutoff ** rng.uniform(-1.0, 1.0, size=2)
         p_vec, q_vec = vec * radii[:, None]
         pn, qn = radii
-        if np.any((radii < 0) | (radii > cutoff)):
-            raise OutOfRangeError(f"query point outside [0, {cutoff}]")
         cosang = float(np.dot(p_vec, q_vec) / (pn * qn))
         (g0p, g1p), (g0q, g1q) = d.interpolant(radii).tolist()
         ep, eq = math.hypot(g0p, g1p), math.hypot(g0q, g1q)
@@ -273,7 +262,6 @@ def table_to_csv(table: PolarizationTable, csv_path, json_path):
         "alpha": table.params.alpha,
         "cutoff": table.params.cutoff,
         "L": table.params.L,
-        "dispersion_kind": "dressed",
         "B0_at_zero": table.B0_at_zero,
     }
     write_json(json_path, meta)

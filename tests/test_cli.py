@@ -199,7 +199,7 @@ class TestCommands:
         body = (tmp_path / "polarization.csv").read_text()
         assert body.splitlines()[0] == "k,B,b"
         meta = json.loads((tmp_path / "polarization.json").read_text())
-        assert meta["dispersion_kind"] == "dressed"
+        assert set(meta) == {"alpha", "cutoff", "L", "B0_at_zero"}
 
     def test_pekar_writes_artifacts(self, tmp_path):
         assert main(["pekar", "--out", str(tmp_path)] + FAST) == EXIT_OK
@@ -283,6 +283,27 @@ class TestVerify:
         checks, ok = run_verification(cfg)
         assert ok
         assert any(c.name == "energy.correction_identity" for c in checks)
+
+    def test_check_names(self):
+        checks, _ = run_verification(fast_config())
+        assert [c.name for c in checks] == [
+            "dispersion.iterate_ordering",
+            "dispersion.converged",
+            "dispersion.window.m_alpha",
+            "dispersion.window.g1_slope",
+            "polarization.B_nonnegative",
+            "polarization.b_in_unit_interval",
+            "polarization.pointwise_kernel_bound",
+            "polarization.continuity_modulus",
+            "coupling_off.exact_reduction",
+            "pekar.beats_gaussian_bound",
+            "pekar.virial",
+            "pekar.el_residual",
+            "energy.correction_identity",
+            "energy.vacuum_corr_positive",
+            "energy.direct_corr_negative",
+            "energy.binding_sign",
+        ]
 
     def test_kernel_rules_built_once_for_the_iterate_check(self, monkeypatch):
         builds = []

@@ -123,6 +123,12 @@ class TestScfStep:
         assert np.array_equal(d2.g0, d.g0)
         assert np.array_equal(d2.g1, d.g1)
 
+    def test_zero_coupling_reads_the_rules(self):
+        d = free_dispersion(ModelParams(0.0, 100.0), make_grid(100.0, 64, "geometric"))
+        other = KernelRules(make_grid(100.0, 64, "geometric"))
+        with pytest.raises(InvalidParameterError):
+            scf_step(d, other)
+
     def test_rules_from_another_grid_rejected(self):
         d = free_dispersion(ModelParams(ALPHA, 100.0), make_grid(100.0, 64, "geometric"))
         other = KernelRules(make_grid(100.0, 64, "geometric"))

@@ -17,6 +17,10 @@ bench/ leaves the parameter at its default, and some call passes it.  A
 parameter that every caller passes is required; one that no caller passes
 is a constant, not a parameter.
 
+Turning the coupling off runs the general code: the self-consistency
+map, its solver and the energy assembly hold no comparison with 0, so
+alpha = 0 is computed, not special-cased.
+
 The README's INI example is a complete default config: it sets every key
 but the derived model.L, to its default.
 """
@@ -116,6 +120,31 @@ def test_uniform_grid_is_built_in_one_place():
     allowed = {"cli._solve_pekar"}
     found = _callers("make_grid", _clustering("uniform"))
     assert found == allowed, f"a uniform grid is also built in {sorted(found - allowed)}"
+
+
+def _compares_with_zero(fn: ast.FunctionDef) -> bool:
+    operands = (
+        operand
+        for sub in ast.walk(fn)
+        if isinstance(sub, ast.Compare)
+        for operand in (sub.left, *sub.comparators)
+    )
+    return any(
+        isinstance(op, ast.Constant) and type(op.value) in (int, float) and op.value == 0
+        for op in operands
+    )
+
+
+def test_coupling_off_takes_the_general_path():
+    defs = {
+        f"{path.stem}.{node.name}": node
+        for path, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    general = ("dispersion.scf_step", "dispersion.solve_dispersion", "energy.assemble_breakdown")
+    forks = [name for name in general if _compares_with_zero(defs[name])]
+    assert not forks, f"alpha = 0 is special-cased in {forks}"
 
 
 def _defaulted(fn: ast.FunctionDef):

@@ -19,6 +19,11 @@ from bdfvac.numerics import (
 from oracles import integrate_with_log_singularity, interp, log_singular_points
 
 
+def SUP(delta):
+    """Sup-norm of a fixed-point residual."""
+    return float(np.max(np.abs(delta)))
+
+
 class TestMakeGrid:
     def test_weights_sum_to_cutoff(self):
         for clustering in ("uniform", "geometric"):
@@ -121,7 +126,7 @@ class TestLogSingularQuadrature:
 class TestFixedPoint:
     def test_affine_contraction(self):
         x, report = fixed_point_solve(
-            lambda x: 0.5 * x + 1.0, np.array([0.0]), tol=1e-12, max_iter=200
+            lambda x: 0.5 * x + 1.0, np.array([0.0]), tol=1e-12, max_iter=200, norm=SUP
         )
         assert report.converged
         assert math.isclose(float(x[0]), 2.0, rel_tol=1e-11)
@@ -134,7 +139,11 @@ class TestFixedPoint:
     def test_geometric_residual_decay(self, slope, start):
         target = 3.0
         _, report = fixed_point_solve(
-            lambda x: slope * (x - target) + target, np.array([start]), tol=1e-9, max_iter=200
+            lambda x: slope * (x - target) + target,
+            np.array([start]),
+            tol=1e-9,
+            max_iter=200,
+            norm=SUP,
         )
         hist = report.residual_history
         # above the rounding floor the residual contracts by the map's slope
@@ -144,14 +153,16 @@ class TestFixedPoint:
 
     def test_nonconvergence_raises_with_report(self):
         with pytest.raises(FixedPointError) as exc:
-            fixed_point_solve(lambda x: x + 1.0, np.array([0.0]), tol=1e-12, max_iter=10)
+            fixed_point_solve(
+                lambda x: x + 1.0, np.array([0.0]), tol=1e-12, max_iter=10, norm=SUP
+            )
         assert exc.value.report.iterations == 10
         assert not exc.value.report.converged
         assert exc.value.state is not None
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
-            fixed_point_solve(lambda x: x, np.array([0.0]), tol=-1.0, max_iter=200)
+            fixed_point_solve(lambda x: x, np.array([0.0]), tol=-1.0, max_iter=200, norm=SUP)
 
     def test_residual_rise_never_raises_the_damping(self):
         # x -> 2x from 1 moves away, so every residual after the first
@@ -163,16 +174,18 @@ class TestFixedPoint:
             return 2.0 * x
 
         with pytest.raises(FixedPointError):
-            fixed_point_solve(doubling, np.array([1.0]), tol=1e-12, max_iter=9)
+            fixed_point_solve(doubling, np.array([1.0]), tol=1e-12, max_iter=9, norm=SUP)
         steps = [b / a - 1.0 for a, b in zip(inputs, inputs[1:])]
         assert steps == [1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 64], steps
 
     def test_max_iter_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
-            fixed_point_solve(lambda x: x, np.array([0.0]), tol=1e-6, max_iter=0)
+            fixed_point_solve(lambda x: x, np.array([0.0]), tol=1e-6, max_iter=0, norm=SUP)
 
     def test_report_serializes(self):
-        _, report = fixed_point_solve(lambda x: 0.5 * x, np.array([1.0]), tol=1e-10, max_iter=200)
+        _, report = fixed_point_solve(
+            lambda x: 0.5 * x, np.array([1.0]), tol=1e-10, max_iter=200, norm=SUP
+        )
         d = asdict(report)
         assert d["converged"] is True
         assert isinstance(d["residual_history"], list)

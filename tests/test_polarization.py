@@ -11,7 +11,7 @@ import bdfvac.dispersion
 import bdfvac.polarization
 from bdfvac.dispersion import ModelParams, free_dispersion, solve_dispersion
 from bdfvac.energy import regime_sweep
-from bdfvac.numerics import InvalidParameterError, ShapeMismatchError, make_grid
+from bdfvac.numerics import InvalidParameterError, make_grid
 from bdfvac.pekar import solve_pekar
 from bdfvac.polarization import (
     _GL64_W,
@@ -25,7 +25,6 @@ from bdfvac.polarization import (
     continuity_modulus,
     default_k_nodes,
     kernel_difference_bound_check,
-    linear_response_density,
     polarization_table,
     table_to_csv,
 )
@@ -232,6 +231,11 @@ class TestTable:
         mask = table.k_nodes < K_SWITCH
         assert np.all(table.B[mask] == table.B0_at_zero)
 
+    def test_b0_only_table(self, dressed):
+        t = polarization_table(dressed, k_nodes=())
+        assert t.k_nodes.size == t.B.size == t.b.size == 0
+        assert t.B0_at_zero == polarization_table(dressed, [DEFAULT_K_MIN]).B0_at_zero
+
     def test_free_table_kind(self):
         d = free_dispersion(ModelParams(ALPHA, 100.0), make_grid(100.0, 128, "geometric"))
         t = polarization_table(d, default_k_nodes(100.0, 128, DEFAULT_K_MIN))
@@ -278,18 +282,7 @@ class TestChargeRenormalization:
 
 
 class TestLinearResponse:
-    def test_linearity_and_sign(self, table):
-        rho = 1.0 / (1.0 + table.k_nodes**2)
-        r1 = linear_response_density(table, rho)
-        r2 = linear_response_density(table, 2.0 * rho)
-        assert np.array_equal(r2, 2.0 * r1)
-        assert np.all(r1 <= 0.0)
-
     def test_screened_density_fraction(self, table):
         n = np.ones_like(table.k_nodes)
         s = screened_density(table, n)
         assert np.array_equal(s, -table.b)
-
-    def test_shape_validation(self, table):
-        with pytest.raises(ShapeMismatchError):
-            linear_response_density(table, np.ones(3))
