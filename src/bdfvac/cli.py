@@ -30,22 +30,19 @@ import numpy as np
 from . import dispersion, pekar
 from .dispersion import (
     ALPHA_REGIME_LIMIT,
-    KernelRules,
     ModelParams,
     check_asymptotics,
     dispersion_to_csv,
     free_dispersion,
     g1_prime_zero,
     m_alpha,
-    scf_step,
     solve_dispersion,
 )
-from .energy import assemble_breakdown, c0_squared, regime_sweep, sweep_to_csv, sweep_to_json
+from .energy import assemble_breakdown, regime_sweep, sweep_to_csv, sweep_to_json
 from .numerics import FixedPointError, InvalidParameterError, make_grid, write_json
-from .pekar import GAUSSIAN_BOUND, PekarConvergenceError, el_residual, solve_pekar, state_to_csv
+from .pekar import GAUSSIAN_BOUND, PekarConvergenceError, solve_pekar, state_to_csv
 from .polarization import (
     DEFAULT_K_MIN,
-    b_screening,
     charge_renormalization,
     continuity_modulus,
     default_k_nodes,
@@ -289,33 +286,15 @@ class _Check:
 
 
 def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
-    """The full cross-module invariant suite on the configured run."""
+    """Checks on numbers this run computed, each of which the run can push
+    past its budget.  Properties that hold for every input (B >= 0, the
+    energy algebra, the coupling-off reduction) are tested in tests/."""
     checks: list[_Check] = []
 
     def add(name, passed, value, budget):
         checks.append(_Check(name, bool(passed), float(value), float(budget)))
 
     params = cfg.params()
-    grid = _momentum_grid(cfg, params.cutoff)
-
-    # iterate ordering: 1 <= g0 and p <= g1 <= p*g0 on every iterate
-    d_it = free_dispersion(params, grid)
-    rules = KernelRules(grid)
-    worst = 0.0
-    for _ in range(6):
-        d_it = scf_step(d_it, rules)
-        p_nodes = grid.nodes
-        worst = max(
-            worst,
-            float(np.max(1.0 - d_it.g0)),
-            float(np.max((p_nodes - d_it.g1) / p_nodes)),
-            float(np.max((d_it.g1 - p_nodes * d_it.g0) / p_nodes)),
-        )
-    # coupling off: the same map must return the free profiles exactly
-    d0s = scf_step(free_dispersion(ModelParams(0.0, params.cutoff), grid), rules)
-    del rules  # solve_dispersion builds its own; do not hold two at once
-    add("dispersion.iterate_ordering", worst <= 1e-12, worst, 1e-12)
-
     d = None
     try:
         d = _solve_dispersion(cfg, params)
@@ -324,6 +303,11 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         add("dispersion.converged", False, exc.report.final_residual, cfg.dispersion.tol)
 
     if d is not None:
+        # ordering of the solved profiles, 1 <= g0 and p <= g1 <= p*g0, as
+        # the largest relative excess over the nodes
+        p = d.grid.nodes
+        margin = max(np.max(1.0 - d.g0), np.max((p - d.g1) / p), np.max((d.g1 - p * d.g0) / p))
+        add("dispersion.ordering", margin <= 1e-12, margin, 1e-12)
         if params.alpha > 0:
             L = params.L
             m_ratio = (m_alpha(d) - 1.0) * math.pi / L
@@ -332,18 +316,10 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
             add("dispersion.window.g1_slope", 0.7 <= slope_ratio <= 1.3, slope_ratio, 1.3)
         k_nodes = default_k_nodes(params.cutoff, cfg.polarization.k_nodes, DEFAULT_K_MIN)
         table = polarization_table(d, k_nodes)
-        add("polarization.B_nonnegative", np.all(table.B >= 0.0), float(table.B.min()), 0.0)
-        b_ok = np.all(table.b >= 0.0) and np.all(table.b < 1.0)
-        add("polarization.b_in_unit_interval", b_ok, float(table.b.max()), 1.0)
         bound = kernel_difference_bound_check(d, seed=cfg.output.seed)
         add("polarization.pointwise_kernel_bound", bound.violations == 0, bound.violations, 0.0)
         cont = continuity_modulus(table)
         add("polarization.continuity_modulus", cont.max_ratio <= 10.0, cont.max_ratio, 10.0)
-
-    # coupling-off reductions are exact in every module
-    red = max(float(np.max(np.abs(d0s.g0 - 1.0))), float(np.max(np.abs(d0s.g1 - grid.nodes))))
-    red = max(red, b_screening(polarization_table(d0s, k_nodes=()).B0_at_zero, 0.0))
-    add("coupling_off.exact_reduction", red == 0.0, red, 0.0)
 
     # direct-space minimizer
     try:
@@ -351,25 +327,16 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         add("pekar.beats_gaussian_bound", st.E <= GAUSSIAN_BOUND + 1e-4, st.E, GAUSSIAN_BOUND + 1e-4)
         virial = abs(st.D - 2.0 * st.T) / st.D
         add("pekar.virial", virial <= 1e-3, virial, 1e-3)
-        res = el_residual(st)
-        add("pekar.el_residual", res <= cfg.pekar.tol, res, cfg.pekar.tol)
     except PekarConvergenceError:
         add("pekar.converged", False, math.inf, cfg.pekar.tol)
         st = None
 
-    if d is not None and st is not None:
+    # a bound state must lower the total below m; this fails once the
+    # correction drops under one ulp of m
+    if d is not None and st is not None and params.alpha > 0:
         br = assemble_breakdown(d, table, st)
-        total_corr = br.kinetic_corr + br.vacuum_corr + br.direct_corr
-        if params.alpha > 0:
-            expected = (st.T - st.D) / c0_squared(d, table)
-            rel = abs(total_corr - expected) / abs(expected)
-            add("energy.correction_identity", rel <= 1e-12, rel, 1e-12)
-            add("energy.vacuum_corr_positive", br.vacuum_corr > 0, br.vacuum_corr, 0.0)
-            add("energy.direct_corr_negative", br.direct_corr < 0, br.direct_corr, 0.0)
-            binds = br.total_pred < br.m if st.E < 0 else True
-            add("energy.binding_sign", binds, br.total_pred - br.m, 0.0)
-        else:
-            add("energy.coupling_off_total", br.total_pred == br.m, br.total_pred - br.m, 0.0)
+        binds = br.total_pred < br.m if st.E < 0 else True
+        add("energy.binding_sign", binds, br.total_pred - br.m, 0.0)
 
     all_ok = all(c.passed for c in checks)
     return checks, all_ok

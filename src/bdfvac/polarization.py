@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Dispersion, ModelParams, g0_derivatives
+from .dispersion import Dispersion, ModelParams, g0_prime
 from .numerics import (
     InvalidParameterError,
     OutOfRangeError,
@@ -63,7 +63,7 @@ def b_lambda_zero_radial(d: Dispersion) -> float:
     result is strictly positive for any non-degenerate profile.
     """
     u = d.grid.nodes
-    g0p, _ = g0_derivatives(d)
+    g0p = g0_prime(d)
     g1p = np.gradient(d.g1, u)
     et = d.e_tilde_samples
     first = u**2 * (g0p**2 + g1p**2 + 2.0 * (d.g1 / u) ** 2) / et**3
@@ -95,11 +95,9 @@ def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
     lx, pz, qz, pn, qn, gp, gq = _momenta(d, k, u, c)
     g0p, g1p = gp[..., 0], gp[..., 1]
     g0q, g1q = gq[..., 0], gq[..., 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        px_h, pz_h = np.where(pn > 0, lx / pn, 0.0), np.where(pn > 0, pz / pn, 1.0)
-        qx_h, qz_h = np.where(qn > 0, lx / qn, 0.0), np.where(qn > 0, qz / qn, 1.0)
-    ax, az = g1p * px_h, g1p * pz_h
-    bx, bz = g1q * qx_h, g1q * qz_h
+    # every Gauss point has u > 0 and |c| < 1, so lx, pn and qn are positive
+    ax, az = g1p * (lx / pn), g1p * (pz / pn)
+    bx, bz = g1q * (lx / qn), g1q * (qz / qn)
     # difference form of the 2x2 minors keeps full accuracy at small k
     d0 = g0p - g0q
     dx = ax - bx

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -282,40 +283,62 @@ class TestVerify:
         cfg = fast_config()
         checks, ok = run_verification(cfg)
         assert ok
-        assert any(c.name == "energy.correction_identity" for c in checks)
+        assert any(c.name == "energy.binding_sign" for c in checks)
 
     def test_check_names(self):
         checks, _ = run_verification(fast_config())
         assert [c.name for c in checks] == [
-            "dispersion.iterate_ordering",
             "dispersion.converged",
+            "dispersion.ordering",
             "dispersion.window.m_alpha",
             "dispersion.window.g1_slope",
-            "polarization.B_nonnegative",
-            "polarization.b_in_unit_interval",
             "polarization.pointwise_kernel_bound",
             "polarization.continuity_modulus",
-            "coupling_off.exact_reduction",
             "pekar.beats_gaussian_bound",
             "pekar.virial",
-            "pekar.el_residual",
-            "energy.correction_identity",
-            "energy.vacuum_corr_positive",
-            "energy.direct_corr_negative",
             "energy.binding_sign",
         ]
 
+    def test_check_names_at_zero_coupling(self):
+        cfg = fast_config()
+        cfg.model.alpha = 0.0
+        checks, ok = run_verification(cfg)
+        assert ok
+        assert [c.name for c in checks] == [
+            "dispersion.converged",
+            "dispersion.ordering",
+            "polarization.pointwise_kernel_bound",
+            "polarization.continuity_modulus",
+            "pekar.beats_gaussian_bound",
+            "pekar.virial",
+        ]
+
+    def test_ordering_reads_the_solved_profiles(self, monkeypatch):
+        real = bdfvac.cli._solve_dispersion
+
+        def misordered(cfg, params):
+            d = real(cfg, params)
+            g1 = d.g1.copy()
+            i = len(g1) // 2
+            g1[i] = d.grid.nodes[i] * d.g0[i] * (1.0 + 1e-6)
+            return replace(d, g1=g1)
+
+        monkeypatch.setattr(bdfvac.cli, "_solve_dispersion", misordered)
+        checks, ok = run_verification(fast_config())
+        (check,) = [c for c in checks if c.name == "dispersion.ordering"]
+        assert not ok and not check.passed
+        assert check.value == pytest.approx(1e-6, rel=0.1)
+
     def test_kernel_rules_built_once_for_the_iterate_check(self, monkeypatch):
         builds = []
-        real = bdfvac.dispersion.KernelRules
+        real = bdfvac.dispersion.KernelRules.__init__
 
-        def counting(grid):
+        def counting(self, grid):
             builds.append(grid)
-            return real(grid)
+            real(self, grid)
 
-        monkeypatch.setattr(bdfvac.dispersion, "KernelRules", counting)
-        monkeypatch.setattr(bdfvac.cli, "KernelRules", counting)
+        monkeypatch.setattr(bdfvac.dispersion.KernelRules, "__init__", counting)
         cfg = fast_config()
         run_verification(cfg)
-        # one for the six iterate-ordering steps, one inside solve_dispersion
-        assert len(builds) == 2
+        # the ordering check reads the solved profiles: no second solve
+        assert len(builds) == 1

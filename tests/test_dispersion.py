@@ -16,7 +16,7 @@ from bdfvac.dispersion import (
     check_asymptotics,
     dispersion_to_csv,
     free_dispersion,
-    g0_derivatives,
+    g0_prime,
     g1_prime_zero,
     m_alpha,
     scf_step,
@@ -307,7 +307,8 @@ class TestSolveDispersion:
         assert math.isclose(m_alpha(solved), 1.0316962787415533, rel_tol=1e-8)
 
     def test_g0_derivative_bounds(self, solved):
-        d1, d2 = g0_derivatives(solved)
+        d1 = g0_prime(solved)
+        d2 = np.gradient(d1, solved.grid.nodes)
         assert np.max(np.abs(d1)) / ALPHA <= 0.5
         assert np.max(np.abs(d2)) / ALPHA <= 0.5
 
@@ -354,7 +355,13 @@ class TestAsymptoticsReport:
     def test_serializes(self, solved):
         d = check_asymptotics(solved).to_dict()
         assert d["alpha"] == ALPHA
-        assert len(d["entries"]) == 4
+        names = [e["name"] for e in d["entries"]]
+        assert names == ["m_alpha", "g1_prime_zero", "sup_g0_prime_over_alpha"]
+
+    def test_zero_coupling_is_refused(self):
+        d = solve_dispersion(ModelParams(0.0, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
+        with pytest.raises(InvalidParameterError, match="alpha > 0"):
+            check_asymptotics(d)
 
 
 class TestCsv:

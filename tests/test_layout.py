@@ -8,8 +8,8 @@ the modules.  Reference implementations that only the tests call belong in
 tests/oracles.py.
 
 Each pipeline stage is also set up in one place: the geometric momentum
-grid, the uniform direct-space grid and the radial B(0) each have a single
-caller in src/bdfvac.
+grid, the uniform direct-space grid, the SCF kernel rules and the radial
+B(0) each have a single caller in src/bdfvac.
 
 Each default value of a parameter of a top-level function, or of a method
 of a top-level class, is used, and is needed: some call in src/bdfvac or
@@ -120,6 +120,12 @@ def test_uniform_grid_is_built_in_one_place():
     allowed = {"cli._solve_pekar"}
     found = _callers("make_grid", _clustering("uniform"))
     assert found == allowed, f"a uniform grid is also built in {sorted(found - allowed)}"
+
+
+def test_kernel_rules_are_built_in_one_place():
+    allowed = {"dispersion.solve_dispersion"}
+    found = _callers("KernelRules")
+    assert found == allowed, f"KernelRules is also built in {sorted(found - allowed)}"
 
 
 def _compares_with_zero(fn: ast.FunctionDef) -> bool:
