@@ -43,6 +43,8 @@ from .numerics import FixedPointError, InvalidParameterError, make_grid, write_j
 from .pekar import GAUSSIAN_BOUND, PekarConvergenceError, solve_pekar, state_to_csv
 from .polarization import (
     DEFAULT_K_MIN,
+    K_SWITCH,
+    b_lambda_k,
     charge_renormalization,
     continuity_modulus,
     default_k_nodes,
@@ -314,12 +316,16 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
             slope_ratio = (g1_prime_zero(d) - 1.0) * 3.0 * math.pi / (2.0 * L)
             add("dispersion.window.m_alpha", 0.7 <= m_ratio <= 1.3, m_ratio, 1.3)
             add("dispersion.window.g1_slope", 0.7 <= slope_ratio <= 1.3, slope_ratio, 1.3)
+        # continuity_modulus reads only the k <= 0.1
         k_nodes = default_k_nodes(params.cutoff, cfg.polarization.k_nodes, DEFAULT_K_MIN)
-        table = polarization_table(d, k_nodes)
+        table = polarization_table(d, k_nodes[k_nodes <= 0.1])
         bound = kernel_difference_bound_check(d, seed=cfg.output.seed)
         add("polarization.pointwise_kernel_bound", bound.violations == 0, bound.violations, 0.0)
         cont = continuity_modulus(table)
         add("polarization.continuity_modulus", cont.max_ratio <= 10.0, cont.max_ratio, 10.0)
+        # the 2-d B(k) at its smallest k against the radial B(0)
+        k0 = abs(b_lambda_k(d, K_SWITCH) / table.B0_at_zero - 1.0)
+        add("polarization.k0_consistency", k0 <= 1e-6, k0, 1e-6)
 
     # direct-space minimizer
     try:

@@ -22,7 +22,6 @@ from .pekar import PekarState
 from .polarization import PolarizationTable, b_screening, polarization_table
 
 CUTOFF_CAP = 1e8
-EXCHANGE_BUDGET_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -30,9 +29,7 @@ class EnergyBreakdown:
     """All scalars of the assembled expansion.
 
     kinetic_corr, vacuum_corr and direct_corr sum exactly to
-    C0^{-2} * (T - D); exchange_bound is a reported error budget of
-    EXCHANGE_BUDGET_FRACTION * alpha*b(0)/lambda and is never added to
-    the total.
+    C0^{-2} * (T - D).
     """
 
     m: float
@@ -41,7 +38,6 @@ class EnergyBreakdown:
     kinetic_corr: float
     vacuum_corr: float
     direct_corr: float
-    exchange_bound: float
     total_pred: float
     C0_sq: float
     b0: float
@@ -99,7 +95,6 @@ def assemble_breakdown(
         kinetic_corr=g1p**2 * p.T * lam_inv**2 / (2.0 * m),
         vacuum_corr=alpha * (b0 - b0**2) * p.D * lam_inv / 2.0,
         direct_corr=alpha * (b0**2 - 2.0 * b0) * p.D * lam_inv / 2.0,
-        exchange_bound=EXCHANGE_BUDGET_FRACTION * tau * lam_inv,
         total_pred=m + p.E / c0sq,
         C0_sq=c0sq,
         b0=b0,

@@ -12,10 +12,11 @@ accuracy as k -> 0.  At k = 0 the kernel has a radial closed form in the
 profile derivatives, used both as the k -> 0 value and as an independent
 cross-check of the 2-d integral.
 
-Every B(k) evaluates the profiles through the one (g0, g1) interpolant the
-Dispersion caches, and integrates each k in a single array pass over all of
-its radial panels; the per-panel sums are still added in panel order, so
-the result does not depend on the batching.
+B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
+the one (g0, g1) interpolant the Dispersion caches.  Each B(k) integrates
+its k in a single array pass over all of its radial panels; the per-panel
+sums are still added in panel order, so the result does not depend on the
+batching.
 """
 
 from __future__ import annotations
@@ -25,14 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Dispersion, ModelParams, g0_prime
-from .numerics import (
-    InvalidParameterError,
-    OutOfRangeError,
-    integrate,
-    write_csv,
-    write_json,
-)
+from .dispersion import Dispersion, ModelParams
+from .numerics import InvalidParameterError, OutOfRangeError, write_csv, write_json
 
 # Below this k the 2-d integral cancels catastrophically; continuity of B
 # at 0 lets us report the radial k=0 closed form instead.
@@ -43,6 +38,7 @@ DEFAULT_K_MIN = 1e-4
 # leggauss symmetrizes its nodes, so _GL64_X == -_GL64_X[::-1] exactly, as
 # _momenta requires
 _GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
+_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass(frozen=True)
@@ -59,16 +55,24 @@ class PolarizationTable:
 def b_lambda_zero_radial(d: Dispersion) -> float:
     """k = 0 value of B from the radial closed form in g0', g1', g1/u.
 
-    The two integrals differ by a Cauchy-Schwarz-positive wedge, so the
-    result is strictly positive for any non-degenerate profile.
+    The profiles and their slopes come from the interpolant, integrated by
+    one 4-point Gauss rule per cubic piece: in u on [0, x_0], in ln u on
+    each node interval and on [x_{n-1}, cutoff].  The two integrals differ
+    by a Cauchy-Schwarz-positive wedge, so the result is strictly positive
+    for any non-degenerate profile.
     """
-    u = d.grid.nodes
-    g0p = g0_prime(d)
-    g1p = np.gradient(d.g1, u)
-    et = d.e_tilde_samples
-    first = u**2 * (g0p**2 + g1p**2 + 2.0 * (d.g1 / u) ** 2) / et**3
-    second = u**2 * (d.g0 * g0p + d.g1 * g1p) ** 2 / et**5
-    return (integrate(d.grid, first) - integrate(d.grid, second)) / (3.0 * math.pi)
+    x = d.grid.nodes
+    t = np.log(np.append(x, d.grid.cutoff))
+    a, b = t[:-1, None], t[1:, None]
+    u_log = np.exp(0.5 * (a + b) + 0.5 * (b - a) * _GL4_X)
+    u = np.concatenate([0.5 * x[0] * (1.0 + _GL4_X), u_log.ravel()])
+    w = np.concatenate([0.5 * x[0] * _GL4_W, (0.5 * (b - a) * _GL4_W * u_log).ravel()])
+    g0, g1 = d.interpolant(u).T
+    g0p, g1p = d.interpolant(u, 1).T
+    et = np.hypot(g0, g1)
+    first = u**2 * (g0p**2 + g1p**2 + 2.0 * (g1 / u) ** 2) / et**3
+    second = u**2 * (g0 * g0p + g1 * g1p) ** 2 / et**5
+    return float(np.dot(w, first) - np.dot(w, second)) / (3.0 * math.pi)
 
 
 def _momenta(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):

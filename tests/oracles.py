@@ -3,10 +3,10 @@
 None of these is run by a bdfvac subcommand.  They are independent routes
 to quantities the pipeline computes another way (the quadrature of
 numerics and the angular kernels against KernelRules, the raw B(k)
-integrand against the wedge form, the explicit descent step against the
-implicit one, closed forms against the assembled breakdown) or small
-helpers the tests use.  pytest does not collect this module: its name has
-no test_ prefix.
+integrand against the wedge form, the free B(0) against its closed form,
+the explicit descent step against the implicit one, closed forms against
+the assembled breakdown) or small helpers the tests use.  pytest does not
+collect this module: its name has no test_ prefix.
 """
 
 from __future__ import annotations
@@ -178,6 +178,16 @@ def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
 def b_lambda_k_raw(d: Dispersion, k: float) -> float:
     """B(k) from the cancellation-prone raw integrand (validation only)."""
     return _b_lambda_k_generic(d, k, _raw_integrand)
+
+
+def free_b_lambda_zero(cutoff: float) -> float:
+    """Closed form of B(0) for the free profiles g0 = 1, g1 = p,
+
+        (2/(3 pi)) (ln cutoff + ln 2) - 5/(9 pi) + O(cutoff^-2)
+
+    (Gravejat, Lewin and Sere, Commun. Math. Phys. 306, 2011), without the
+    O(cutoff^-2) term."""
+    return 2.0 / (3.0 * math.pi) * (math.log(cutoff) + math.log(2.0)) - 5.0 / (9.0 * math.pi)
 
 
 def screened_density(table: PolarizationTable, n_hat: np.ndarray) -> np.ndarray:

@@ -294,6 +294,7 @@ class TestVerify:
             "dispersion.window.g1_slope",
             "polarization.pointwise_kernel_bound",
             "polarization.continuity_modulus",
+            "polarization.k0_consistency",
             "pekar.beats_gaussian_bound",
             "pekar.virial",
             "energy.binding_sign",
@@ -309,6 +310,7 @@ class TestVerify:
             "dispersion.ordering",
             "polarization.pointwise_kernel_bound",
             "polarization.continuity_modulus",
+            "polarization.k0_consistency",
             "pekar.beats_gaussian_bound",
             "pekar.virial",
         ]

@@ -16,7 +16,6 @@ from bdfvac.dispersion import (
     check_asymptotics,
     dispersion_to_csv,
     free_dispersion,
-    g0_prime,
     g1_prime_zero,
     m_alpha,
     scf_step,
@@ -307,7 +306,7 @@ class TestSolveDispersion:
         assert math.isclose(m_alpha(solved), 1.0316962787415533, rel_tol=1e-8)
 
     def test_g0_derivative_bounds(self, solved):
-        d1 = g0_prime(solved)
+        d1 = np.gradient(solved.g0, solved.grid.nodes)
         d2 = np.gradient(d1, solved.grid.nodes)
         assert np.max(np.abs(d1)) / ALPHA <= 0.5
         assert np.max(np.abs(d2)) / ALPHA <= 0.5

@@ -116,11 +116,9 @@ class TestBreakdown:
         assert breakdown.direct_corr < 0.0
         assert breakdown.vacuum_corr + breakdown.direct_corr < 0.0
 
-    def test_exchange_budget_not_added(self, breakdown):
-        # the total is m + E_CP/C0^2 exactly; the budget is only reported
+    def test_total_is_m_plus_scaled_E_CP(self, breakdown):
         expected = breakdown.m + breakdown.E_CP / breakdown.C0_sq
         assert math.isclose(breakdown.total_pred, expected, rel_tol=1e-14)
-        assert breakdown.exchange_bound > 0.0
 
     def test_binding_magnitude_window(self, breakdown):
         binding = breakdown.m - breakdown.total_pred

@@ -28,7 +28,7 @@ from bdfvac.polarization import (
     polarization_table,
     table_to_csv,
 )
-from oracles import b_lambda_k_raw, screened_density
+from oracles import b_lambda_k_raw, free_b_lambda_zero, screened_density
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -125,6 +125,13 @@ class TestZeroMomentumValue:
         ratio = B0 * 3.0 * math.pi / (2.0 * math.log(CUTOFF))
         assert 0.75 <= ratio <= 1.25
 
+    @pytest.mark.parametrize("cut", [1e4, 1e5, 1e6])
+    def test_free_radial_form_matches_closed_form(self, cut):
+        # not below 1e4: there the O(cutoff^-2) term the closed form drops
+        # is 7.4e-8 (1e3) and 1.1e-5 (1e2) at every n
+        d = free_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
+        assert abs(b_lambda_zero_radial(d) / free_b_lambda_zero(cut) - 1.0) <= 1e-8
+
     def test_free_log_growth_ratio_monotone_in_cutoff(self):
         ratios = []
         for cut in (1e2, 1e3, 1e4, 1e6):
@@ -143,11 +150,13 @@ class TestCrossMethodConsistency:
         B0 = b_lambda_zero_radial(free)
         Bk = b_lambda_k(free, 1e-2)
         assert abs(Bk / B0 - 1.0) < 0.02
+        assert abs(b_lambda_k(free, K_SWITCH) / B0 - 1.0) <= 1e-6
 
     def test_small_k_integral_matches_radial_form_dressed(self, dressed):
         B0 = b_lambda_zero_radial(dressed)
         Bk = b_lambda_k(dressed, 1e-2)
         assert abs(Bk / B0 - 1.0) < 0.02
+        assert abs(b_lambda_k(dressed, K_SWITCH) / B0 - 1.0) <= 1e-6
 
     def test_wedge_equals_raw_at_moderate_k(self, dressed):
         w = b_lambda_k(dressed, 1.0)
@@ -256,6 +265,13 @@ class TestTable:
 class TestContinuity:
     def test_modulus_bounded(self, table):
         rep = continuity_modulus(table)
+        assert rep.max_ratio <= 10.0
+
+    def test_modulus_bounded_at_large_cutoff(self):
+        cut = 1e6
+        d = solve_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
+        k = default_k_nodes(cut, 128, DEFAULT_K_MIN)
+        rep = continuity_modulus(polarization_table(d, k[k <= 0.1]))
         assert rep.max_ratio <= 10.0
 
     def test_report_serializes(self, table):
