@@ -7,14 +7,16 @@ The dressed symbol is determined by two radial profiles g0, g1 satisfying
 
 with Et = sqrt(g0^2 + g1^2).  After the angular integrals the 3-d
 convolutions reduce to 1-d kernels with an integrable log singularity at
-s = p; those are handled by the graded rules in numerics.  The integrands
-g/Et between nodes come from the monotone cubic (PCHIP) interpolant of
-their node samples, whose value at a fixed point is linear in the node
-samples and the PCHIP node slopes.  KernelRules folds that interpolation
-into the quadrature weights once per grid, so an iteration is one slope
-pass and one sparse mat-vec per profile.  The net prefactor is a/(4 pi^2)
-times the 2 pi from the azimuthal integration, i.e. a/(2 pi) -- applied
-exactly once, in scf_step.
+s = p; the rules of numerics._distance_panels grade toward s = p and close
+there with a product rule that is exact for the log times the
+interpolating cubic.  The integrands g/Et between nodes come from the
+monotone cubic (PCHIP) interpolant of their node samples, whose value at
+a fixed point is linear in the node samples and the PCHIP node slopes.
+KernelRules folds that interpolation into the quadrature weights once per
+grid, so an iteration is one slope pass and one sparse mat-vec per
+profile.  The net prefactor is a/(4 pi^2) times the 2 pi from the
+azimuthal integration, i.e. a/(2 pi) -- applied exactly once, in
+scf_step.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .numerics import (
     InvalidParameterError,
     RadialGrid,
     _distance_panels,
+    _panel_depth,
     fixed_point_solve,
     write_csv,
 )
@@ -163,16 +166,31 @@ def _pchip_end_slope(h0, h1, m0, m1) -> float:
 _RULE_BLOCK = 64
 
 
+def _near_depths(grid: RadialGrid, block: slice) -> tuple[int, int]:
+    """Dyadic depths (left, right) of the singular rules of the nodes in
+    block: the smallest that put the near panel of every node inside the
+    PCHIP interval next to it, where the integrand is one cubic, and
+    within p/2 of p, where K1 takes its closed form."""
+    x = grid.nodes
+    gap = np.diff(x)
+    room_l = np.minimum(np.append(x[0], gap), x / 2)[block]
+    room_r = np.minimum(np.append(gap, grid.cutoff - x[-1]), x / 2)[block]
+    return _panel_depth(x[block], room_l), _panel_depth(grid.cutoff - x[block], room_r)
+
+
 class KernelRules:
     """The singular quadrature of every grid node, folded with the PCHIP.
 
     The rules depend on the grid only, so one instance serves the whole
-    self-consistent iteration.  Node p carries the dyadic rule of
-    numerics._distance_panels on each side of s = p, with the full K0
-    weight s*ln((p+s)/|p-s|) and the full K1 weight s*bracket(p,s) times
-    the plain Gauss weight.  Everything singular or cancellation-prone is
-    evaluated in the distance u = |s - p|, never by subtracting nearly
-    equal integrals.
+    self-consistent iteration.  Node p carries the rule of
+    numerics._distance_panels on each side of s = p: dyadic Gauss panels
+    down to the depth of _near_depths, taken per block of nodes, then one
+    near panel on which the PCHIP is a single cubic and the product rule
+    integrates ln(1/|p-s|) times it exactly.  The K0 weight is
+    s*ln((p+s)/|p-s|) and the K1 weight s*bracket(p,s), with the log
+    evaluated as log1p(2 min(p,s)/u) in the distance u = |s - p|, so
+    nothing singular or cancellation-prone is formed by subtracting
+    nearly equal numbers.
 
     The integrand at an abscissa s is the cubic Hermite form on the PCHIP
     interval of s (the first or last one outside the nodes, where it
@@ -189,18 +207,21 @@ class KernelRules:
         width = 2 * n
         values0, values1, columns, counts = [], [], [], []
         for lo in range(0, n, _RULE_BLOCK):
-            p = x[lo : lo + _RULE_BLOCK, None]
-            u_l, w_l = _distance_panels(p)
-            u_r, w_r = _distance_panels(grid.cutoff - p)
+            block = slice(lo, lo + _RULE_BLOCK)
+            p = x[block, None]
+            depth_l, depth_r = _near_depths(grid, block)
+            u_l, w_l, c_l = _distance_panels(p, depth_l)
+            u_r, w_r, c_r = _distance_panels(grid.cutoff - p, depth_r)
             s = np.concatenate([p - u_l, p + u_r], axis=1)
             u = np.concatenate([u_l, u_r], axis=1)
             w = np.concatenate([w_l, w_r], axis=1)
-            logf = np.log((p + s) / u)
+            c = np.concatenate([c_l, c_r], axis=1)
             t = np.minimum(p, s) / np.maximum(p, s)
+            logf = np.log1p(2.0 * np.minimum(p, s) / u)
             sym = (p * p + s * s) / (2.0 * p * s)
             brack = sym * logf - 1.0
-            near = t <= 0.5
-            brack[near] = _k1_bracket_series(t[near])
+            series = t <= 0.5
+            brack[series] = _k1_bracket_series(t[series])
 
             # interval of each abscissa, clipped so the end cubics extrapolate
             k = np.clip(np.searchsorted(x, s, side="right") - 1, 0, n - 2)
@@ -225,7 +246,9 @@ class KernelRules:
             touched = np.zeros(rows * width, dtype=bool)
             touched[pos] = True
             nz = np.flatnonzero(touched)
-            for values, wk in ((values0, w * s * logf), (values1, w * s * brack)):
+            k0 = s * (w * logf + c)
+            k1 = s * (w * brack + c * sym)
+            for values, wk in ((values0, k0), (values1, k1)):
                 dense = np.bincount(pos, (wk[..., None] * basis).ravel(), rows * width)
                 values.append(dense[nz])
             columns.append(nz % width)

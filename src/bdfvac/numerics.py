@@ -105,14 +105,49 @@ def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
 # 8-point Gauss-Legendre on [-1, 1], used per panel of the singular rules.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
+# The same points on [0, 1], and the weights _LOG_W on them that integrate
+# v**q * -ln(v) exactly for q <= 7 (the moment is 1/(q+1)**2).
+_NEAR_V = 0.5 * (1.0 + _GL_X)
+_NEAR_W = 0.5 * _GL_W
 
-def _distance_panels(d):
-    """Dyadic Gauss points/weights in the distance u from the singular
-    endpoint, covering (d*2**-52, d] in 52 halvings.
 
-    d may be a scalar or an array of shape (..., 1); the points of each
-    distance then lie along the last axis."""
-    j = np.arange(52)
+def _log_weights():
+    """The Gauss weights times the shifted-Legendre expansion of -ln(v),
+    whose coefficients are 1 at q = 0 and (2q+1)(-1)**q/(q(q+1)) above:
+    no ill-conditioned Vandermonde system is solved."""
+    q = np.arange(8)
+    coef = (2 * q + 1) * (-1.0) ** q / np.maximum(q * (q + 1), 1)
+    coef[0] = 1.0
+    return _NEAR_W * (np.polynomial.legendre.legvander(_GL_X, 7) @ coef)
+
+
+_LOG_W = _log_weights()
+
+
+def _panel_depth(d, room) -> int:
+    """The smallest J >= 0 with d * 2**-J <= room at every entry."""
+    j = np.maximum(np.ceil(np.log2(d / room)), 0.0)
+    j += np.ldexp(d, -j.astype(int)) > room
+    return int(j.max())
+
+
+def _distance_panels(d, depth: int):
+    """Gauss points and weights in the distance u from a log-singular
+    endpoint, covering (0, d].
+
+    The dyadic panels (d*2**-(j+1), d*2**-j], j < depth, carry 8 Gauss
+    points each.  The near panel [0, g], g = d*2**-depth, carries the 8
+    Gauss points u = g*v too.  There ln(R/u) = ln(R/g) - ln(v): the smooth
+    first part takes the Gauss weights, the second the log weights
+    g*_LOG_W, exact for -ln(v) times any polynomial of degree 7.
+
+    Returns u, w and c, with int F(u) ln(R(u)/u) du over (0, d] equal to
+    sum(w F ln(R/u) + c F): c is zero on the dyadic panels and
+    g*(_LOG_W + _NEAR_W ln v) on the near panel.  d may be a scalar or an
+    array of shape (..., 1); the points of each distance then lie along
+    the last axis, 8*depth + 8 of them, the near panel last.
+    """
+    j = np.arange(depth)
     lo = d * 0.5 ** (j + 1)
     hi = d * 0.5**j
     mid = 0.5 * (lo + hi)
@@ -120,7 +155,11 @@ def _distance_panels(d):
     shape = (*lo.shape[:-1], -1)
     u = (mid[..., None] + half[..., None] * _GL_X).reshape(shape)
     w = (half[..., None] * _GL_W).reshape(shape)
-    return u, w
+    g = d * 0.5**depth
+    u = np.concatenate([u, g * _NEAR_V], axis=-1)
+    c = np.concatenate([np.zeros_like(w), g * (_LOG_W + _NEAR_W * np.log(_NEAR_V))], axis=-1)
+    w = np.concatenate([w, g * _NEAR_W], axis=-1)
+    return u, w, c
 
 
 @dataclass

@@ -29,6 +29,7 @@ from bdfvac.numerics import (
     RadialGrid,
     ShapeMismatchError,
     _distance_panels,
+    _panel_depth,
 )
 from bdfvac.pekar import PekarState, _apply_h, _uniform_spacing, make_state
 from bdfvac.polarization import PolarizationTable, _b_lambda_k_generic, _momenta
@@ -78,18 +79,26 @@ def dyadic_gauss_panels(a: float, b: float, singular_at: str, levels: int = 52):
     return pts, wts
 
 
-def log_singular_points(cutoff: float, p: float):
+def log_singular_points(grid: RadialGrid, p: float):
     """Points and weights for integrating smooth(s)*ln((p+s)/|p-s|) over
     (0, cutoff), with the log factor folded into the weights.
 
     The rule is built in the distance u = |s - p|, so the log factor is
-    evaluated without cancellation arbitrarily close to s = p.
+    evaluated without cancellation arbitrarily close to s = p.  Each side
+    is graded until its near panel lies within p/2 of p and between p and
+    the nearest node, so the interpolant of smooth is one cubic there.
     """
-    u_l, w_l = _distance_panels(p)
-    u_r, w_r = _distance_panels(cutoff - p)
+    x = grid.nodes
+    below = x[x < p]
+    above = x[x > p]
+    room_l = min(p - (below[-1] if below.size else 0.0), p / 2)
+    room_r = min((above[0] if above.size else grid.cutoff) - p, p / 2)
+    d_l, d_r = p, grid.cutoff - p
+    u_l, w_l, c_l = _distance_panels(d_l, _panel_depth(d_l, room_l))
+    u_r, w_r, c_r = _distance_panels(d_r, _panel_depth(d_r, room_r))
     pts = np.concatenate([p - u_l, p + u_r])
-    logf = np.concatenate([np.log((2.0 * p - u_l) / u_l), np.log((2.0 * p + u_r) / u_r)])
-    wts = np.concatenate([w_l, w_r]) * logf
+    logf = np.concatenate([np.log1p(2.0 * (p - u_l) / u_l), np.log1p(2.0 * p / u_r)])
+    wts = np.concatenate([w_l, w_r]) * logf + np.concatenate([c_l, c_r])
     return pts, wts
 
 
@@ -114,7 +123,7 @@ def integrate_with_log_singularity(
         return 0.0
     h = PchipInterpolator(grid.nodes, smooth_part, extrapolate=True)
     if log_weight_fn is None:
-        pts, wts = log_singular_points(grid.cutoff, p)
+        pts, wts = log_singular_points(grid, p)
         return float(np.dot(wts, h(pts)))
     pts_l, w_l = dyadic_gauss_panels(0.0, p, singular_at="b")
     pts_r, w_r = dyadic_gauss_panels(p, grid.cutoff, singular_at="a")

@@ -8,10 +8,12 @@ from scipy.interpolate import PchipInterpolator
 import bdfvac.dispersion
 from bdfvac.dispersion import (
     ALPHA_REGIME_LIMIT,
+    _RULE_BLOCK,
     Dispersion,
     KernelRules,
     ModelParams,
     _k1_bracket_series,
+    _near_depths,
     _pchip_slopes,
     check_asymptotics,
     dispersion_to_csv,
@@ -21,7 +23,14 @@ from bdfvac.dispersion import (
     scf_step,
     solve_dispersion,
 )
-from bdfvac.numerics import InvalidParameterError, _distance_panels, make_grid
+from bdfvac.numerics import (
+    _LOG_W,
+    _NEAR_V,
+    InvalidParameterError,
+    RadialGrid,
+    _distance_panels,
+    make_grid,
+)
 from oracles import angular_kernel_K0, angular_kernel_K1, e_tilde, interp
 
 ALPHA = 0.01
@@ -147,27 +156,31 @@ class TestScfStep:
 
 class _ReferenceRules:
     """The singular rules node by node, unfolded: abscissae S and the K0/K1
-    weights WK0/WK1 per row, as the quadrature was built before the PCHIP
-    was folded into it."""
+    weights WK0/WK1 of every row, flat, with ROW the row of each, as the
+    quadrature was built before the PCHIP was folded into it."""
 
     def __init__(self, grid):
         S_rows, K0_rows, K1_rows = [], [], []
-        for p in grid.nodes:
-            u_l, w_l = _distance_panels(p)
-            u_r, w_r = _distance_panels(grid.cutoff - p)
+        for i, p in enumerate(grid.nodes):
+            lo = i - i % _RULE_BLOCK
+            depth_l, depth_r = _near_depths(grid, slice(lo, lo + _RULE_BLOCK))
+            u_l, w_l, c_l = _distance_panels(p, depth_l)
+            u_r, w_r, c_r = _distance_panels(grid.cutoff - p, depth_r)
             s = np.concatenate([p - u_l, p + u_r])
             u = np.concatenate([u_l, u_r])
             w = np.concatenate([w_l, w_r])
-            logf = np.log((p + s) / u)
+            c = np.concatenate([c_l, c_r])
+            logf = np.log1p(2.0 * np.minimum(p, s) / u)
             t = np.minimum(p, s) / np.maximum(p, s)
             sym = (p * p + s * s) / (2.0 * p * s)
             brack = np.where(t <= 0.5, _k1_bracket_series(np.minimum(t, 0.5)), sym * logf - 1.0)
             S_rows.append(s)
-            K0_rows.append(w * s * logf)
-            K1_rows.append(w * s * brack)
-        self.S = np.vstack(S_rows)
-        self.WK0 = np.vstack(K0_rows)
-        self.WK1 = np.vstack(K1_rows)
+            K0_rows.append(s * (w * logf + c))
+            K1_rows.append(s * (w * brack + c * sym))
+        self.ROW = np.repeat(np.arange(grid.n_points), [s.size for s in S_rows])
+        self.S = np.concatenate(S_rows)
+        self.WK0 = np.concatenate(K0_rows)
+        self.WK1 = np.concatenate(K1_rows)
 
 
 def _reference_step(d, rules):
@@ -176,8 +189,8 @@ def _reference_step(d, rules):
     et = d.e_tilde_samples
     F0 = PchipInterpolator(p, d.g0 / et, extrapolate=True)(rules.S)
     F1 = PchipInterpolator(p, d.g1 / et, extrapolate=True)(rules.S)
-    i0 = np.einsum("ij,ij->i", F0, rules.WK0)
-    i1 = np.einsum("ij,ij->i", F1, rules.WK1)
+    i0 = np.bincount(rules.ROW, F0 * rules.WK0)
+    i1 = np.bincount(rules.ROW, F1 * rules.WK1)
     pref = d.params.alpha / (2.0 * math.pi) / p
     return 1.0 + pref * i0, p + pref * i1
 
@@ -211,6 +224,31 @@ class TestFoldedQuadrature:
         assert np.max(np.abs(out.g0 - g0_ref) / np.abs(g0_ref)) <= 1e-14
         assert np.max(np.abs(out.g1 - g1_ref) / np.abs(g1_ref)) <= 1e-14
 
+    @pytest.mark.parametrize("q", range(8))
+    def test_log_weights_exact_to_degree_seven(self, q):
+        # int_0^1 v^q (-ln v) dv = 1/(q+1)^2
+        value = float(np.dot(_LOG_W, _NEAR_V**q)) * (q + 1) ** 2
+        assert abs(value - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("which", ["default-n128", "deep"])
+    def test_near_panels_inside_the_adjacent_interval(self, which):
+        grid = make_grid(CUTOFF, 128, "geometric") if which == "default-n128" else _deep_grid()
+        x = grid.nodes
+        left_knots = np.append(0.0, x[:-1])
+        right_knots = np.append(x[1:], grid.cutoff)
+        for lo in range(0, grid.n_points, _RULE_BLOCK):
+            block = slice(lo, lo + _RULE_BLOCK)
+            p = x[block]
+            depth_l, depth_r = _near_depths(grid, block)
+            g_l = p * 0.5**depth_l
+            g_r = (grid.cutoff - p) * 0.5**depth_r
+            assert np.all(p - g_l >= left_knots[block]) and np.all(g_l <= p / 2)
+            assert np.all(p + g_r <= right_knots[block]) and np.all(g_r <= p / 2)
+            # and no shallower depth would do
+            assert np.any(p - 2 * g_l < left_knots[block]) or np.any(2 * g_l > p / 2)
+            if depth_r > 0:
+                assert np.any(p + 2 * g_r > right_knots[block]) or np.any(2 * g_r > p / 2)
+
     def test_solve_builds_no_interpolant(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the SCF loop built a PchipInterpolator")
@@ -218,6 +256,42 @@ class TestFoldedQuadrature:
         monkeypatch.setattr(bdfvac.dispersion, "PchipInterpolator", refuse)
         d = solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
         assert d.report.converged
+
+
+def _deep_grid():
+    """512 cells with geometric bounds from 1e-3 to 1e13: the nodes span
+    16 decades, more than a fixed 52 halvings of the cutoff reach."""
+    bounds = np.concatenate([[0.0], np.geomspace(1e-3, 1e13, 512)])
+    return RadialGrid(0.5 * (bounds[1:] + bounds[:-1]), np.diff(bounds), 1e13)
+
+
+class TestSingularRuleAccuracy:
+    def test_k0_row_of_one_matches_the_closed_form(self):
+        # int_0^L s ln((p+s)/|p-s|) ds = (L^2 - p^2) atanh(p/L) + p L
+        grid = make_grid(CUTOFF, 512, "geometric")
+        p = grid.nodes
+        rows = KernelRules(grid).A0 @ np.concatenate([np.ones_like(p), np.zeros_like(p)])
+        exact = (CUTOFF**2 - p * p) * np.arctanh(p / CUTOFF) + p * CUTOFF
+        assert np.max(np.abs(rows - exact) / exact) <= 1e-13
+
+    def test_k0_row_on_a_deep_grid_matches_adaptive_quadrature(self):
+        grid = _deep_grid()
+        x = grid.nodes
+        f = 1.0 / np.hypot(1.0, x)
+        rows = KernelRules(grid).A0 @ np.concatenate([f, _pchip_slopes(x, f)])
+        pchip = PchipInterpolator(x, f, extrapolate=True)
+        edges = np.concatenate([[0.0], x, [grid.cutoff]])
+        for i in (0, 1, 10, 50, 100):
+            p = x[i]
+
+            def integrand(s):
+                return s * math.log1p(2.0 * min(p, s) / abs(p - s)) * float(pchip(s))
+
+            exact = math.fsum(
+                quad(integrand, a, b, epsabs=0.0, epsrel=1e-10)[0]
+                for a, b in zip(edges[:-1], edges[1:])
+            )
+            assert abs(rows[i] - exact) <= 1e-6 * exact
 
 
 def _branch_data():

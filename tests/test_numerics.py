@@ -113,7 +113,7 @@ class TestLogSingularQuadrature:
         assert math.isclose(val, oracle, rel_tol=1e-9)
 
     def test_rule_weights_are_finite(self):
-        pts, wts = log_singular_points(10.0, 3.0)
+        pts, wts = log_singular_points(make_grid(10.0, 64, "uniform"), 3.0)
         assert np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))
         assert np.all(pts > 0) and np.all(pts < 10.0)
 
