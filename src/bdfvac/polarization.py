@@ -16,7 +16,9 @@ B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
 the one (g0, g1) interpolant the Dispersion caches.  Each B(k) integrates
 its k in a single array pass over all of its radial panels; the per-panel
 sums are still added in panel order, so the result does not depend on the
-batching.
+batching.  Swapping p = l + k/2 and q = l - k/2 maps c = cos(l, k) to -c
+and leaves the integrand unchanged, so B(k) takes only the c >= 0 half of
+the symmetric Gauss rule in c, with doubled weights.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ K_SWITCH = 1e-3
 
 DEFAULT_K_MIN = 1e-4
 
-# leggauss symmetrizes its nodes, so _GL64_X == -_GL64_X[::-1] exactly, as
-# _momenta requires
+# leggauss symmetrizes its nodes, so _GL64_X[32:] == -_GL64_X[31::-1]
+# exactly: the c >= 0 half of the rule, as _momenta requires
 _GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
@@ -78,27 +80,27 @@ def b_lambda_zero_radial(d: Dispersion) -> float:
 def _momenta(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
     """Set-up shared by the B(k) integrands: for l at |l| = u, cos(l, k) = c,
     the transverse component lx, the axial components pz, qz and the norms
-    pn, qn of p = l + k/2 and q = l - k/2, and the (g0, g1) profiles at pn
-    and qn.
+    pn, qn of p = l + k/2 and q = l - k/2, then g0, g1 and Et at pn and qn.
 
-    c must be odd along its last axis (the symmetric Gauss rule in c), so
-    that q at c is p at -c with its axial sign flipped: qn and the profiles
-    at qn are then exactly those at pn reversed along that axis.
+    c must be the c >= 0 half of a symmetric rule along its last axis.  qn
+    at c is pn at -c, so [qn reversed, pn] is pn over the full rule, in
+    ascending order: one interpolant call on that row gives both sides.
     """
     sin = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
     lx = u * sin
     pz = u * c + 0.5 * k
     qz = u * c - 0.5 * k
     pn = np.hypot(lx, pz)
-    gp = d.interpolant(pn)
-    return lx, pz, qz, pn, pn[..., ::-1], gp, gp[..., ::-1, :]
+    qn = np.hypot(lx, qz)
+    g0, g1 = np.moveaxis(d.interpolant(np.concatenate([qn[..., ::-1], pn], axis=-1)), -1, 0)
+    rows = g0, g1, np.sqrt(g0 * g0 + g1 * g1)
+    h = c.shape[-1]
+    return lx, pz, qz, pn, qn, [r[..., h:] for r in rows], [r[..., h - 1 :: -1] for r in rows]
 
 
 def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
-    """Wedge-form integrand f(l) on arrays of |l| = u and cos(l, k) = c."""
-    lx, pz, qz, pn, qn, gp, gq = _momenta(d, k, u, c)
-    g0p, g1p = gp[..., 0], gp[..., 1]
-    g0q, g1q = gq[..., 0], gq[..., 1]
+    """Wedge-form integrand f(l) on arrays of |l| = u and cos(l, k) = c >= 0."""
+    lx, pz, qz, pn, qn, (g0p, g1p, etp), (g0q, g1q, etq) = _momenta(d, k, u, c)
     # every Gauss point has u > 0 and |c| < 1, so lx, pn and qn are positive
     ax, az = g1p * (lx / pn), g1p * (pz / pn)
     bx, bz = g1q * (lx / qn), g1q * (qz / qn)
@@ -110,8 +112,6 @@ def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
     D0z = d0 * bz - g0q * dz
     Dxz = dx * bz - dz * bx
     wedge = D0x**2 + D0z**2 + Dxz**2
-    etp = np.hypot(g0p, g1p)
-    etq = etp[..., ::-1]  # the mirror image, as for qn in _momenta
     dot = g0p * g0q + ax * bx + az * bz
     return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
 
@@ -133,7 +133,7 @@ def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
         hi = min(lo * 4.0, u_max)
         panels.append((lo, hi))
         lo = hi
-    # every panel's (u, c) rule in one (panels, 64, 64) array, so that
+    # every panel's (u, c) rule in one (panels, 64, 32) array, so that
     # each k takes one integrand call
     bounds = np.array(panels)
     a, b = bounds[:, :1], bounds[:, 1:]
@@ -141,15 +141,15 @@ def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
     uw = 0.5 * (b - a) * _GL64_W
     with np.errstate(divide="ignore"):
         cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)
-    C = cmax[..., None] * _GL64_X
-    Cw = cmax[..., None] * _GL64_W
+    C = cmax[..., None] * _GL64_X[32:]
+    Cw = cmax[..., None] * (2.0 * _GL64_W[32:])
     f = integrand(d, k, um[..., None], C)
     rows = np.sum(f * Cw, axis=-1)
     # panel-by-panel accumulation, in panel order, keeps the sum's rounding
     total = 0.0
     for w_row, f_row in zip(uw * um * um, rows):
         total += float(np.dot(w_row, f_row))
-    # azimuthal 2 pi, both signs of c already covered by the symmetric rule
+    # azimuthal 2 pi; the doubled weights cover c < 0
     return 2.0 * math.pi * total / (math.pi**2 * k * k)
 
 

@@ -174,12 +174,8 @@ def e_tilde(d: Dispersion, p) -> float:
 
 def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
     """Textbook-form integrand, kept only to validate the wedge form."""
-    lx, pz, qz, pn, qn, gp, gq = _momenta(d, k, u, c)
-    g0p, g1p = gp[..., 0], gp[..., 1]
-    g0q, g1q = gq[..., 0], gq[..., 1]
+    lx, pz, qz, pn, qn, (g0p, g1p, etp), (g0q, g1q, etq) = _momenta(d, k, u, c)
     cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
-    etp = np.hypot(g0p, g1p)
-    etq = etp[..., ::-1]  # the mirror image, as for qn in _momenta
     dot = g0p * g0q + g1p * g1q * cosang
     return (etp * etq - dot) / (etp * etq * (etp + etq))
 

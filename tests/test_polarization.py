@@ -61,8 +61,8 @@ def reference_wedge_integrand(d, k, u, c):
     D0z = d0 * bz - g0q * dz
     Dxz = dx * bz - dz * bx
     wedge = D0x**2 + D0z**2 + Dxz**2
-    etp = np.hypot(g0p, g1p)
-    etq = np.hypot(g0q, g1q)
+    etp = np.sqrt(g0p * g0p + g1p * g1p)
+    etq = np.sqrt(g0q * g0q + g1q * g1q)
     dot = g0p * g0q + ax * bx + az * bz
     return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
 
@@ -71,15 +71,22 @@ def reference_raw_integrand(d, k, u, c):
     """Raw integrand with both sides evaluated directly, no mirroring."""
     lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, u, c)
     cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
-    etp = np.hypot(g0p, g1p)
-    etq = np.hypot(g0q, g1q)
+    etp = np.sqrt(g0p * g0p + g1p * g1p)
+    etq = np.sqrt(g0q * g0q + g1q * g1q)
     dot = g0p * g0q + g1p * g1q * cosang
     return (etp * etq - dot) / (etp * etq * (etp + etq))
 
 
-def per_panel_b_lambda_k(d, k, integrand):
-    """Reference B(k): one integrand call per radial panel, panel sums
-    added in panel order."""
+# the rules in c = cos(l, k): b_lambda_k takes the c >= 0 half of the
+# 64-node Gauss rule with doubled weights, the full rule covers both signs
+HALF_C_RULE = (_GL64_X[32:], 2.0 * _GL64_W[32:])
+FULL_C_RULE = (_GL64_X, _GL64_W)
+
+
+def per_panel_b_lambda_k(d, k, integrand, c_rule=HALF_C_RULE):
+    """Reference B(k): one integrand call per radial panel on the rule
+    c_rule = (nodes, weights) in c over [-1, 1] scaled to [-cmax, cmax],
+    panel sums added in panel order."""
     cut = d.grid.cutoff
     u_hi = cut * cut - 0.25 * k * k
     if u_hi <= 0:
@@ -97,8 +104,8 @@ def per_panel_b_lambda_k(d, k, integrand):
         uw = 0.5 * (b - a) * _GL64_W
         with np.errstate(divide="ignore"):
             cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)
-        C = cmax[:, None] * _GL64_X[None, :]
-        Cw = cmax[:, None] * _GL64_W[None, :]
+        C = cmax[:, None] * c_rule[0][None, :]
+        Cw = cmax[:, None] * c_rule[1][None, :]
         f = integrand(d, k, um[:, None], C)
         total += float(np.dot(uw * um * um, np.sum(f * Cw, axis=1)))
     return 2.0 * math.pi * total / (math.pi**2 * k * k)
@@ -167,10 +174,11 @@ class TestCrossMethodConsistency:
         assert b_lambda_k(dressed, 2.0 * CUTOFF) == pytest.approx(0.0, abs=1e-12)
 
 
+BATCH_K = [K_SWITCH, 0.3, 1.0, CUTOFF, 2.0 * CUTOFF * (1.0 - 1e-9), 2.0 * CUTOFF]
+
+
 class TestBatchedQuadrature:
-    @pytest.mark.parametrize(
-        "k", [K_SWITCH, 0.3, 1.0, CUTOFF, 2.0 * CUTOFF * (1.0 - 1e-9), 2.0 * CUTOFF]
-    )
+    @pytest.mark.parametrize("k", BATCH_K)
     @pytest.mark.parametrize(
         "b_k, integrand",
         [(b_lambda_k, reference_wedge_integrand), (b_lambda_k_raw, reference_raw_integrand)],
@@ -178,6 +186,45 @@ class TestBatchedQuadrature:
     )
     def test_bitwise_equal_to_per_panel_reference(self, dressed, b_k, integrand, k):
         assert b_k(dressed, k) == per_panel_b_lambda_k(dressed, k, integrand)
+
+    @pytest.mark.parametrize("k", BATCH_K)
+    def test_half_rule_matches_the_full_rule(self, dressed, k):
+        # fails if the half rule's weights are not doubled or if p and q
+        # are not paired at the same c
+        full = per_panel_b_lambda_k(dressed, k, reference_wedge_integrand, FULL_C_RULE)
+        assert abs(b_lambda_k(dressed, k) - full) <= 1e-14 * b_lambda_zero_radial(dressed)
+
+    def test_interpolant_row_is_the_full_rule_in_ascending_order(self, dressed):
+        rows = []
+        fresh = replace(dressed)
+        interpolant = fresh.interpolant
+
+        def recording(x, *args):
+            rows.append(x)
+            return interpolant(x, *args)
+
+        fresh.__dict__["interpolant"] = recording  # shadows the cached property
+        k, u, cmax = 1.0, np.array([[0.5], [3.0], [7.0e3]]), np.array([[1.0], [0.7], [0.2]])
+        bdfvac.polarization._momenta(fresh, k, u, cmax * _GL64_X[32:])
+        c = cmax * _GL64_X
+        full = np.hypot(u * np.sqrt(np.clip(1.0 - c * c, 0.0, None)), u * c + 0.5 * k)
+        assert len(rows) == 1
+        assert np.array_equal(rows[0], full)
+        assert np.all(np.diff(rows[0], axis=-1) > 0)
+
+    def test_table_calls_b_k_once_per_k_from_the_switch(self, dressed, monkeypatch):
+        # bench/spans.py counts these calls as polarization.b_k_calls
+        calls = []
+
+        def counting(d, k):
+            calls.append(k)
+            return b_lambda_k(d, k)
+
+        monkeypatch.setattr(bdfvac.polarization, "b_lambda_k", counting)
+        k = default_k_nodes(CUTOFF, 16, DEFAULT_K_MIN)
+        polarization_table(dressed, k)
+        assert np.any(k < K_SWITCH)
+        assert calls == k[k >= K_SWITCH].tolist()
 
     def test_table_builds_one_interpolant(self, dressed, monkeypatch):
         builds = []
