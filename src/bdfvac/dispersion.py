@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 from scipy.sparse import csr_array
 
 from .numerics import (
@@ -94,17 +94,18 @@ class Dispersion:
         return np.hypot(self.g0, self.g1)
 
     @cached_property
-    def interpolant(self) -> PchipInterpolator:
-        """Monotone cubic interpolant of (g0, g1): evaluated at p it returns
-        an array of shape p.shape + (2,), g0 in [..., 0] and g1 in [..., 1].
+    def interpolant(self) -> CubicHermiteSpline:
+        """Monotone cubic interpolant of (g0, g1): the cubic Hermite spline
+        on the _pchip_slopes node slopes the SCF operators use.  At p it
+        returns shape p.shape + (2,), g0 in [..., 0] and g1 in [..., 1].
 
         Built on first use and kept: the instance is frozen and replace()
         makes a new one, so the cache follows the profiles.  It extrapolates
         beyond the grid; callers guard their own range.
         """
-        return PchipInterpolator(
-            self.grid.nodes, np.column_stack([self.g0, self.g1]), extrapolate=True
-        )
+        x = self.grid.nodes
+        slopes = np.column_stack([_pchip_slopes(x, self.g0), _pchip_slopes(x, self.g1)])
+        return CubicHermiteSpline(x, np.column_stack([self.g0, self.g1]), slopes)
 
 
 def free_dispersion(params: ModelParams, grid: RadialGrid) -> Dispersion:
@@ -132,11 +133,13 @@ def _k1_bracket_series(t):
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node slopes of PchipInterpolator(x, y) for 1-d y on n >= 3 nodes.
+    """PCHIP node slopes of 1-d y on n >= 3 nodes: the package's one PCHIP
+    slope routine, read by the SCF operators and Dispersion.interpolant.
 
     The same operations as scipy's PchipInterpolator._find_derivatives and
     _edge_case (Fritsch-Butland weighted harmonic mean inside, Moler's
-    one-sided three-point end slopes), so the result agrees to the bit.
+    one-sided three-point end slopes), so the result agrees to the bit;
+    the tests keep scipy's PchipInterpolator as the oracle.
     """
     h = x[1:] - x[:-1]
     m = (y[1:] - y[:-1]) / h

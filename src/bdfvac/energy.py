@@ -45,19 +45,18 @@ class EnergyBreakdown:
     E_CP: float
 
 
-def _check_params(d: Dispersion, t: PolarizationTable) -> None:
+def _ingredients(d: Dispersion, t: PolarizationTable):
+    """m, g1'(0), alpha, b(0) and C0^2 of c0_squared, each profile read once."""
     if d.params != t.params:
         raise InvalidParameterError(
             "dispersion and polarization table were built from different parameters"
         )
-
-
-def _ingredients(d: Dispersion, t: PolarizationTable):
     m = m_alpha(d)
     g1p = g1_prime_zero(d)
     alpha = d.params.alpha
     b0 = b_screening(t.B0_at_zero, alpha)
-    return m, g1p, alpha, b0
+    c0sq = math.inf if alpha * b0 == 0.0 else 2.0 * g1p**2 / ((alpha * b0) ** 2 * m)
+    return m, g1p, alpha, b0, c0sq
 
 
 def c0_squared(d: Dispersion, t: PolarizationTable) -> float:
@@ -66,11 +65,7 @@ def c0_squared(d: Dispersion, t: PolarizationTable) -> float:
     Infinite when alpha b(0) = 0, i.e. with the coupling off; its reciprocal
     scales E_CP in the prediction.
     """
-    _check_params(d, t)
-    m, g1p, alpha, b0 = _ingredients(d, t)
-    if alpha * b0 == 0.0:
-        return math.inf
-    return 2.0 * g1p**2 / ((alpha * b0) ** 2 * m)
+    return _ingredients(d, t)[-1]
 
 
 def assemble_breakdown(
@@ -84,8 +79,7 @@ def assemble_breakdown(
     and a larger negative screening gain -alpha(2b-b^2)D/(2 lambda).  At
     alpha = 0 each term is 0 and C0^2 is infinite, so the total is m.
     """
-    c0sq = c0_squared(d, t)
-    m, g1p, alpha, b0 = _ingredients(d, t)
+    m, g1p, alpha, b0, c0sq = _ingredients(d, t)
     lam_inv = alpha * b0 * m / g1p**2
     tau = alpha * b0
     return EnergyBreakdown(

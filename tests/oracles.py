@@ -3,7 +3,8 @@
 None of these is run by a bdfvac subcommand.  They are independent routes
 to quantities the pipeline computes another way (the quadrature of
 numerics and the angular kernels against KernelRules, the raw B(k)
-integrand against the wedge form, the free B(0) against its closed form,
+integrand against the wedge form, the per-sample kernel-bound check
+against the batched one, the free B(0) against its closed form,
 the explicit descent step against the implicit one, closed forms against
 the assembled breakdown) or small helpers the tests use.  pytest does not
 collect this module: its name has no test_ prefix.
@@ -19,8 +20,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from bdfvac.cli import RunConfig
-from bdfvac.dispersion import Dispersion, m_alpha
-from bdfvac.energy import _check_params, _ingredients, c0_squared
+from bdfvac.dispersion import Dispersion
+from bdfvac.energy import _ingredients
 from bdfvac.numerics import (
     _GL_W,
     _GL_X,
@@ -32,7 +33,12 @@ from bdfvac.numerics import (
     _panel_depth,
 )
 from bdfvac.pekar import PekarState, _apply_h, _uniform_spacing, make_state
-from bdfvac.polarization import PolarizationTable, _b_lambda_k_generic, _momenta
+from bdfvac.polarization import (
+    KernelBoundReport,
+    PolarizationTable,
+    _b_lambda_k_generic,
+    _momenta,
+)
 
 # ---------------------------------------------------------------- numerics
 
@@ -185,6 +191,33 @@ def b_lambda_k_raw(d: Dispersion, k: float) -> float:
     return _b_lambda_k_generic(d, k, _raw_integrand)
 
 
+def kernel_bound_per_sample(d: Dispersion, seed: int) -> KernelBoundReport:
+    """kernel_difference_bound_check one sample pair at a time: the same
+    draws, one interpolant call and the literal three-way min per pair."""
+    rng = np.random.default_rng(seed)
+    n_samples = 100
+    violations = 0
+    max_excess = -np.inf
+    for _ in range(n_samples):
+        vec = rng.normal(size=(2, 3))
+        vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+        radii = d.grid.cutoff ** rng.uniform(-1.0, 1.0, size=2)
+        p_vec, q_vec = vec * radii[:, None]
+        pn, qn = radii
+        cosang = float(np.dot(p_vec, q_vec) / (pn * qn))
+        (g0p, g1p), (g0q, g1q) = d.interpolant(radii).tolist()
+        ep, eq = math.hypot(g0p, g1p), math.hypot(g0q, g1q)
+        dot = g0p * g0q + g1p * g1q * cosang
+        lhs = (ep * eq - dot) / (ep * eq * (ep + eq))
+        ksq = float(np.sum((p_vec - q_vec) ** 2))
+        rhs = min(2.0, 4.0 * ksq / ep**2, 4.0 * ksq / eq**2)
+        excess = lhs - rhs
+        max_excess = max(max_excess, excess)
+        if excess > 1e-12:
+            violations += 1
+    return KernelBoundReport(n_samples, violations, max_excess)
+
+
 def free_b_lambda_zero(cutoff: float) -> float:
     """Closed form of B(0) for the free profiles g0 = 1, g1 = p,
 
@@ -237,18 +270,15 @@ def scaling_lambda(d: Dispersion, t: PolarizationTable) -> float:
 
     Zero at alpha = 0 (no screening, no binding scale).
     """
-    _check_params(d, t)
-    m, g1p, alpha, b0 = _ingredients(d, t)
+    m, g1p, alpha, b0, _ = _ingredients(d, t)
     return alpha * b0 * m / g1p**2
 
 
 def predicted_ground_energy(d: Dispersion, t: PolarizationTable, E_CP: float) -> float:
     """m + C0^{-2} * E_CP; warns when E_CP >= 0 (no binding predicted)."""
-    _check_params(d, t)
+    m, _, _, _, c0sq = _ingredients(d, t)
     if E_CP >= 0:
         warnings.warn("E_CP >= 0: no binding predicted", stacklevel=2)
-    c0sq = c0_squared(d, t)
-    m = m_alpha(d)
     if math.isinf(c0sq):
         return m
     return m + E_CP / c0sq

@@ -251,9 +251,9 @@ class TestFoldedQuadrature:
 
     def test_solve_builds_no_interpolant(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the SCF loop built a PchipInterpolator")
+            raise AssertionError("the SCF loop built a CubicHermiteSpline")
 
-        monkeypatch.setattr(bdfvac.dispersion, "PchipInterpolator", refuse)
+        monkeypatch.setattr(bdfvac.dispersion, "CubicHermiteSpline", refuse)
         d = solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
         assert d.report.converged
 
@@ -403,8 +403,10 @@ class TestSolveDispersion:
 
 
 class TestOneInterpolant:
-    """Values read from Dispersion.interpolant equal those of a fresh PCHIP
-    per profile, as the reference interp builds, to the bit."""
+    """Dispersion.interpolant, built on the slopes of _pchip_slopes, equals
+    scipy's PCHIP of (g0, g1) to the bit: its coefficients, and its values
+    and first derivatives, also against a fresh PCHIP per profile as the
+    reference interp builds."""
 
     @pytest.mark.parametrize(
         "alpha, cutoff, n", [(0.01, 1e4, 512), (1.2, 1e4, 128), (0.003, 1.7e7, 512)]
@@ -414,6 +416,12 @@ class TestOneInterpolant:
         assert m_alpha(d) == interp(d.grid, d.g0, 0.0)
         p = np.array([0.0, 1e-3, 1.0, 0.5 * cutoff])
         assert np.array_equal(np.hypot(*d.interpolant(p).T), e_tilde(d, p))
+        x = d.grid.nodes
+        pchip = PchipInterpolator(x, np.column_stack([d.g0, d.g1]))
+        assert np.array_equal(d.interpolant.c, pchip.c)
+        at = np.concatenate([[0.0], x, 0.5 * (x[1:] + x[:-1]), [cutoff]])
+        for nu in (0, 1):
+            assert np.array_equal(d.interpolant(at, nu), pchip(at, nu))
 
 
 class TestAsymptoticsReport:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import bdfvac.energy
 from bdfvac.dispersion import ModelParams, free_dispersion, solve_dispersion
 from bdfvac.energy import (
     CUTOFF_CAP,
@@ -64,11 +65,15 @@ class TestScalingLambda:
         lam_inv = scaling_lambda(dressed, table)
         assert 0.5 <= lam_inv / breakdown.tau <= 2.0
 
-    def test_params_mismatch_rejected(self, dressed):
+    def test_params_mismatch_rejected(self, dressed, minimizer):
         other = ModelParams(0.02, CUTOFF)
         t = PolarizationTable(other, np.array([1.0]), np.array([1.0]), np.array([0.5]), 1.0)
         with pytest.raises(InvalidParameterError):
             scaling_lambda(dressed, t)
+        with pytest.raises(InvalidParameterError):
+            c0_squared(dressed, t)
+        with pytest.raises(InvalidParameterError):
+            assemble_breakdown(dressed, t, minimizer)
 
 
 class TestC0Squared:
@@ -129,6 +134,19 @@ class TestBreakdown:
         breakdown_to_json(breakdown, path)
         data = json.loads(path.read_text())
         assert data["total_pred"] == breakdown.total_pred
+
+    def test_reads_each_profile_scalar_once(self, dressed, table, minimizer, monkeypatch):
+        calls = {}
+        for name in ("m_alpha", "g1_prime_zero"):
+            original = getattr(bdfvac.energy, name)
+
+            def counting(d, name=name, original=original):
+                calls[name] = calls.get(name, 0) + 1
+                return original(d)
+
+            monkeypatch.setattr(bdfvac.energy, name, counting)
+        assemble_breakdown(dressed, table, minimizer)
+        assert calls == {"m_alpha": 1, "g1_prime_zero": 1}
 
     def test_zero_coupling_reduction(self, minimizer):
         params = ModelParams(0.0, 100.0)

@@ -7,6 +7,10 @@ only its docstring and version and imports nothing: callers import from
 the modules.  Reference implementations that only the tests call belong in
 tests/oracles.py.
 
+The profiles have one PCHIP slope routine, dispersion._pchip_slopes: no
+module refers to scipy's PchipInterpolator, which the tests keep as the
+oracle.
+
 Each pipeline stage is also set up in one place: the geometric momentum
 grid, the uniform direct-space grid, the SCF kernel rules and the radial
 B(0) each have a single caller in src/bdfvac.
@@ -82,6 +86,13 @@ def test_every_top_level_definition_is_used(path):
         if node.name not in own | elsewhere:
             unused.append(node.name)
     assert not unused, f"{path.name}: nothing in the package or bench/ uses {unused}"
+
+
+def test_profiles_have_one_pchip_slope_routine():
+    # Dispersion.interpolant takes its slopes from _pchip_slopes, like the
+    # SCF operators; scipy's PchipInterpolator is the tests' oracle only
+    users = [p.stem for p in MODULES if "PchipInterpolator" in _used_names([TREES[p]])]
+    assert not users, f"PchipInterpolator is used in {users}"
 
 
 def _callers(callee: str, matches=lambda call: True) -> set:

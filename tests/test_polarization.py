@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import bdfvac.dispersion
 import bdfvac.polarization
@@ -28,7 +28,12 @@ from bdfvac.polarization import (
     polarization_table,
     table_to_csv,
 )
-from oracles import b_lambda_k_raw, free_b_lambda_zero, screened_density
+from oracles import (
+    b_lambda_k_raw,
+    free_b_lambda_zero,
+    kernel_bound_per_sample,
+    screened_density,
+)
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -231,9 +236,9 @@ class TestBatchedQuadrature:
 
         def counting(*args, **kwargs):
             builds.append(1)
-            return PchipInterpolator(*args, **kwargs)
+            return CubicHermiteSpline(*args, **kwargs)
 
-        monkeypatch.setattr(bdfvac.dispersion, "PchipInterpolator", counting)
+        monkeypatch.setattr(bdfvac.dispersion, "CubicHermiteSpline", counting)
         fresh = replace(dressed)  # a new instance starts with no cached interpolant
         t = polarization_table(fresh, default_k_nodes(CUTOFF, 16, DEFAULT_K_MIN))
         assert np.count_nonzero(t.k_nodes >= K_SWITCH) > 1
@@ -334,6 +339,18 @@ class TestPointwiseKernelBound:
     def test_no_violations_free(self, free):
         rep = kernel_difference_bound_check(free, seed=3)
         assert rep.violations == 0
+
+    @pytest.mark.parametrize("cutoff", [1e4, 1e6])
+    def test_batched_matches_per_sample(self, cutoff):
+        d = solve_dispersion(ModelParams(ALPHA, cutoff), make_grid(cutoff, 512, "geometric"))
+        reports = [kernel_difference_bound_check(d, seed) for seed in range(10)]
+        for seed, rep in enumerate(reports):
+            ref = kernel_bound_per_sample(d, seed)
+            assert rep.n_samples == ref.n_samples and rep.violations == ref.violations
+            assert abs(rep.max_excess - ref.max_excess) <= 1e-14 * abs(ref.max_excess)
+        if cutoff == 1e6:
+            # the comparison covers samples that break the bound
+            assert any(rep.violations > 0 for rep in reports)
 
 
 class TestChargeRenormalization:
