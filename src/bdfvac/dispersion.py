@@ -22,7 +22,7 @@ scf_step.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -288,20 +288,6 @@ def scf_step(d: Dispersion, rules: KernelRules) -> Dispersion:
     return replace(d, g0=g0_new, g1=g1_new)
 
 
-def _scf_norm(nodes: np.ndarray):
-    """Convergence metric: sup|dg0| and sup|dg1|/max(p, 0.1).
-
-    The relative metric for g1 degenerates at p -> 0, hence the floor.
-    """
-    denom = np.maximum(nodes, 0.1)
-
-    def norm(delta):
-        n = nodes.size
-        return float(max(np.max(np.abs(delta[:n])), np.max(np.abs(delta[n:]) / denom)))
-
-    return norm
-
-
 def solve_dispersion(
     params: ModelParams,
     grid: RadialGrid,
@@ -309,24 +295,26 @@ def solve_dispersion(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> Dispersion:
     """Solve the self-consistent equations for (g0, g1) by damped Picard
-    iteration; raises FixedPointError with the report on non-convergence."""
+    iteration on the stacked [g0, g1]; raises FixedPointError with the
+    report on non-convergence.  The norm is the larger of sup|dg0| and
+    sup|dg1|/max(p, 0.1): g1 grows like p, and the relative change of g1
+    degenerates as p -> 0, hence the floor.
+    """
     d0 = free_dispersion(params, grid)
     rules = KernelRules(grid)
+    n = grid.n_points
+    denom = np.maximum(grid.nodes, 0.1)
 
     def step(y):
-        return _pack(scf_step(_unpack(d0, y), rules))
+        d = scf_step(replace(d0, g0=y[:n], g1=y[n:]), rules)
+        return np.concatenate([d.g0, d.g1])
 
-    y, report = fixed_point_solve(step, _pack(d0), tol, max_iter, norm=_scf_norm(grid.nodes))
-    return replace(_unpack(d0, y), report=report)
+    def norm(delta):
+        return float(max(np.max(np.abs(delta[:n])), np.max(np.abs(delta[n:]) / denom)))
 
-
-def _pack(d: Dispersion) -> np.ndarray:
-    return np.concatenate([d.g0, d.g1])
-
-
-def _unpack(template: Dispersion, y: np.ndarray) -> Dispersion:
-    n = template.grid.n_points
-    return replace(template, g0=y[:n], g1=y[n:])
+    y0 = np.concatenate([d0.g0, d0.g1])
+    y, report = fixed_point_solve(step, y0, tol, max_iter, norm=norm)
+    return replace(d0, g0=y[:n], g1=y[n:], report=report)
 
 
 def m_alpha(d: Dispersion) -> float:
@@ -361,28 +349,12 @@ class AsymptoticsEntry:
     rel_deviation: float
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    params: ModelParams
-    entries: tuple[AsymptoticsEntry, ...]
-
-    def __getitem__(self, name: str) -> AsymptoticsEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        params = self.params
-        entries = [asdict(e) for e in self.entries]
-        return {"alpha": params.alpha, "cutoff": params.cutoff, "L": params.L, "entries": entries}
-
-
-def check_asymptotics(d: Dispersion) -> AsymptoticsReport:
+def check_asymptotics(d: Dispersion) -> dict[str, AsymptoticsEntry]:
     """Compare the solved profiles against their small-L expansions:
     m = 1 + L/pi, g1'(0) = 1 + 2L/(3 pi), and the O(alpha) bound on g0'
     (the interpolant's node slopes, reported as their sup-norm over alpha,
-    so alpha must be positive)."""
+    so alpha must be positive).  The entries are keyed by name, in that
+    order."""
     params = d.params
     if not params.alpha > 0:
         raise InvalidParameterError(f"asymptotics need alpha > 0, got {params.alpha}")
@@ -397,7 +369,7 @@ def check_asymptotics(d: Dispersion) -> AsymptoticsReport:
         AsymptoticsEntry("g1_prime_zero", g1p0, g1p_pred, abs(g1p0 - g1p_pred) / g1p_pred),
         AsymptoticsEntry("sup_g0_prime_over_alpha", ratio, 0.0, ratio),
     )
-    return AsymptoticsReport(params, entries)
+    return {e.name: e for e in entries}
 
 
 def dispersion_to_csv(d: Dispersion, path):

@@ -131,7 +131,8 @@ def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> Swee
     problem is alpha-independent and solved once, by the caller.  Alphas
     whose derived cutoff overflows or exceeds CUTOFF_CAP are recorded in
     `skipped` rather than solved.  Row columns: SWEEP_COLUMNS, where
-    binding is m - E_pred (positive when E_CP < 0).
+    binding is -E_CP/C0^2, the depth of E_pred below m taken without the
+    cancellation of m - E_pred (positive when E_CP < 0).
     """
     if L_fixed <= 0:
         raise InvalidParameterError("L must be positive")
@@ -162,7 +163,7 @@ def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> Swee
                 br.lambda_inv,
                 br.C0_sq,
                 br.total_pred,
-                br.m - br.total_pred,
+                -br.E_CP / br.C0_sq,
             )
         )
     return SweepTable(L=float(L_fixed), rows=rows, skipped=skipped, E_CP=pekar_state.E)

@@ -193,8 +193,6 @@ def charge_renormalization(params: ModelParams, B0_zero: float) -> tuple[float, 
 
 @dataclass(frozen=True)
 class ContinuityReport:
-    k_values: np.ndarray
-    ratios: np.ndarray
     max_ratio: float
 
 
@@ -208,8 +206,7 @@ def continuity_modulus(table: PolarizationTable) -> ContinuityReport:
     k = table.k_nodes[mask]
     budget = k * (1.0 / table.params.cutoff + np.sqrt(k))
     ratios = np.abs(table.B[mask] - table.B0_at_zero) / budget
-    max_ratio = float(ratios.max()) if ratios.size else 0.0
-    return ContinuityReport(k, ratios, max_ratio)
+    return ContinuityReport(float(ratios.max()) if ratios.size else 0.0)
 
 
 @dataclass(frozen=True)

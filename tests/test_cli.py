@@ -21,7 +21,7 @@ from bdfvac.cli import (
     main,
     run_verification,
 )
-from bdfvac.dispersion import ModelParams, free_dispersion
+from bdfvac.dispersion import ModelParams, check_asymptotics, free_dispersion
 from bdfvac.numerics import make_grid
 from bdfvac.polarization import b_lambda_zero_radial, b_screening
 from oracles import config_to_ini
@@ -186,6 +186,9 @@ class TestCommands:
         assert (tmp_path / "dispersion.csv").is_file()
         report = json.loads((tmp_path / "asymptotics.json").read_text())
         assert report["converged"] is True
+        assert list(report) == ["converged", "regime_warning", "alpha", "cutoff", "L", "entries"]
+        for entry in report["entries"]:
+            assert list(entry) == ["name", "measured", "predicted", "rel_deviation"]
 
     def test_dispersion_zero_coupling_column(self, tmp_path):
         assert (
@@ -299,6 +302,15 @@ class TestVerify:
             "pekar.virial",
             "energy.binding_sign",
         ]
+
+    def test_windows_read_the_asymptotic_entries(self):
+        cfg = fast_config()
+        checks, _ = run_verification(cfg)
+        value = {c.name: c.value for c in checks}
+        entries = check_asymptotics(bdfvac.cli._solve_dispersion(cfg, cfg.params()))
+        for check, name in (("m_alpha", "m_alpha"), ("g1_slope", "g1_prime_zero")):
+            e = entries[name]
+            assert value[f"dispersion.window.{check}"] == (e.measured - 1.0) / (e.predicted - 1.0)
 
     def test_check_names_at_zero_coupling(self):
         cfg = fast_config()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 import bdfvac.dispersion
+from bdfvac.cli import EXIT_OK, main
 from bdfvac.dispersion import (
     ALPHA_REGIME_LIMIT,
     _RULE_BLOCK,
@@ -433,11 +435,14 @@ class TestAsymptoticsReport:
         with pytest.raises(KeyError):
             rep["nope"]
 
-    def test_serializes(self, solved):
-        d = check_asymptotics(solved).to_dict()
-        assert d["alpha"] == ALPHA
-        names = [e["name"] for e in d["entries"]]
-        assert names == ["m_alpha", "g1_prime_zero", "sup_g0_prime_over_alpha"]
+    def test_serializes(self, solved, tmp_path):
+        names = ["m_alpha", "g1_prime_zero", "sup_g0_prime_over_alpha"]
+        assert list(check_asymptotics(solved)) == names
+        fast = ["--override", "model.cutoff=100", "--override", "dispersion.n_nodes=128"]
+        assert main(["dispersion", "--out", str(tmp_path), *fast]) == EXIT_OK
+        written = json.loads((tmp_path / "asymptotics.json").read_text())
+        assert written["alpha"] == ALPHA
+        assert [e["name"] for e in written["entries"]] == names
 
     def test_zero_coupling_is_refused(self):
         d = solve_dispersion(ModelParams(0.0, CUTOFF), make_grid(CUTOFF, 512, "geometric"))

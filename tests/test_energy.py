@@ -209,6 +209,12 @@ class TestSweep:
     def test_binding_positive_in_every_row(self, sweep):
         assert all(row["binding"] > 0.0 for row in sweep.to_dicts())
 
+    def test_binding_is_the_correction_term(self, sweep):
+        # -E_CP/C0^2 itself, not m - E_pred, which loses up to an ulp of m
+        for row in sweep.to_dicts():
+            assert row["binding"] == -sweep.E_CP / row["C0_sq"]
+            assert abs(row["binding"] - (row["m"] - row["E_pred"])) <= math.ulp(row["m"])
+
     def test_over_cap_rows_skipped(self, minimizer):
         alpha = 0.05 / (math.log(CUTOFF_CAP) + 1.0)
         sw = regime_sweep([alpha], 0.05, minimizer, _solver(256))

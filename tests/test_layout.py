@@ -27,11 +27,18 @@ alpha = 0 is computed, not special-cased.
 
 The README's INI example is a complete default config: it sets every key
 but the derived model.L, to its default.
+
+The traced benchmark run reads the import times of bdfvac.cli and
+scipy.interpolate from `python -X importtime`; bench/run.py's
+parse_importtime must find both in the import of bdfvac.cli.
 """
 
 import ast
 import configparser
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -223,3 +230,14 @@ def test_readme_ini_example_is_the_default_config(tmp_path):
     cfg = RunConfig()
     every = {(s.name, f.name) for s in fields(cfg) for f in fields(getattr(cfg, s.name))}
     assert keys == every - {("model", "L")}
+
+
+def test_benchmark_reads_the_import_times(monkeypatch):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-X", "importtime", "-c", "import bdfvac.cli"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from run import parse_importtime
+
+    times = parse_importtime(proc.stderr)
+    assert set(times) == {"cli.import_s", "cli.import.scipy_interpolate_s"}
