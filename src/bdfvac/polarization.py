@@ -19,6 +19,15 @@ sums are still added in panel order, so the result does not depend on the
 batching.  Swapping p = l + k/2 and q = l - k/2 maps c = cos(l, k) to -c
 and leaves the integrand unchanged, so B(k) takes only the c >= 0 half of
 the symmetric Gauss rule in c, with doubled weights.
+
+B(k) writes every per-k temporary into the buffers of a Workspace.
+polarization_table makes one per table and reuses it for all of its k;
+the buffers grow to the largest panel count asked for and never shrink.
+Each product, sum and quotient is the one the plain expression rounds, in
+the same order, so every B(k) is bitwise the same with a shared
+workspace, a fresh one or none.  Where float64 overflows (the radial B(0)
+from a cutoff near 1e77 on the free dispersion, B(k) near 5e102), B(0)
+and B(k) raise InvalidParameterError rather than return NaN.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ DEFAULT_K_MIN = 1e-4
 # exactly: the c >= 0 half of the rule, as _momenta requires
 _GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+_HALF_X, _HALF_W = _GL64_X[32:], 2.0 * _GL64_W[32:]
 
 
 @dataclass(frozen=True)
@@ -72,52 +82,123 @@ def b_lambda_zero_radial(d: Dispersion) -> float:
     g0, g1 = d.interpolant(u).T
     g0p, g1p = d.interpolant(u, 1).T
     et = np.hypot(g0, g1)
-    first = u**2 * (g0p**2 + g1p**2 + 2.0 * (g1 / u) ** 2) / et**3
-    second = u**2 * (g0 * g0p + g1 * g1p) ** 2 / et**5
-    return float(np.dot(w, first) - np.dot(w, second)) / (3.0 * math.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = u**2 * (g0p**2 + g1p**2 + 2.0 * (g1 / u) ** 2) / et**3
+        second = u**2 * (g0 * g0p + g1 * g1p) ** 2 / et**5
+        B0 = float(np.dot(w, first) - np.dot(w, second)) / (3.0 * math.pi)
+    return _finite(B0, "B(0)", d)
 
 
-def _momenta(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
+def _finite(value: float, what: str, d: Dispersion) -> float:
+    """value, or InvalidParameterError where float64 overflowed on the way."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(
+            f"{what} = {value} at cutoff {d.grid.cutoff:.3g}: the integrand "
+            "overflows float64 at this cutoff"
+        )
+    return value
+
+
+class Workspace:
+    """Scratch arrays for B(k), reused from one k to the next.
+
+    work(name, shape, count) returns count C-contiguous arrays of that
+    shape, stacked on a leading axis: a view of the start of the storage
+    kept under name, which grows when a k needs more and never shrinks.
+    Nothing carries over from one k to the next: every buffer is written
+    before it is read.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], count: int) -> np.ndarray:
+        size = count * math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(count, *shape)
+
+
+def _momenta(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray, work: Workspace):
     """Set-up shared by the B(k) integrands: for l at |l| = u, cos(l, k) = c,
     the transverse component lx, the axial components pz, qz and the norms
-    pn, qn of p = l + k/2 and q = l - k/2, then g0, g1 and Et at pn and qn.
+    pn, qn of p = l + k/2 and q = l - k/2, then g0, g1 and Et at pn and qn,
+    all in the buffers of work.
 
-    c must be the c >= 0 half of a symmetric rule along its last axis.  qn
-    at c is pn at -c, so [qn reversed, pn] is pn over the full rule, in
-    ascending order: one interpolant call on that row gives both sides.
+    u broadcasts against c, and c must be the c >= 0 half of a symmetric
+    rule along its last axis.  qn at c is pn at -c, so [qn reversed, pn]
+    is pn over the full rule, in ascending order: one interpolant call on
+    that row gives both sides.
     """
-    sin = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    lx = u * sin
-    pz = u * c + 0.5 * k
-    qz = u * c - 0.5 * k
-    pn = np.hypot(lx, pz)
-    qn = np.hypot(lx, qz)
-    g0, g1 = np.moveaxis(d.interpolant(np.concatenate([qn[..., ::-1], pn], axis=-1)), -1, 0)
-    rows = g0, g1, np.sqrt(g0 * g0 + g1 * g1)
-    h = c.shape[-1]
-    return lx, pz, qz, pn, qn, [r[..., h:] for r in rows], [r[..., h - 1 :: -1] for r in rows]
+    shape = c.shape
+    h = shape[-1]
+    lx, pz, qz, pn, qn, t, g0p, g1p, etp, g0q, g1q, etq = work("momenta", shape, 12)
+    # sin = sqrt(max(1 - c^2, 0)), then lx = u sin, all in lx
+    np.multiply(c, c, out=lx)
+    np.subtract(1.0, lx, out=lx)
+    np.maximum(lx, 0.0, out=lx)
+    np.sqrt(lx, out=lx)
+    np.multiply(u, lx, out=lx)
+    np.multiply(u, c, out=pz)
+    np.subtract(pz, 0.5 * k, out=qz)
+    np.add(pz, 0.5 * k, out=pz)
+    np.hypot(lx, pz, out=pn)
+    np.hypot(lx, qz, out=qn)
+    (row,) = work("row", shape[:-1] + (2 * h,), 1)
+    np.copyto(row[..., h - 1 :: -1], qn)
+    np.copyto(row[..., h:], pn)
+    g = d.interpolant(row)
+    p_side, q_side = [g0p, g1p, etp], [g0q, g1q, etq]
+    for (g0, g1, et), half in ((p_side, g[..., h:, :]), (q_side, g[..., h - 1 :: -1, :])):
+        np.copyto(g0, half[..., 0])
+        np.copyto(g1, half[..., 1])
+        # Et = sqrt(g0^2 + g1^2)
+        np.add(np.multiply(g0, g0, out=t), np.multiply(g1, g1, out=et), out=et)
+        np.sqrt(et, out=et)
+    return lx, pz, qz, pn, qn, p_side, q_side
 
 
-def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
-    """Wedge-form integrand f(l) on arrays of |l| = u and cos(l, k) = c >= 0."""
-    lx, pz, qz, pn, qn, (g0p, g1p, etp), (g0q, g1q, etq) = _momenta(d, k, u, c)
-    # every Gauss point has u > 0 and |c| < 1, so lx, pn and qn are positive
-    ax, az = g1p * (lx / pn), g1p * (pz / pn)
-    bx, bz = g1q * (lx / qn), g1q * (qz / qn)
-    # difference form of the 2x2 minors keeps full accuracy at small k
-    d0 = g0p - g0q
-    dx = ax - bx
-    dz = az - bz
-    D0x = d0 * bx - g0q * dx
-    D0z = d0 * bz - g0q * dz
-    Dxz = dx * bz - dz * bx
-    wedge = D0x**2 + D0z**2 + Dxz**2
-    dot = g0p * g0q + ax * bx + az * bz
-    return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
+def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray, work: Workspace):
+    """Wedge-form integrand f(l) on arrays of |l| = u and cos(l, k) = c >= 0.
+
+    Every step writes into a buffer of work; lx, pz and qz are overwritten.
+    Each product, sum and quotient is the one the textbook expression
+    rounds, taken in its order, so f does not depend on the buffering.
+    """
+    lx, pz, qz, pn, qn, (g0p, g1p, etp), (g0q, g1q, etq) = _momenta(d, k, u, c, work)
+    ax, d0, dx, dz, t, f = work("wedge", c.shape, 6)
+    # every Gauss point has u > 0 and |c| < 1, so lx, pn and qn are positive:
+    # ax = g1p lx/pn, az = g1p pz/pn, bx = g1q lx/qn, bz = g1q qz/qn
+    az, bx, bz = pz, lx, qz
+    np.multiply(np.divide(lx, pn, out=ax), g1p, out=ax)
+    np.multiply(np.divide(pz, pn, out=az), g1p, out=az)
+    np.multiply(np.divide(lx, qn, out=bx), g1q, out=bx)
+    np.multiply(np.divide(qz, qn, out=bz), g1q, out=bz)
+    # difference form of the 2x2 minors keeps full accuracy at small k:
+    # D0x = d0 bx - g0q dx in f, D0z = d0 bz - g0q dz in d0,
+    # Dxz = dx bz - dz bx in dx
+    np.subtract(g0p, g0q, out=d0)
+    np.subtract(ax, bx, out=dx)
+    np.subtract(az, bz, out=dz)
+    np.subtract(np.multiply(d0, bx, out=f), np.multiply(g0q, dx, out=t), out=f)
+    np.subtract(np.multiply(d0, bz, out=d0), np.multiply(g0q, dz, out=t), out=d0)
+    np.subtract(np.multiply(dx, bz, out=dx), np.multiply(dz, bx, out=dz), out=dx)
+    # wedge = D0x^2 + D0z^2 + Dxz^2 in f
+    np.add(np.square(f, out=f), np.square(d0, out=d0), out=f)
+    np.add(f, np.square(dx, out=dx), out=f)
+    # dot = g0p g0q + ax bx + az bz in t
+    np.add(np.multiply(g0p, g0q, out=t), np.multiply(ax, bx, out=ax), out=t)
+    np.add(t, np.multiply(az, bz, out=az), out=t)
+    # f = wedge / (etp etq (etp + etq) (etp etq + dot))
+    np.multiply(etp, etq, out=dx)
+    np.multiply(dx, np.add(etp, etq, out=d0), out=d0)
+    np.multiply(d0, np.add(dx, t, out=t), out=d0)
+    return np.divide(f, d0, out=f)
 
 
-def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
-    """B(k) with integrand(d, k, u, c) on the (u, c) rule of every panel."""
+def _b_lambda_k_generic(d: Dispersion, k: float, integrand, work: Workspace) -> float:
+    """B(k) with integrand(d, k, u, c, work) on the (u, c) rule of every panel."""
     cut = d.grid.cutoff
     if k <= 0 or k > 2.0 * cut:
         raise OutOfRangeError(f"k={k} outside (0, {2 * cut}]")
@@ -139,11 +220,13 @@ def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
     a, b = bounds[:, :1], bounds[:, 1:]
     um = 0.5 * (a + b) + 0.5 * (b - a) * _GL64_X
     uw = 0.5 * (b - a) * _GL64_W
-    cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)
-    C = cmax[..., None] * _GL64_X[32:]
-    Cw = cmax[..., None] * (2.0 * _GL64_W[32:])
-    f = integrand(d, k, um[..., None], C)
-    rows = np.sum(f * Cw, axis=-1)
+    cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)[..., None]
+    shape = cmax.shape[:-1] + _HALF_X.shape
+    C, Cw = work("rule", shape, 2)
+    np.multiply(cmax, _HALF_X, out=C)
+    np.multiply(cmax, _HALF_W, out=Cw)
+    f = integrand(d, k, um[..., None], C, work)
+    rows = np.add.reduce(np.multiply(f, Cw, out=f), axis=-1)
     # panel-by-panel accumulation, in panel order, keeps the sum's rounding
     total = 0.0
     for w_row, f_row in zip(uw * um * um, rows):
@@ -152,9 +235,13 @@ def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
     return 2.0 * math.pi * total / (math.pi**2 * k * k)
 
 
-def b_lambda_k(d: Dispersion, k: float) -> float:
-    """B(k) for k > 0 by 2-d reduction of the momentum-ball integral."""
-    return _b_lambda_k_generic(d, k, _wedge_integrand)
+def b_lambda_k(d: Dispersion, k: float, work: Workspace | None = None) -> float:
+    """B(k) for k > 0 by 2-d reduction of the momentum-ball integral; work
+    holds the temporaries (polarization_table passes one for all its k)."""
+    work = Workspace() if work is None else work
+    with np.errstate(over="ignore", invalid="ignore"):
+        Bk = _b_lambda_k_generic(d, k, _wedge_integrand, work)
+    return _finite(Bk, f"B({k:g})", d)
 
 
 def b_screening(B_value: float, alpha: float) -> float:
@@ -180,7 +267,8 @@ def polarization_table(d: Dispersion, k_nodes: np.ndarray) -> PolarizationTable:
     k_nodes = np.asarray(k_nodes, dtype=float)
     B0 = b_lambda_zero_radial(d)
     alpha = d.params.alpha
-    B = np.array([B0 if k < K_SWITCH else b_lambda_k(d, k) for k in k_nodes])
+    work = Workspace()
+    B = np.array([B0 if k < K_SWITCH else b_lambda_k(d, k, work) for k in k_nodes])
     b = np.array([b_screening(Bk, alpha) for Bk in B])
     return PolarizationTable(d.params, k_nodes, B, b, B0)
 

@@ -36,6 +36,7 @@ from bdfvac.pekar import PekarState, _apply_h, _uniform_spacing, make_state
 from bdfvac.polarization import (
     KernelBoundReport,
     PolarizationTable,
+    Workspace,
     _b_lambda_k_generic,
     _momenta,
 )
@@ -178,9 +179,9 @@ def e_tilde(d: Dispersion, p) -> float:
 # ---------------------------------------------------------------- polarization
 
 
-def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
+def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray, work):
     """Textbook-form integrand, kept only to validate the wedge form."""
-    lx, pz, qz, pn, qn, (g0p, g1p, etp), (g0q, g1q, etq) = _momenta(d, k, u, c)
+    lx, pz, qz, pn, qn, (g0p, g1p, etp), (g0q, g1q, etq) = _momenta(d, k, u, c, work)
     cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
     dot = g0p * g0q + g1p * g1q * cosang
     return (etp * etq - dot) / (etp * etq * (etp + etq))
@@ -188,7 +189,7 @@ def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray):
 
 def b_lambda_k_raw(d: Dispersion, k: float) -> float:
     """B(k) from the cancellation-prone raw integrand (validation only)."""
-    return _b_lambda_k_generic(d, k, _raw_integrand)
+    return _b_lambda_k_generic(d, k, _raw_integrand, Workspace())
 
 
 def kernel_bound_per_sample(d: Dispersion, seed: int) -> KernelBoundReport:

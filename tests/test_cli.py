@@ -179,6 +179,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"{command}: {stage} stage failed ("), err
 
+    @pytest.mark.parametrize("command", ["polarization", "predict"])
+    def test_overflowing_cutoff_is_usage_error_with_no_nan_written(self, command, tmp_path):
+        # alpha = 2.5e-4, L = 0.05 puts the cutoff at e^200 = 7.2e86, where
+        # the radial B(0) integrand passes the float64 range
+        argv = [command, "--out", str(tmp_path)]
+        for override in ("model.alpha=0.00025", "model.L=0.05", "dispersion.n_nodes=128",
+                         "polarization.k_nodes=12", "pekar.n_nodes=512"):
+            argv += ["--override", override]
+        assert main(argv) == EXIT_USAGE
+        assert not any(tmp_path.glob("*.json"))
+
 
 class TestCommands:
     def test_dispersion_writes_artifacts(self, tmp_path):

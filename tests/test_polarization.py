@@ -18,6 +18,7 @@ from bdfvac.polarization import (
     _GL64_X,
     DEFAULT_K_MIN,
     K_SWITCH,
+    Workspace,
     b_lambda_k,
     b_lambda_zero_radial,
     b_screening,
@@ -210,7 +211,7 @@ class TestBatchedQuadrature:
 
         fresh.__dict__["interpolant"] = recording  # shadows the cached property
         k, u, cmax = 1.0, np.array([[0.5], [3.0], [7.0e3]]), np.array([[1.0], [0.7], [0.2]])
-        bdfvac.polarization._momenta(fresh, k, u, cmax * _GL64_X[32:])
+        bdfvac.polarization._momenta(fresh, k, u, cmax * _GL64_X[32:], Workspace())
         c = cmax * _GL64_X
         full = np.hypot(u * np.sqrt(np.clip(1.0 - c * c, 0.0, None)), u * c + 0.5 * k)
         assert len(rows) == 1
@@ -221,15 +222,26 @@ class TestBatchedQuadrature:
         # bench/spans.py counts these calls as polarization.b_k_calls
         calls = []
 
-        def counting(d, k):
+        def counting(d, k, work):
             calls.append(k)
-            return b_lambda_k(d, k)
+            return b_lambda_k(d, k, work)
 
         monkeypatch.setattr(bdfvac.polarization, "b_lambda_k", counting)
         k = default_k_nodes(CUTOFF, 16, DEFAULT_K_MIN)
         polarization_table(dressed, k)
         assert np.any(k < K_SWITCH)
         assert calls == k[k >= K_SWITCH].tolist()
+
+    @pytest.mark.parametrize("order", ["ascending", "reversed", "shuffled"])
+    def test_table_workspace_carries_nothing_between_k(self, dressed, order):
+        # BATCH_K takes 8, 8, 8, 8, 1 and 0 radial panels; the added k takes
+        # 3, so that a k with more than one panel but fewer than the one
+        # before it meets buffers that are not cut back to its size
+        k = sorted([*BATCH_K, 2.0 * CUTOFF * (1.0 - 1e-7)])
+        shuffled = [k[i] for i in (3, 6, 0, 5, 1, 4, 2)]
+        k = {"ascending": k, "reversed": k[::-1], "shuffled": shuffled}
+        t = polarization_table(dressed, k[order])
+        assert [float(b) for b in t.B] == [b_lambda_k(dressed, kk) for kk in k[order]]
 
     def test_table_builds_one_interpolant(self, dressed, monkeypatch):
         builds = []
@@ -257,6 +269,20 @@ class TestBatchedQuadrature:
             lambda params: solve_dispersion(params, make_grid(params.cutoff, 128, "geometric")),
         )
         assert len(sweep.rows) == 1
+
+
+class TestFloatRange:
+    def test_b0_raises_where_its_integrand_overflows(self):
+        # u^2 (g0 g0' + g1 g1')^2 passes the float64 range near cutoff 1e77
+        d = free_dispersion(ModelParams(ALPHA, 1e80), make_grid(1e80, 512, "geometric"))
+        with pytest.raises(InvalidParameterError, match="overflows float64"):
+            b_lambda_zero_radial(d)
+
+    def test_b_k_raises_where_its_weights_overflow(self):
+        # uw um^2 passes the float64 range near cutoff 5e102
+        d = free_dispersion(ModelParams(ALPHA, 1e105), make_grid(1e105, 512, "geometric"))
+        with pytest.raises(InvalidParameterError, match="overflows float64"):
+            b_lambda_k(d, 1.0)
 
 
 class TestScreening:
