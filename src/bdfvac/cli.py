@@ -36,7 +36,13 @@ from .dispersion import (
     free_dispersion,
     solve_dispersion,
 )
-from .energy import assemble_breakdown, regime_sweep, sweep_to_csv, sweep_to_json
+from .energy import (
+    assemble_breakdown,
+    breakdown_to_dict,
+    regime_sweep,
+    sweep_to_csv,
+    sweep_to_json,
+)
 from .numerics import FixedPointError, InvalidParameterError, make_grid, write_json
 from .pekar import GAUSSIAN_BOUND, PekarConvergenceError, solve_pekar, state_to_csv
 from .polarization import (
@@ -253,7 +259,7 @@ def cmd_predict(cfg: RunConfig, out: Path) -> int:
     p = _solve_pekar(cfg)
     t = polarization_table(d, k_nodes=())
     br = assemble_breakdown(d, t, p)
-    payload = asdict(br)
+    payload = breakdown_to_dict(br)
     # companion prediction with the undressed polarization value on the same
     # grid, and the associated coupling renormalization, side by side
     t_free = polarization_table(free_dispersion(d.params, d.grid), k_nodes=())
@@ -334,8 +340,8 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         add("pekar.beats_gaussian_bound", st.E <= GAUSSIAN_BOUND + 1e-4, st.E, GAUSSIAN_BOUND + 1e-4)
         virial = abs(st.D - 2.0 * st.T) / st.D
         add("pekar.virial", virial <= 1e-3, virial, 1e-3)
-    except PekarConvergenceError:
-        add("pekar.converged", False, math.inf, cfg.pekar.tol)
+    except PekarConvergenceError as exc:
+        add("pekar.converged", False, exc.residual, cfg.pekar.tol)
         st = None
 
     # a bound state must lower the total below m; this fails once the

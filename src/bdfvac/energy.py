@@ -169,8 +169,17 @@ def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> Swee
     return SweepTable(L=float(L_fixed), rows=rows, skipped=skipped, E_CP=pekar_state.E)
 
 
+def breakdown_to_dict(br: EnergyBreakdown) -> dict:
+    """The breakdown's fields for a JSON artifact, C0_sq None where it is
+    infinite (alpha b(0) = 0), since strict JSON has no infinity."""
+    out = asdict(br)
+    if math.isinf(br.C0_sq):
+        out["C0_sq"] = None
+    return out
+
+
 def breakdown_to_json(br: EnergyBreakdown, path) -> None:
-    write_json(path, asdict(br))
+    write_json(path, breakdown_to_dict(br))
 
 
 def sweep_to_csv(table: SweepTable, path) -> None:

@@ -222,5 +222,8 @@ def write_csv(path, header, columns) -> None:
 
 
 def write_json(path, payload) -> None:
+    """payload as strict JSON: a NaN or infinity raises ValueError before
+    the file is opened."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(text + "\n")

@@ -170,7 +170,12 @@ def el_residual(state: PekarState) -> float:
 
 
 class PekarConvergenceError(RuntimeError):
-    """Descent stagnated without beating the Gaussian upper bound."""
+    """Descent stagnated without beating the Gaussian upper bound; residual
+    is the EL residual of the last iterate."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 def solve_pekar(
@@ -209,7 +214,8 @@ def solve_pekar(
     raise PekarConvergenceError(
         f"EL residual {res:.3e} > {tol:.3e} after {max_iter} steps "
         f"(E = {state.E:.8f}, Gaussian bound {GAUSSIAN_BOUND:.8f}); "
-        "grid too small or the step-size schedule failed"
+        "grid too small or the step-size schedule failed",
+        res,
     )
 
 

@@ -3,7 +3,7 @@
 B(k) is the momentum-space linear-response kernel of the dressed Dirac
 sea,
 
-    B(k) = 1/(pi^2 k^2) * int_{|l +- k/2| < Cut} f(l) dl,
+    B(k) = 1/(pi^2 k^2) * int_{|p|, |q| < Cut} f(p, q) dq,   p = q + k,
 
 with the integrand written in a cancellation-free wedge form built from
 the 4-vector g(p) = (g0(p), g1(p) w_p): the numerator |g(p) ^ g(q)|^2
@@ -12,22 +12,26 @@ accuracy as k -> 0.  At k = 0 the kernel has a radial closed form in the
 profile derivatives, used both as the k -> 0 value and as an independent
 cross-check of the 2-d integral.
 
-B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
-the one (g0, g1) interpolant the Dispersion caches.  Each B(k) integrates
-its k in a single array pass over all of its radial panels; the per-panel
-sums are still added in panel order, so the result does not depend on the
-batching.  Swapping p = l + k/2 and q = l - k/2 maps c = cos(l, k) to -c
-and leaves the integrand unchanged, so B(k) takes only the c >= 0 half of
-the symmetric Gauss rule in c, with doubled weights.
+B(k) integrates in spherical coordinates centred on q: r = |q| and
+c = cos(q, k).  Swapping p and q leaves f unchanged, so B(k) takes the
+half-space |p| >= |q| (l.k >= 0 for l = q + k/2) with weight 2:
 
-B(k) writes every per-k temporary into the buffers of a Workspace.
-polarization_table makes one per table and reuses it for all of its k;
-the buffers grow to the largest panel count asked for and never shrink.
-Each product, sum and quotient is the one the plain expression rounds, in
-the same order, so every B(k) is bitwise the same with a shared
-workspace, a fresh one or none.  Where float64 overflows (the radial B(0)
-from a cutoff near 1e77 on the free dispersion, B(k) near 5e102), B(0)
-and B(k) raise InvalidParameterError rather than return NaN.
+    B(k) = 4/(pi k^2) int r^2 dr int_{c_lo(r)}^{c_hi(r)} f dc,
+    c_lo = max(-1, -k/(2r)),  c_hi = min(1, (Cut^2 - r^2 - k^2)/(2rk)),
+
+for r in [max(0, k - Cut), Cut].  The radial panels break at the two
+kinks of those limits, r = k/2 and r = |Cut - k|, so that every Gauss
+panel sees a smooth integrand; q = 0, where the profiles meet their
+conic point, is the coordinate origin.  Each panel takes a 16 x 16 Gauss
+rule in (r, c), and each B(k) integrates all of its panels in one array
+pass, the per-panel sums added in panel order.  |q| = r is a radial
+node, so the q side of the interpolant is read once per node.
+
+B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
+the one (g0, g1) interpolant the Dispersion caches.  Where float64
+overflows (on the free dispersion, the radial B(0) from a cutoff near
+1e77 and the wedge's squared minors in B(k) near 2e85), B(0) and B(k)
+raise InvalidParameterError rather than return NaN.
 """
 
 from __future__ import annotations
@@ -46,11 +50,11 @@ K_SWITCH = 1e-3
 
 DEFAULT_K_MIN = 1e-4
 
-# leggauss symmetrizes its nodes, so _GL64_X[32:] == -_GL64_X[31::-1]
-# exactly: the c >= 0 half of the rule, as _momenta requires
-_GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
+# the Gauss rule of every B(k) panel, in r and in c
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-_HALF_X, _HALF_W = _GL64_X[32:], 2.0 * _GL64_W[32:]
+# B(k)'s radial panels grow by this factor from r = k/2 to the cutoff
+PANEL_RATIO = 4.0
 
 
 @dataclass(frozen=True)
@@ -99,148 +103,76 @@ def _finite(value: float, what: str, d: Dispersion) -> float:
     return value
 
 
-class Workspace:
-    """Scratch arrays for B(k), reused from one k to the next.
-
-    work(name, shape, count) returns count C-contiguous arrays of that
-    shape, stacked on a leading axis: a view of the start of the storage
-    kept under name, which grows when a k needs more and never shrinks.
-    Nothing carries over from one k to the next: every buffer is written
-    before it is read.
-    """
-
-    def __init__(self):
-        self._flat: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, shape: tuple[int, ...], count: int) -> np.ndarray:
-        size = count * math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
-        return flat[:size].reshape(count, *shape)
+def _radial_edges(k: float, cut: float) -> np.ndarray:
+    """Panel edges in r = |q| over [max(0, k - cut), cut]: the kinks k/2
+    and |cut - k| of the c limits, then PANEL_RATIO octaves from k/2."""
+    r0 = max(0.0, k - cut)
+    edges = {r0, abs(cut - k), cut}
+    edge = 0.5 * k
+    while edge < cut:
+        edges.add(edge)
+        edge *= PANEL_RATIO
+    return np.array(sorted(e for e in edges if e >= r0))
 
 
-def _momenta(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray, work: Workspace):
-    """Set-up shared by the B(k) integrands: for l at |l| = u, cos(l, k) = c,
-    the transverse component lx, the axial components pz, qz and the norms
-    pn, qn of p = l + k/2 and q = l - k/2, then g0, g1 and Et at pn and qn,
-    all in the buffers of work.
-
-    u broadcasts against c, and c must be the c >= 0 half of a symmetric
-    rule along its last axis.  qn at c is pn at -c, so [qn reversed, pn]
-    is pn over the full rule, in ascending order: one interpolant call on
-    that row gives both sides.
-    """
-    shape = c.shape
-    h = shape[-1]
-    lx, pz, qz, pn, qn, t, g0p, g1p, etp, g0q, g1q, etq = work("momenta", shape, 12)
-    # sin = sqrt(max(1 - c^2, 0)), then lx = u sin, all in lx
-    np.multiply(c, c, out=lx)
-    np.subtract(1.0, lx, out=lx)
-    np.maximum(lx, 0.0, out=lx)
-    np.sqrt(lx, out=lx)
-    np.multiply(u, lx, out=lx)
-    np.multiply(u, c, out=pz)
-    np.subtract(pz, 0.5 * k, out=qz)
-    np.add(pz, 0.5 * k, out=pz)
-    np.hypot(lx, pz, out=pn)
-    np.hypot(lx, qz, out=qn)
-    (row,) = work("row", shape[:-1] + (2 * h,), 1)
-    np.copyto(row[..., h - 1 :: -1], qn)
-    np.copyto(row[..., h:], pn)
-    g = d.interpolant(row)
-    p_side, q_side = [g0p, g1p, etp], [g0q, g1q, etq]
-    for (g0, g1, et), half in ((p_side, g[..., h:, :]), (q_side, g[..., h - 1 :: -1, :])):
-        np.copyto(g0, half[..., 0])
-        np.copyto(g1, half[..., 1])
-        # Et = sqrt(g0^2 + g1^2)
-        np.add(np.multiply(g0, g0, out=t), np.multiply(g1, g1, out=et), out=et)
-        np.sqrt(et, out=et)
-    return lx, pz, qz, pn, qn, p_side, q_side
+def _wedge_integrand(lx, pz, qz, pn, qn, gp, gq):
+    """Wedge-form integrand f from the transverse component lx, the axial
+    components pz, qz and the norms pn, qn of p and q, with (g0, g1) at pn
+    in gp and at qn in gq on their last axis; all broadcast together."""
+    g0p, g1p, g0q, g1q = gp[..., 0], gp[..., 1], gq[..., 0], gq[..., 1]
+    # every Gauss point has pn, qn > 0 and lx > 0
+    ax, az = g1p * (lx / pn), g1p * (pz / pn)
+    bx, bz = g1q * (lx / qn), g1q * (qz / qn)
+    # difference form of the 2x2 minors keeps full accuracy at small k
+    d0, dx, dz = g0p - g0q, ax - bx, az - bz
+    d0x = d0 * bx - g0q * dx
+    d0z = d0 * bz - g0q * dz
+    dxz = dx * bz - dz * bx
+    wedge = d0x * d0x + d0z * d0z + dxz * dxz
+    etp = np.sqrt(g0p * g0p + g1p * g1p)
+    etq = np.sqrt(g0q * g0q + g1q * g1q)
+    dot = g0p * g0q + ax * bx + az * bz
+    return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
 
 
-def _wedge_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray, work: Workspace):
-    """Wedge-form integrand f(l) on arrays of |l| = u and cos(l, k) = c >= 0.
-
-    Every step writes into a buffer of work; lx, pz and qz are overwritten.
-    Each product, sum and quotient is the one the textbook expression
-    rounds, taken in its order, so f does not depend on the buffering.
-    """
-    lx, pz, qz, pn, qn, (g0p, g1p, etp), (g0q, g1q, etq) = _momenta(d, k, u, c, work)
-    ax, d0, dx, dz, t, f = work("wedge", c.shape, 6)
-    # every Gauss point has u > 0 and |c| < 1, so lx, pn and qn are positive:
-    # ax = g1p lx/pn, az = g1p pz/pn, bx = g1q lx/qn, bz = g1q qz/qn
-    az, bx, bz = pz, lx, qz
-    np.multiply(np.divide(lx, pn, out=ax), g1p, out=ax)
-    np.multiply(np.divide(pz, pn, out=az), g1p, out=az)
-    np.multiply(np.divide(lx, qn, out=bx), g1q, out=bx)
-    np.multiply(np.divide(qz, qn, out=bz), g1q, out=bz)
-    # difference form of the 2x2 minors keeps full accuracy at small k:
-    # D0x = d0 bx - g0q dx in f, D0z = d0 bz - g0q dz in d0,
-    # Dxz = dx bz - dz bx in dx
-    np.subtract(g0p, g0q, out=d0)
-    np.subtract(ax, bx, out=dx)
-    np.subtract(az, bz, out=dz)
-    np.subtract(np.multiply(d0, bx, out=f), np.multiply(g0q, dx, out=t), out=f)
-    np.subtract(np.multiply(d0, bz, out=d0), np.multiply(g0q, dz, out=t), out=d0)
-    np.subtract(np.multiply(dx, bz, out=dx), np.multiply(dz, bx, out=dz), out=dx)
-    # wedge = D0x^2 + D0z^2 + Dxz^2 in f
-    np.add(np.square(f, out=f), np.square(d0, out=d0), out=f)
-    np.add(f, np.square(dx, out=dx), out=f)
-    # dot = g0p g0q + ax bx + az bz in t
-    np.add(np.multiply(g0p, g0q, out=t), np.multiply(ax, bx, out=ax), out=t)
-    np.add(t, np.multiply(az, bz, out=az), out=t)
-    # f = wedge / (etp etq (etp + etq) (etp etq + dot))
-    np.multiply(etp, etq, out=dx)
-    np.multiply(dx, np.add(etp, etq, out=d0), out=d0)
-    np.multiply(d0, np.add(dx, t, out=t), out=d0)
-    return np.divide(f, d0, out=f)
-
-
-def _b_lambda_k_generic(d: Dispersion, k: float, integrand, work: Workspace) -> float:
-    """B(k) with integrand(d, k, u, c, work) on the (u, c) rule of every panel."""
+def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
+    """B(k) with integrand(lx, pz, qz, pn, qn, gp, gq) on the (r, c) rule of
+    every radial panel of the half-space |p| >= |q|."""
     cut = d.grid.cutoff
     if k <= 0 or k > 2.0 * cut:
         raise OutOfRangeError(f"k={k} outside (0, {2 * cut}]")
-    u_hi = cut * cut - 0.25 * k * k
-    if u_hi <= 0:
+    edges = _radial_edges(k, cut)
+    if edges.size < 2:
         return 0.0
-    u_max = math.sqrt(u_hi)
-    # radial panels: one Gauss rule on [0, min(1, u_max)], then one per
-    # octave of log-spacing out to u_max (integrand ~ 1/u at large u)
-    panels = [(0.0, min(1.0, u_max))]
-    lo = min(1.0, u_max)
-    while lo < u_max:
-        hi = min(lo * 4.0, u_max)
-        panels.append((lo, hi))
-        lo = hi
-    # every panel's (u, c) rule in one (panels, 64, 32) array, so that
-    # each k takes one integrand call
-    bounds = np.array(panels)
-    a, b = bounds[:, :1], bounds[:, 1:]
-    um = 0.5 * (a + b) + 0.5 * (b - a) * _GL64_X
-    uw = 0.5 * (b - a) * _GL64_W
-    cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)[..., None]
-    shape = cmax.shape[:-1] + _HALF_X.shape
-    C, Cw = work("rule", shape, 2)
-    np.multiply(cmax, _HALF_X, out=C)
-    np.multiply(cmax, _HALF_W, out=Cw)
-    f = integrand(d, k, um[..., None], C, work)
-    rows = np.add.reduce(np.multiply(f, Cw, out=f), axis=-1)
-    # panel-by-panel accumulation, in panel order, keeps the sum's rounding
+    a, b = edges[:-1, None], edges[1:, None]
+    r = 0.5 * (a + b) + 0.5 * (b - a) * _GL16_X
+    rw = 0.5 * (b - a) * _GL16_W
+    # c from the plane |p| = |q| to the sphere |p| = cut
+    c_lo = np.maximum(-1.0, -0.5 * k / r)
+    c_hi = np.minimum(1.0, 0.5 * ((cut - r) * (cut + r) / k - k) / r)
+    mid, half = (0.5 * (c_hi + c_lo))[..., None], (0.5 * (c_hi - c_lo))[..., None]
+    c, cw = mid + half * _GL16_X, half * _GL16_W
+    # q = r (sin, 0, c), p = q + k e_z: one (panels, 16, 16) array per k
+    qn = r[..., None]
+    lx = qn * np.sqrt(1.0 - c * c)
+    qz = qn * c
+    pz = qz + k
+    pn = np.sqrt(lx * lx + pz * pz)
+    gq = d.interpolant(r)[..., None, :]
+    f = integrand(lx, pz, qz, pn, qn, d.interpolant(pn), gq)
+    rows = np.sum(f * cw, axis=-1)
+    # panel-by-panel accumulation, in panel order
     total = 0.0
-    for w_row, f_row in zip(uw * um * um, rows):
+    for w_row, f_row in zip(rw * r * r, rows):
         total += float(np.dot(w_row, f_row))
-    # azimuthal 2 pi; the doubled weights cover c < 0
-    return 2.0 * math.pi * total / (math.pi**2 * k * k)
+    # azimuthal 2 pi, and 2 for the half-space |p| < |q|
+    return 4.0 * total / (math.pi * k * k)
 
 
-def b_lambda_k(d: Dispersion, k: float, work: Workspace | None = None) -> float:
-    """B(k) for k > 0 by 2-d reduction of the momentum-ball integral; work
-    holds the temporaries (polarization_table passes one for all its k)."""
-    work = Workspace() if work is None else work
+def b_lambda_k(d: Dispersion, k: float) -> float:
+    """B(k) for k > 0 by 2-d reduction of the momentum-ball integral."""
     with np.errstate(over="ignore", invalid="ignore"):
-        Bk = _b_lambda_k_generic(d, k, _wedge_integrand, work)
+        Bk = _b_lambda_k_generic(d, k, _wedge_integrand)
     return _finite(Bk, f"B({k:g})", d)
 
 
@@ -267,8 +199,7 @@ def polarization_table(d: Dispersion, k_nodes: np.ndarray) -> PolarizationTable:
     k_nodes = np.asarray(k_nodes, dtype=float)
     B0 = b_lambda_zero_radial(d)
     alpha = d.params.alpha
-    work = Workspace()
-    B = np.array([B0 if k < K_SWITCH else b_lambda_k(d, k, work) for k in k_nodes])
+    B = np.array([B0 if k < K_SWITCH else b_lambda_k(d, k) for k in k_nodes])
     b = np.array([b_screening(Bk, alpha) for Bk in B])
     return PolarizationTable(d.params, k_nodes, B, b, B0)
 

@@ -36,9 +36,8 @@ from bdfvac.pekar import PekarState, _apply_h, _uniform_spacing, make_state
 from bdfvac.polarization import (
     KernelBoundReport,
     PolarizationTable,
-    Workspace,
     _b_lambda_k_generic,
-    _momenta,
+    _wedge_integrand,
 )
 
 # ---------------------------------------------------------------- numerics
@@ -179,17 +178,78 @@ def e_tilde(d: Dispersion, p) -> float:
 # ---------------------------------------------------------------- polarization
 
 
-def _raw_integrand(d: Dispersion, k: float, u: np.ndarray, c: np.ndarray, work):
+def _raw_integrand(lx, pz, qz, pn, qn, gp, gq):
     """Textbook-form integrand, kept only to validate the wedge form."""
-    lx, pz, qz, pn, qn, (g0p, g1p, etp), (g0q, g1q, etq) = _momenta(d, k, u, c, work)
-    cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
+    (g0p, g1p), (g0q, g1q) = np.moveaxis(gp, -1, 0), np.moveaxis(gq, -1, 0)
+    etp = np.sqrt(g0p * g0p + g1p * g1p)
+    etq = np.sqrt(g0q * g0q + g1q * g1q)
+    cosang = (lx * lx + pz * qz) / (pn * qn)
     dot = g0p * g0q + g1p * g1q * cosang
     return (etp * etq - dot) / (etp * etq * (etp + etq))
 
 
 def b_lambda_k_raw(d: Dispersion, k: float) -> float:
     """B(k) from the cancellation-prone raw integrand (validation only)."""
-    return _b_lambda_k_generic(d, k, _raw_integrand, Workspace())
+    return _b_lambda_k_generic(d, k, _raw_integrand)
+
+
+def _graded_breaks(a: float, b: float, levels: int) -> np.ndarray:
+    """Breaks of [a, b] that halve toward b: a, b - (b - a)/2, ..., down to
+    (b - a) 2**-levels from b, and b."""
+    return b - (b - a) * np.append(0.5 ** np.arange(levels + 1), 0.0)
+
+
+def _gauss_on(breaks: np.ndarray, order: int):
+    """Nodes and weights of an order-point Gauss rule on each panel."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    a, b = breaks[:-1, None], breaks[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
+
+
+def b_lambda_k_unfolded(d: Dispersion, k: float, levels: int = 24, order: int = 16) -> float:
+    """B(k) on a rule that shares only the wedge integrand with b_lambda_k.
+
+    l-centred coordinates u = |l|, c = cos(l, k) with p = l + k/2 and
+    q = l - k/2, over the whole domain |c| <= cmax(u), with no p <-> q
+    fold.  The radial panels split at the conic points u = k/2 (q = 0 at
+    c = 1, p = 0 at c = -1) and at u = cut - k/2, where cmax reaches 1,
+    and are graded geometrically toward k/2 on both sides; past k they
+    double up to the largest u.  The c panels are graded toward +-1.  The
+    profiles come from scipy's PchipInterpolator, and one radial panel is
+    integrated at a time.
+    """
+    cut = d.grid.cutoff
+    u_max = math.sqrt((cut - 0.5 * k) * (cut + 0.5 * k))
+    breaks = [
+        *_graded_breaks(0.0, 0.5 * k, levels),
+        *_graded_breaks(k, 0.5 * k, levels),
+        cut - 0.5 * k,
+        u_max,
+    ]
+    edge = 2.0 * k
+    while edge < u_max:
+        breaks.append(edge)
+        edge *= 2.0
+    breaks = np.unique(np.clip(breaks, 0.0, u_max))
+    half = _graded_breaks(0.0, 1.0, levels)
+    t, tw = _gauss_on(np.concatenate([-half[::-1], half[1:]]), order)
+    g0 = PchipInterpolator(d.grid.nodes, d.g0, extrapolate=True)
+    g1 = PchipInterpolator(d.grid.nodes, d.g1, extrapolate=True)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        u, uw = _gauss_on(np.array([a, b]), order)
+        u = u[:, None]
+        cmax = np.clip(((cut - u) * (cut + u) - 0.25 * k * k) / (u * k), 0.0, 1.0)
+        c = cmax * t
+        lx = u * np.sqrt((1.0 - c) * (1.0 + c))
+        pz, qz = u * c + 0.5 * k, u * c - 0.5 * k
+        pn, qn = np.hypot(lx, pz), np.hypot(lx, qz)
+        gp = np.stack([g0(pn), g1(pn)], axis=-1)
+        gq = np.stack([g0(qn), g1(qn)], axis=-1)
+        f = _wedge_integrand(lx, pz, qz, pn, qn, gp, gq)
+        total += float(np.dot(uw * u[:, 0] ** 2, (f * cmax) @ tw))
+    # azimuthal 2 pi over pi^2 k^2
+    return 2.0 * total / (math.pi * k * k)
 
 
 def kernel_bound_per_sample(d: Dispersion, seed: int) -> KernelBoundReport:

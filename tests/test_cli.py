@@ -35,6 +35,15 @@ FAST = [
 ]
 
 
+def strict_json(path):
+    """The file's JSON, refusing NaN and infinities as the standard does."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def fast_config():
     return RunConfig(
         model=ModelConfig(cutoff=100.0),
@@ -244,6 +253,12 @@ class TestCommands:
         pred = json.loads((tmp_path / "prediction.json").read_text())
         assert pred["total_pred"] == pred["m"] == 1.0
 
+    def test_predict_zero_coupling_writes_strict_json(self, tmp_path):
+        args = ["predict", "--out", str(tmp_path), "--override", "model.alpha=0"]
+        assert main(args + FAST) == EXIT_OK
+        # C0^2 is infinite with the coupling off
+        assert strict_json(tmp_path / "prediction.json")["C0_sq"] is None
+
     def test_predict_free_companion_on_the_dressed_grid(self, tmp_path):
         assert main(["predict", "--out", str(tmp_path)] + FAST) == EXIT_OK
         pred = json.loads((tmp_path / "prediction.json").read_text())
@@ -286,6 +301,14 @@ class TestVerify:
         report = json.loads((tmp_path / "verify.json").read_text())
         names = {c["name"]: c["passed"] for c in report["checks"]}
         assert names["dispersion.converged"] is False
+
+    def test_pekar_failure_records_its_residual_as_strict_json(self, tmp_path):
+        args = ["verify", "--out", str(tmp_path), "--override", "pekar.max_iter=1"]
+        assert main(args + FAST) == EXIT_FAIL
+        checks = {c["name"]: c for c in strict_json(tmp_path / "verify.json")["checks"]}
+        check = checks["pekar.converged"]
+        assert check["passed"] is False
+        assert math.isfinite(check["value"]) and check["value"] > check["budget"]
 
     def test_out_of_regime_warning_recorded(self, tmp_path):
         main(["verify", "--out", str(tmp_path), "--override", "model.alpha=1.5"] + FAST)

@@ -15,6 +15,7 @@ from bdfvac.numerics import (
     fixed_point_solve,
     integrate,
     make_grid,
+    write_json,
 )
 from oracles import integrate_with_log_singularity, interp, log_singular_points
 
@@ -189,3 +190,12 @@ class TestFixedPoint:
         d = asdict(report)
         assert d["converged"] is True
         assert isinstance(d["residual_history"], list)
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises_before_the_file_is_opened(self, value, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"x": [1.0, value]})
+        assert not path.exists()

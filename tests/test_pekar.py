@@ -168,6 +168,12 @@ class TestMinimizer:
         with pytest.raises(PekarConvergenceError):
             solve_pekar(grid, tol=1e-14, max_iter=5)
 
+    def test_failure_carries_the_final_residual(self, grid):
+        with pytest.raises(PekarConvergenceError) as exc:
+            solve_pekar(grid, tol=1e-14, max_iter=5)
+        assert math.isfinite(exc.value.residual) and exc.value.residual > 1e-14
+        assert f"{exc.value.residual:.3e}" in str(exc.value)
+
     def test_gaussian_profile_is_not_stationary(self, grid):
         assert el_residual(gaussian_state(grid)) > 1e-2
 

@@ -14,11 +14,11 @@ from bdfvac.energy import regime_sweep
 from bdfvac.numerics import InvalidParameterError, make_grid
 from bdfvac.pekar import solve_pekar
 from bdfvac.polarization import (
-    _GL64_W,
-    _GL64_X,
+    _GL16_W,
+    _GL16_X,
     DEFAULT_K_MIN,
     K_SWITCH,
-    Workspace,
+    PANEL_RATIO,
     b_lambda_k,
     b_lambda_zero_radial,
     b_screening,
@@ -31,6 +31,7 @@ from bdfvac.polarization import (
 )
 from oracles import (
     b_lambda_k_raw,
+    b_lambda_k_unfolded,
     free_b_lambda_zero,
     kernel_bound_per_sample,
     screened_density,
@@ -40,26 +41,24 @@ ALPHA = 0.01
 CUTOFF = 1e4
 
 
-def _reference_profiles(d, k, u, c):
-    sin = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    lx = u * sin
-    pz = u * c + 0.5 * k
-    qz = u * c - 0.5 * k
-    pn = np.hypot(lx, pz)
-    qn = np.hypot(lx, qz)
+def _reference_profiles(d, k, r, c):
+    """q = r (sin, 0, c) and p = q + k e_z, and the profiles at |p| and
+    |q| = r from scipy's PchipInterpolator."""
+    lx = r * np.sqrt(1.0 - c * c)
+    qz = r * c
+    pz = qz + k
+    pn = np.sqrt(lx * lx + pz * pz)
+    qn = r
     g0i = PchipInterpolator(d.grid.nodes, d.g0, extrapolate=True)
     g1i = PchipInterpolator(d.grid.nodes, d.g1, extrapolate=True)
     return lx, pz, qz, pn, qn, g0i(pn), g0i(qn), g1i(pn), g1i(qn)
 
 
-def reference_wedge_integrand(d, k, u, c):
-    """Wedge integrand with both sides evaluated directly, no mirroring."""
-    lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, u, c)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        px_h, pz_h = np.where(pn > 0, lx / pn, 0.0), np.where(pn > 0, pz / pn, 1.0)
-        qx_h, qz_h = np.where(qn > 0, lx / qn, 0.0), np.where(qn > 0, qz / qn, 1.0)
-    ax, az = g1p * px_h, g1p * pz_h
-    bx, bz = g1q * qx_h, g1q * qz_h
+def reference_wedge_integrand(d, k, r, c):
+    """Wedge integrand with both sides read from the oracle interpolant."""
+    lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, r, c)
+    ax, az = g1p * (lx / pn), g1p * (pz / pn)
+    bx, bz = g1q * (lx / qn), g1q * (qz / qn)
     d0 = g0p - g0q
     dx = ax - bx
     dz = az - bz
@@ -73,48 +72,53 @@ def reference_wedge_integrand(d, k, u, c):
     return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
 
 
-def reference_raw_integrand(d, k, u, c):
-    """Raw integrand with both sides evaluated directly, no mirroring."""
-    lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, u, c)
-    cosang = np.where((pn > 0) & (qn > 0), (lx * lx + pz * qz) / (pn * qn), 1.0)
+def reference_raw_integrand(d, k, r, c):
+    """Raw integrand with both sides read from the oracle interpolant."""
+    lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, r, c)
+    cosang = (lx * lx + pz * qz) / (pn * qn)
     etp = np.sqrt(g0p * g0p + g1p * g1p)
     etq = np.sqrt(g0q * g0q + g1q * g1q)
     dot = g0p * g0q + g1p * g1q * cosang
     return (etp * etq - dot) / (etp * etq * (etp + etq))
 
 
-# the rules in c = cos(l, k): b_lambda_k takes the c >= 0 half of the
-# 64-node Gauss rule with doubled weights, the full rule covers both signs
-HALF_C_RULE = (_GL64_X[32:], 2.0 * _GL64_W[32:])
-FULL_C_RULE = (_GL64_X, _GL64_W)
+def reference_panels(k, cut):
+    """Radial panels in r = |q| over [max(0, k - cut), cut], split at k/2,
+    |cut - k| and k/2 times each power of PANEL_RATIO below the cutoff."""
+    r0 = max(0.0, k - cut)
+    edges = [r0, abs(cut - k), cut]
+    j = 0
+    while 0.5 * k * PANEL_RATIO**j < cut:
+        edges.append(0.5 * k * PANEL_RATIO**j)
+        j += 1
+    edges = sorted({e for e in edges if e >= r0})
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def per_panel_b_lambda_k(d, k, integrand, c_rule=HALF_C_RULE):
-    """Reference B(k): one integrand call per radial panel on the rule
-    c_rule = (nodes, weights) in c over [-1, 1] scaled to [-cmax, cmax],
-    panel sums added in panel order."""
+def reference_radial_nodes(a, b):
+    return 0.5 * (a + b) + 0.5 * (b - a) * _GL16_X, 0.5 * (b - a) * _GL16_W
+
+
+def reference_c_rule(k, cut, r):
+    """Gauss nodes and weights in c at each radial node r, on a new last
+    axis: c from max(-1, -k/(2r)) to the cutoff sphere."""
+    c_lo = np.maximum(-1.0, -0.5 * k / r)
+    c_hi = np.minimum(1.0, 0.5 * ((cut - r) * (cut + r) / k - k) / r)
+    mid, half = (0.5 * (c_hi + c_lo))[..., None], (0.5 * (c_hi - c_lo))[..., None]
+    return mid + half * _GL16_X, half * _GL16_W
+
+
+def per_panel_b_lambda_k(d, k, integrand):
+    """Reference B(k): one integrand call per radial panel on its 16 x 16
+    Gauss rule in (r, c), panel sums added in panel order."""
     cut = d.grid.cutoff
-    u_hi = cut * cut - 0.25 * k * k
-    if u_hi <= 0:
-        return 0.0
-    u_max = math.sqrt(u_hi)
-    panels = [(0.0, min(1.0, u_max))]
-    lo = min(1.0, u_max)
-    while lo < u_max:
-        hi = min(lo * 4.0, u_max)
-        panels.append((lo, hi))
-        lo = hi
     total = 0.0
-    for a, b in panels:
-        um = 0.5 * (a + b) + 0.5 * (b - a) * _GL64_X
-        uw = 0.5 * (b - a) * _GL64_W
-        with np.errstate(divide="ignore"):
-            cmax = np.clip((cut * cut - um * um - 0.25 * k * k) / (um * k), 0.0, 1.0)
-        C = cmax[:, None] * c_rule[0][None, :]
-        Cw = cmax[:, None] * c_rule[1][None, :]
-        f = integrand(d, k, um[:, None], C)
-        total += float(np.dot(uw * um * um, np.sum(f * Cw, axis=1)))
-    return 2.0 * math.pi * total / (math.pi**2 * k * k)
+    for a, b in reference_panels(k, cut):
+        r, rw = reference_radial_nodes(a, b)
+        c, cw = reference_c_rule(k, cut, r)
+        f = integrand(d, k, r[:, None], c)
+        total += float(np.dot(rw * r * r, np.sum(f * cw, axis=1)))
+    return 4.0 * total / (math.pi * k * k)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +129,25 @@ def dressed():
 @pytest.fixture(scope="module")
 def free():
     return free_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
+
+
+@pytest.fixture(scope="module")
+def dressed_large():
+    cut = 1e6
+    return solve_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
+
+
+@pytest.fixture(scope="module")
+def unfolded():
+    """b_lambda_k_unfolded(d, k), each (d, k) computed once per module."""
+    values = {}
+
+    def value(d, k):
+        if (id(d), k) not in values:
+            values[id(d), k] = b_lambda_k_unfolded(d, k)
+        return values[id(d), k]
+
+    return value
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +203,27 @@ class TestCrossMethodConsistency:
         assert b_lambda_k(dressed, 2.0 * CUTOFF) == pytest.approx(0.0, abs=1e-12)
 
 
+# 4.59 lies where an l-centred rule, |l| and cos(l, k), puts a Gauss panel
+# across |l| = CUTOFF - k/2, the kink of its c limit: 8.6e-6 B(0) there
+ORACLE_K = [K_SWITCH, 0.3, 1.0, 4.59, 100.0, CUTOFF, 1.6 * CUTOFF]
+
+
+class TestUnfoldedOracle:
+    @pytest.mark.parametrize("k", ORACLE_K)
+    @pytest.mark.parametrize("kind", ["dressed", "free"])
+    def test_b_k_matches_the_unfolded_graded_rule(self, request, unfolded, kind, k):
+        d = request.getfixturevalue(kind)
+        B0 = b_lambda_zero_radial(d)
+        assert abs(b_lambda_k(d, k) - unfolded(d, k)) <= 1e-8 * B0
+
+    @pytest.mark.parametrize("k", [K_SWITCH, 1e-2, 4.59])
+    def test_b_k_matches_the_unfolded_graded_rule_at_large_cutoff(self, dressed_large, k):
+        # small k sits on a floor of a few 1e-8 B(0) from the interpolant's
+        # C1 knots in r, which no Gauss order in r or c removes
+        B0 = b_lambda_zero_radial(dressed_large)
+        assert abs(b_lambda_k(dressed_large, k) - b_lambda_k_unfolded(dressed_large, k)) <= 1e-7 * B0
+
+
 BATCH_K = [K_SWITCH, 0.3, 1.0, CUTOFF, 2.0 * CUTOFF * (1.0 - 1e-9), 2.0 * CUTOFF]
 
 
@@ -194,37 +238,41 @@ class TestBatchedQuadrature:
         assert b_k(dressed, k) == per_panel_b_lambda_k(dressed, k, integrand)
 
     @pytest.mark.parametrize("k", BATCH_K)
-    def test_half_rule_matches_the_full_rule(self, dressed, k):
-        # fails if the half rule's weights are not doubled or if p and q
-        # are not paired at the same c
-        full = per_panel_b_lambda_k(dressed, k, reference_wedge_integrand, FULL_C_RULE)
-        assert abs(b_lambda_k(dressed, k) - full) <= 1e-14 * b_lambda_zero_radial(dressed)
+    def test_half_rule_matches_the_full_rule(self, dressed, unfolded, k):
+        # the half-space |p| >= |q| with weight 2 against the whole domain
+        # in l-centred coordinates; fails if the fold's weight or its
+        # plane c = -k/(2r) is wrong
+        B0 = b_lambda_zero_radial(dressed)
+        assert abs(b_lambda_k(dressed, k) - unfolded(dressed, k)) <= 1e-8 * B0
 
-    def test_interpolant_row_is_the_full_rule_in_ascending_order(self, dressed):
-        rows = []
+    def test_one_interpolant_call_on_the_points_and_one_on_the_radial_nodes(self, dressed):
+        args = []
         fresh = replace(dressed)
         interpolant = fresh.interpolant
 
-        def recording(x, *args):
-            rows.append(x)
-            return interpolant(x, *args)
+        def recording(x, *rest):
+            args.append(x)
+            return interpolant(x, *rest)
 
         fresh.__dict__["interpolant"] = recording  # shadows the cached property
-        k, u, cmax = 1.0, np.array([[0.5], [3.0], [7.0e3]]), np.array([[1.0], [0.7], [0.2]])
-        bdfvac.polarization._momenta(fresh, k, u, cmax * _GL64_X[32:], Workspace())
-        c = cmax * _GL64_X
-        full = np.hypot(u * np.sqrt(np.clip(1.0 - c * c, 0.0, None)), u * c + 0.5 * k)
-        assert len(rows) == 1
-        assert np.array_equal(rows[0], full)
-        assert np.all(np.diff(rows[0], axis=-1) > 0)
+        k, cut = 1.0, CUTOFF
+        b_lambda_k(fresh, k)
+        assert len(args) == 2
+        radial, points = sorted(args, key=np.ndim)
+        r = np.array([reference_radial_nodes(a, b)[0] for a, b in reference_panels(k, cut)])
+        assert np.array_equal(radial, r)
+        pn = _reference_profiles(dressed, k, r[..., None], reference_c_rule(k, cut, r)[0])[3]
+        assert np.array_equal(points, pn)
+        # the half-space |p| >= |q| inside the cutoff sphere
+        assert np.all(points >= radial[..., None]) and np.all(points < cut)
 
     def test_table_calls_b_k_once_per_k_from_the_switch(self, dressed, monkeypatch):
         # bench/spans.py counts these calls as polarization.b_k_calls
         calls = []
 
-        def counting(d, k, work):
+        def counting(d, k):
             calls.append(k)
-            return b_lambda_k(d, k, work)
+            return b_lambda_k(d, k)
 
         monkeypatch.setattr(bdfvac.polarization, "b_lambda_k", counting)
         k = default_k_nodes(CUTOFF, 16, DEFAULT_K_MIN)
@@ -234,9 +282,8 @@ class TestBatchedQuadrature:
 
     @pytest.mark.parametrize("order", ["ascending", "reversed", "shuffled"])
     def test_table_workspace_carries_nothing_between_k(self, dressed, order):
-        # BATCH_K takes 8, 8, 8, 8, 1 and 0 radial panels; the added k takes
-        # 3, so that a k with more than one panel but fewer than the one
-        # before it meets buffers that are not cut back to its size
+        # the table keeps nothing from one k to the next: in every order,
+        # each B is the one-shot b_lambda_k
         k = sorted([*BATCH_K, 2.0 * CUTOFF * (1.0 - 1e-7)])
         shuffled = [k[i] for i in (3, 6, 0, 5, 1, 4, 2)]
         k = {"ascending": k, "reversed": k[::-1], "shuffled": shuffled}
@@ -279,7 +326,8 @@ class TestFloatRange:
             b_lambda_zero_radial(d)
 
     def test_b_k_raises_where_its_weights_overflow(self):
-        # uw um^2 passes the float64 range near cutoff 5e102
+        # the wedge's squared minors pass the float64 range near cutoff
+        # 2e85, and the weights rw r^2 near 5e102
         d = free_dispersion(ModelParams(ALPHA, 1e105), make_grid(1e105, 512, "geometric"))
         with pytest.raises(InvalidParameterError, match="overflows float64"):
             b_lambda_k(d, 1.0)
@@ -345,11 +393,9 @@ class TestContinuity:
         rep = continuity_modulus(table)
         assert rep.max_ratio <= 10.0
 
-    def test_modulus_bounded_at_large_cutoff(self):
-        cut = 1e6
-        d = solve_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
-        k = default_k_nodes(cut, 128, DEFAULT_K_MIN)
-        rep = continuity_modulus(polarization_table(d, k[k <= 0.1]))
+    def test_modulus_bounded_at_large_cutoff(self, dressed_large):
+        k = default_k_nodes(dressed_large.grid.cutoff, 128, DEFAULT_K_MIN)
+        rep = continuity_modulus(polarization_table(dressed_large, k[k <= 0.1]))
         assert rep.max_ratio <= 10.0
 
     def test_report_serializes(self, table):
