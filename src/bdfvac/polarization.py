@@ -20,9 +20,9 @@ half-space |p| >= |q| (l.k >= 0 for l = q + k/2) with weight 2:
     c_lo = max(-1, -k/(2r)),  c_hi = min(1, (Cut^2 - r^2 - k^2)/(2rk)),
 
 for r in [max(0, k - Cut), Cut].  The radial panels break at the two
-kinks of those limits, r = k/2 and r = |Cut - k|, so that every Gauss
-panel sees a smooth integrand; q = 0, where the profiles meet their
-conic point, is the coordinate origin.  Each panel takes a 16 x 16 Gauss
+kinks of those limits, r = k/2 and r = |Cut - k|, so that no Gauss panel
+straddles one, and q = 0, a conic point of the integrand in coordinates
+centred on l, is the coordinate origin.  Each panel takes a 16 x 16 Gauss
 rule in (r, c), and each B(k) integrates all of its panels in one array
 pass, the per-panel sums added in panel order.  |q| = r is a radial
 node, so the q side of the interpolant is read once per node.

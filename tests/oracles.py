@@ -3,11 +3,13 @@
 None of these is run by a bdfvac subcommand.  They are independent routes
 to quantities the pipeline computes another way (the quadrature of
 numerics and the angular kernels against KernelRules, the raw B(k)
-integrand against the wedge form, the per-sample kernel-bound check
-against the batched one, the free B(0) against its closed form,
-the explicit descent step against the implicit one, closed forms against
-the assembled breakdown) or small helpers the tests use.  pytest does not
-collect this module: its name has no test_ prefix.
+integrand against the wedge form, an unfolded l-centred rule graded
+toward the integrand's kinks against B(k)'s q-centred one, the
+per-sample kernel-bound check against the batched one, the free B(0)
+against its closed form, the explicit descent step against the implicit
+one, closed forms against the assembled breakdown) or small helpers the
+tests use.  pytest does not collect this module: its name has no test_
+prefix.
 """
 
 from __future__ import annotations

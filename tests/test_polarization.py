@@ -245,7 +245,7 @@ class TestBatchedQuadrature:
         B0 = b_lambda_zero_radial(dressed)
         assert abs(b_lambda_k(dressed, k) - unfolded(dressed, k)) <= 1e-8 * B0
 
-    def test_one_interpolant_call_on_the_points_and_one_on_the_radial_nodes(self, dressed):
+    def test_interpolant_reads_points_and_radial_nodes_once(self, dressed):
         args = []
         fresh = replace(dressed)
         interpolant = fresh.interpolant
