@@ -6,17 +6,19 @@ The dressed symbol is determined by two radial profiles g0, g1 satisfying
     g1(p) = p + a/(4 pi^2) * int_{|r|<Cut} dr <w_p, w_r> g1(|r|) / (|p-r|^2 Et(|r|)),
 
 with Et = sqrt(g0^2 + g1^2).  After the angular integrals the 3-d
-convolutions reduce to 1-d kernels with an integrable log singularity at
-s = p; the rules of numerics._distance_panels grade toward s = p and close
-there with a product rule that is exact for the log times the
-interpolating cubic.  The integrands g/Et between nodes come from the
-monotone cubic (PCHIP) interpolant of their node samples, whose value at
-a fixed point is linear in the node samples and the PCHIP node slopes.
-KernelRules folds that interpolation into the quadrature weights once per
-grid, so an iteration is one slope pass and one sparse mat-vec per
-profile.  The net prefactor is a/(4 pi^2) times the 2 pi from the
-azimuthal integration, i.e. a/(2 pi) -- applied exactly once, in
-scf_step.
+convolutions reduce to 1-d kernels K0, K1 with an integrable log
+singularity at s = p.  The integrands g/Et between nodes come from the
+monotone cubic (PCHIP) interpolant of their node samples, one cubic per
+grid interval, and KernelRules integrates each kernel against each
+interval's cubic Hermite basis exactly to rounding: Gauss panels graded
+toward s = p, closed by a product rule for the log where p is an end.
+On the geometric grid both kernels are homogeneous of degree 1, so the
+interval integrals of every row but the first are one template per
+kernel, scaled by p^2 and shifted: a Toeplitz operator, applied by FFT,
+plus a few pieces off the geometric ladder integrated per row.  An
+iteration is one slope pass per profile and one FFT correlation.  The
+net prefactor is a/(4 pi^2) times the 2 pi from the azimuthal
+integration, i.e. a/(2 pi) -- applied exactly once, in scf_step.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
-from scipy.sparse import csr_array
 
 from .numerics import (
     FixedPointReport,
     InvalidParameterError,
     RadialGrid,
-    _distance_panels,
-    _panel_depth,
+    _graded_panels,
     fixed_point_solve,
     write_csv,
 )
@@ -165,122 +165,189 @@ def _pchip_end_slope(h0, h1, m0, m1) -> float:
     return d
 
 
-# grid nodes whose rules are built and folded in one array pass
-_RULE_BLOCK = 64
+# largest relative distance of nodes[1:] from a geometric ladder
+_LADDER_RTOL = 1e-12
+
+# growth exponent e of each kernel's symbol: K(1, s) tends to 2 (K0) and to
+# 0 like 1/s (K1) as s grows, so its interval integrals grow like q**(e m)
+_GROWTH = np.array([1.0, 0.0])
 
 
-def _near_depths(grid: RadialGrid, block: slice) -> tuple[int, int]:
-    """Dyadic depths (left, right) of the singular rules of the nodes in
-    block: the smallest that put the near panel of every node inside the
-    PCHIP interval next to it, where the integrand is one cubic, and
-    within p/2 of p, where K1 takes its closed form."""
-    x = grid.nodes
-    gap = np.diff(x)
-    room_l = np.minimum(np.append(x[0], gap), x / 2)[block]
-    room_r = np.minimum(np.append(gap, grid.cutoff - x[-1]), x / 2)[block]
-    return _panel_depth(x[block], room_l), _panel_depth(grid.cutoff - x[block], room_r)
+# the cubic Hermite basis in powers of tau: the values at the left and right
+# ends, then the slopes times the width, one column each
+_HERMITE = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [-3.0, 3.0, -2.0, -1.0], [2.0, -2.0, 1.0, 1.0]]
+)
+
+
+def _kernel_rule(p, a, b):
+    """Points and K0, K1 weights that integrate K(p, s) F(s) over the
+    pieces [a, b] exactly for F a cubic, to rounding.
+
+    The singular point p lies at or beyond an end of each piece.  Each
+    piece is graded toward p (numerics._graded_panels) until its last
+    panel is no wider than a quarter of its distance from p, or, when p is
+    an end, no wider than p/4, which keeps ln(p + s) smooth on the product
+    rule's panel.  K0 = s*ln((p+s)/|p-s|) and K1 = s*bracket(p, s) take
+    the log as log1p(2 min(p,s)/u) of the distance u = |s - p|, never by
+    subtracting nearly equal numbers, and the bracket takes its series
+    below min/max = 1/2.  The arguments broadcast to one array of pieces.
+
+    Returns two blocks (piece, s, weights), the graded panels and the last
+    panels: each row of s holds the points of one panel of the piece
+    named in piece, and weights has shape (2,) + s.shape.
+    """
+    p, a, b = (np.ravel(v) for v in np.broadcast_arrays(p, a, b))
+    right = p <= a
+    near = np.where(right, a, b)
+    delta = np.abs(near - p)
+
+    def weigh(k, r, w, c):
+        ps = p[k, None]
+        s = near[k, None] + np.where(right[k, None], r, -r)
+        lo = np.minimum(ps, s)
+        logf = np.log1p(2.0 * lo / (delta[k, None] + r))
+        sym = (ps * ps + s * s) / (2.0 * ps * s)
+        t = lo / np.maximum(ps, s)
+        brack = sym * logf - 1.0
+        series = t <= 0.5
+        brack[series] = _k1_bracket_series(t[series])
+        return k, s, np.stack([s * (w * logf + c), s * (w * brack + c * sym)])
+
+    (piece, r, w), last = _graded_panels(b - a, np.where(delta > 0, delta, p) / 4, delta == 0)
+    return weigh(piece, r, w, 0.0), weigh(np.arange(p.size), *last)
+
+
+def _moments(p, a, b, left, h):
+    """The K0 and K1 integrals over the pieces [a, b] of the cubic Hermite
+    basis of the interval [left, left + h], shape (2, pieces, 4), by
+    _kernel_rule; the arguments broadcast to one array of pieces."""
+    p, a, b, left, h = (np.ravel(v) for v in np.broadcast_arrays(p, a, b, left, h))
+    out = np.zeros((2, p.size, 4))
+    for piece, s, weights in _kernel_rule(p, a, b):
+        tau = (s - left[piece, None]) / h[piece, None]
+        powers = np.stack([np.ones_like(tau), tau, tau * tau, tau * tau * tau], axis=-1)
+        np.add.at(out, (slice(None), piece), np.einsum("krm,rmj->krj", weights, powers) @ _HERMITE)
+    return out
 
 
 class KernelRules:
-    """The singular quadrature of every grid node, folded with the PCHIP.
+    """The SCF integrals of the PCHIP interpolant, exact per grid interval.
 
-    The rules depend on the grid only, so one instance serves the whole
-    self-consistent iteration.  Node p carries the rule of
-    numerics._distance_panels on each side of s = p: dyadic Gauss panels
-    down to the depth of _near_depths, taken per block of nodes, then one
-    near panel on which the PCHIP is a single cubic and the product rule
-    integrates ln(1/|p-s|) times it exactly.  The K0 weight is
-    s*ln((p+s)/|p-s|) and the K1 weight s*bracket(p,s), with the log
-    evaluated as log1p(2 min(p,s)/u) in the distance u = |s - p|, so
-    nothing singular or cancellation-prone is formed by subtracting
-    nearly equal numbers.
+    The grid must be geometric from its second node on, x_k = x_1 q**(k-1)
+    within _LADDER_RTOL for k >= 1, with any first node in (0, x_1) and
+    the last node below the cutoff.  Both kernels are homogeneous of
+    degree 1, and the Hermite basis of interval k maps onto that of
+    interval k+1 under s -> q s.  So for a row i >= 1 and an interval
+    1 <= k <= n-2 the integral of K(p_i, .) against the four basis
+    functions is p_i**2 template[k - i], one template per kernel,
+    integrated once on the unit row p = 1 over the intervals
+    [q**m, q**(m+1)], m in [2-n, n-3].  The slope functions carry the
+    width h_k, so their coefficients are h_k times the node slopes.
 
-    The integrand at an abscissa s is the cubic Hermite form on the PCHIP
-    interval of s (the first or last one outside the nodes, where it
-    extrapolates), linear in the two end samples and the two end slopes.
-    Summing weight times Hermite basis per column gives A0 and A1, sparse
-    (n, 2n) operators with (A0 @ [f, slopes(f)])[i] the K0 integral of
-    the interpolant of f at node i, and A1 likewise for K1.
+    The pieces off the ladder are integrated per row: [0, x_1] on interval
+    0's cubic (the first node and the extrapolation to 0) and
+    [x_{n-1}, cutoff] on interval n-2's cubic, extrapolated; row 0, whose
+    node is off the ladder, takes every piece directly.  Every piece is
+    one cubic times a kernel, integrated by _moments to rounding.
+
+    The template part is a correlation, applied with numpy's FFT.  Its
+    symbol spans q**(+-n), so each kernel's symbol is divided by q**(e m)
+    and its input multiplied by p_k**e, with e = _GROWTH: the scaled symbol
+    stays bounded on both sides and the FFT keeps the relative accuracy of
+    every row.
     """
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
         x = grid.nodes
         n = x.size
-        width = 2 * n
-        values0, values1, columns, counts = [], [], [], []
-        for lo in range(0, n, _RULE_BLOCK):
-            block = slice(lo, lo + _RULE_BLOCK)
-            p = x[block, None]
-            depth_l, depth_r = _near_depths(grid, block)
-            u_l, w_l, c_l = _distance_panels(p, depth_l)
-            u_r, w_r, c_r = _distance_panels(grid.cutoff - p, depth_r)
-            s = np.concatenate([p - u_l, p + u_r], axis=1)
-            u = np.concatenate([u_l, u_r], axis=1)
-            w = np.concatenate([w_l, w_r], axis=1)
-            c = np.concatenate([c_l, c_r], axis=1)
-            t = np.minimum(p, s) / np.maximum(p, s)
-            logf = np.log1p(2.0 * np.minimum(p, s) / u)
-            sym = (p * p + s * s) / (2.0 * p * s)
-            brack = sym * logf - 1.0
-            series = t <= 0.5
-            brack[series] = _k1_bracket_series(t[series])
-
-            # interval of each abscissa, clipped so the end cubics extrapolate
-            k = np.clip(np.searchsorted(x, s, side="right") - 1, 0, n - 2)
-            h = x[k + 1] - x[k]
-            tau = (s - x[k]) / h
-            rest = 1.0 - tau
-            basis = np.stack(
-                [
-                    (1.0 + 2.0 * tau) * rest * rest,
-                    tau * tau * (3.0 - 2.0 * tau),
-                    h * tau * rest * rest,
-                    -h * tau * tau * rest,
-                ],
-                axis=-1,
+        if not np.all(np.abs(x[1:] - np.geomspace(x[1], x[-1], n - 1)) <= _LADDER_RTOL * x[1:]):
+            raise InvalidParameterError(
+                "kernel rules need nodes[1:] in geometric progression, "
+                f"x_k = x_1 q**(k-1) within {_LADDER_RTOL:g} relative"
             )
-            # sum weight x basis into a dense block of rows; A0 and A1 share
-            # the pattern of touched columns, taken from a boolean mask
-            # because flatnonzero scans it several times faster than floats
-            rows = p.shape[0]
-            cols = np.stack([k, k + 1, n + k, n + k + 1], axis=-1)
-            pos = (np.arange(rows)[:, None, None] * width + cols).ravel()
-            touched = np.zeros(rows * width, dtype=bool)
-            touched[pos] = True
-            nz = np.flatnonzero(touched)
-            k0 = s * (w * logf + c)
-            k1 = s * (w * brack + c * sym)
-            for values, wk in ((values0, k0), (values1, k1)):
-                dense = np.bincount(pos, (wk[..., None] * basis).ravel(), rows * width)
-                values.append(dense[nz])
-            columns.append(nz % width)
-            counts.append(np.bincount(nz // width, minlength=rows))
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-        indptr = indptr.astype(index)
-        indices = np.concatenate(columns).astype(index)
-        self.A0 = csr_array((np.concatenate(values0), indices, indptr), shape=(n, width))
-        self.A1 = csr_array((np.concatenate(values1), indices, indptr), shape=(n, width))
+        if not x[-1] < grid.cutoff:
+            raise InvalidParameterError("kernel rules need the last node below the cutoff")
+        self.h = np.diff(x)
+        p = x[1:]
+        # the unit row's intervals [q**m, q**(m+1)], m in [2-n, n-3], with
+        # edges read off the nodes, so that the rounding of q does not grow
+        # with m
+        m = np.arange(2 - n, n - 2)
+        ladder = np.concatenate([x[1] / x[:1:-1], x[1:] / x[1]])
+        lo, hi = ladder[:-1], ladder[1:]
+        # row 0's pieces, [0, x_0] to [x_{n-1}, cutoff], and their intervals
+        edges = np.concatenate([[0.0], x, [grid.cutoff]])
+        interval = np.clip(np.arange(n + 1) - 1, 0, n - 2)
+        # every piece in one pass: the template, [0, x_1] and
+        # [x_{n-1}, cutoff] of each row from 1 on, and row 0
+        pieces = np.concatenate(
+            [
+                [np.ones_like(lo), lo, hi, lo, hi - lo],
+                np.broadcast_arrays(p, 0.0, x[1], x[0], self.h[0]),
+                np.broadcast_arrays(p, x[-1], grid.cutoff, x[-2], self.h[-1]),
+                np.broadcast_arrays(x[0], edges[:-1], edges[1:], x[interval], self.h[interval]),
+            ],
+            axis=1,
+        )
+        moments = np.swapaxes(_moments(*pieces), 1, 2)
+        self.template, self.origin, self.tail, row0 = np.split(
+            moments, np.cumsum([m.size, n - 1, n - 1]), axis=2
+        )
+        self.row0 = np.zeros((2, 4, n - 1))
+        np.add.at(self.row0, (slice(None), slice(None), interval), row0)
+        # the scaled template as a circular correlation of length 2n, which
+        # holds every lag m = k - i: symbol[-m] = template[m] / q**(e m)
+        self._size = 2 * n
+        symbol = np.zeros((2, 4, self._size))
+        symbol[..., -m % self._size] = self.template / lo ** _GROWTH[:, None, None]
+        self._spectrum = np.fft.rfft(symbol)
+        self._weight_in = x[1 : n - 1] ** _GROWTH[:, None, None]
+        self._weight_out = p ** (2.0 - _GROWTH[:, None])
+
+    def coefficients(self, f, slopes):
+        """The cubic Hermite coefficients of f on each interval, shape
+        (4, n-1): the end values, then the end slopes times the width."""
+        return np.stack([f[:-1], f[1:], self.h * slopes[:-1], self.h * slopes[1:]])
+
+    def integrals(self, f0, f1):
+        """The K0 integral of the PCHIP interpolant of f0 and the K1
+        integral of that of f1 at every node, shape (2, n): the template
+        part by FFT, then the pieces off the ladder and row 0."""
+        p = self.grid.nodes
+        n = p.size
+        coef = np.stack([self.coefficients(f, _pchip_slopes(p, f)) for f in (f0, f1)])
+        scaled = np.zeros((2, 4, self._size))
+        scaled[..., 1 : n - 1] = coef[..., 1:] * self._weight_in
+        spectrum = np.sum(np.fft.rfft(scaled) * self._spectrum, axis=1)
+        toeplitz = np.fft.irfft(spectrum, self._size)[:, 1:n]
+        out = np.empty((2, n))
+        out[:, 1:] = (
+            self._weight_out * toeplitz
+            + np.einsum("kci,kc->ki", self.origin, coef[..., 0])
+            + np.einsum("kci,kc->ki", self.tail, coef[..., -1])
+        )
+        out[:, 0] = np.sum(self.row0 * coef, axis=(1, 2))
+        return out
 
 
 def scf_step(d: Dispersion, rules: KernelRules) -> Dispersion:
     """One application of the self-consistency map to (g0, g1).
 
-    Each integral is the folded operator of KernelRules applied to the node
-    samples of g/Et and their PCHIP slopes.  Both exact integrands are
-    nonnegative, so the exact map gives g0 >= 1 and p <= g1 <= p g0; the
-    folded rows carry signed Hermite weights, so in floating point these
-    bounds hold to rounding, which the tests check up to strong coupling.
+    The integrals are KernelRules.integrals of the node samples of g/Et:
+    the template rows as one scaled FFT correlation per kernel, plus the
+    pieces off the geometric ladder and row 0, exact per grid interval.
+    Both exact integrands are nonnegative, so the exact map gives g0 >= 1
+    and p <= g1 <= p g0; the rows carry signed Hermite weights, so in
+    floating point these bounds hold to rounding, which the tests check up
+    to strong coupling.
     """
     if rules.grid is not d.grid:
         raise InvalidParameterError("kernel rules were built on another grid")
     p = d.grid.nodes
     et = d.e_tilde_samples
-    f0 = d.g0 / et
-    f1 = d.g1 / et
-    i0 = rules.A0 @ np.concatenate([f0, _pchip_slopes(p, f0)])
-    i1 = rules.A1 @ np.concatenate([f1, _pchip_slopes(p, f1)])
+    i0, i1 = rules.integrals(d.g0 / et, d.g1 / et)
     # net prefactor alpha/(4 pi^2) * 2 pi / p, applied exactly once
     pref = d.params.alpha / (2.0 * math.pi) / p
     g0_new = 1.0 + pref * i0

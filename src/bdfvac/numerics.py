@@ -102,7 +102,8 @@ def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
     return float(np.dot(grid.weights, samples))
 
 
-# 8-point Gauss-Legendre on [-1, 1], used per panel of the singular rules.
+# 8-point Gauss-Legendre on [-1, 1]; on [0, 1] it is the last panel of
+# the graded rules.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 # The same points on [0, 1], and the weights _LOG_W on them that integrate
@@ -124,42 +125,39 @@ def _log_weights():
 _LOG_W = _log_weights()
 
 
-def _panel_depth(d, room) -> int:
-    """The smallest J >= 0 with d * 2**-J <= room at every entry."""
-    j = np.maximum(np.ceil(np.log2(d / room)), 0.0)
-    j += np.ldexp(d, -j.astype(int)) > room
-    return int(j.max())
+# 16-point Gauss-Legendre on [0, 1], the rule of each graded panel.
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+_PANEL_V = 0.5 * (1.0 + _GL16_X)
+_PANEL_W = 0.5 * _GL16_W
 
 
-def _distance_panels(d, depth: int):
-    """Gauss points and weights in the distance u from a log-singular
-    endpoint, covering (0, d].
+def _graded_panels(width, room, log_end):
+    """Gauss points and weights on pieces [0, width] in the distance r
+    from their end nearest a log-singular point, graded toward that end.
 
-    The dyadic panels (d*2**-(j+1), d*2**-j], j < depth, carry 8 Gauss
-    points each.  The near panel [0, g], g = d*2**-depth, carries the 8
-    Gauss points u = g*v too.  There ln(R/u) = ln(R/g) - ln(v): the smooth
-    first part takes the Gauss weights, the second the log weights
-    g*_LOG_W, exact for -ln(v) times any polynomial of degree 7.
+    Each piece takes the smallest depth J >= 0 with g = width*2**-J no
+    larger than its room.  The panels (width*2**-(j+1), width*2**-j],
+    j < J, carry 16 Gauss points each, and the last panel [0, g] the 8
+    points r = g*v.  Where log_end, the singular point is the end itself:
+    there ln(R/r) = ln(R/g) - ln(v) puts the smooth first part on the
+    Gauss weights and -ln(v) on g*_LOG_W, exact for -ln(v) times any
+    polynomial of degree 7.
 
-    Returns u, w and c, with int F(u) ln(R(u)/u) du over (0, d] equal to
-    sum(w F ln(R/u) + c F): c is zero on the dyadic panels and
-    g*(_LOG_W + _NEAR_W ln v) on the near panel.  d may be a scalar or an
-    array of shape (..., 1); the points of each distance then lie along
-    the last axis, 8*depth + 8 of them, the near panel last.
+    width, room and log_end are arrays over the pieces.  Returns
+    (piece, r, w) of the halved panels, one row per panel and piece the
+    index of its piece, and (r, w, c) of the last panels, one row per
+    piece.  The integral of F(r) ln(R(r)/r) over a piece is the sum of
+    w F ln(R/r) over its panels' points plus c F over its last panel's:
+    c is g*(_LOG_W + _NEAR_W ln v) where log_end and zero elsewhere.
     """
-    j = np.arange(depth)
-    lo = d * 0.5 ** (j + 1)
-    hi = d * 0.5**j
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    shape = (*lo.shape[:-1], -1)
-    u = (mid[..., None] + half[..., None] * _GL_X).reshape(shape)
-    w = (half[..., None] * _GL_W).reshape(shape)
-    g = d * 0.5**depth
-    u = np.concatenate([u, g * _NEAR_V], axis=-1)
-    c = np.concatenate([np.zeros_like(w), g * (_LOG_W + _NEAR_W * np.log(_NEAR_V))], axis=-1)
-    w = np.concatenate([w, g * _NEAR_W], axis=-1)
-    return u, w, c
+    depth = np.maximum(np.ceil(np.log2(width / room)), 0.0).astype(int)
+    depth += np.ldexp(width, -depth) > room
+    piece = np.repeat(np.arange(width.size), depth)
+    j = np.arange(piece.size) - np.repeat(np.cumsum(depth) - depth, depth)
+    lo = np.ldexp(width[piece], -(j + 1))[:, None]
+    g = np.ldexp(width, -depth)[:, None]
+    log_part = np.where(log_end[:, None], g * (_LOG_W + _NEAR_W * np.log(_NEAR_V)), 0.0)
+    return (piece, lo * (1.0 + _PANEL_V), lo * _PANEL_W), (g * _NEAR_V, g * _NEAR_W, log_part)
 
 
 @dataclass

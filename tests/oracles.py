@@ -2,14 +2,14 @@
 
 None of these is run by a bdfvac subcommand.  They are independent routes
 to quantities the pipeline computes another way (the quadrature of
-numerics and the angular kernels against KernelRules, the raw B(k)
-integrand against the wedge form, an unfolded l-centred rule graded
-toward the integrand's kinks against B(k)'s q-centred one, the
-per-sample kernel-bound check against the batched one, the free B(0)
-against its closed form, the explicit descent step against the implicit
-one, closed forms against the assembled breakdown) or small helpers the
-tests use.  pytest does not collect this module: its name has no test_
-prefix.
+numerics and the angular kernels, and adaptive quad on each cubic piece,
+against KernelRules, the raw B(k) integrand against the wedge form, an
+unfolded l-centred rule graded toward the integrand's kinks against
+B(k)'s q-centred one, the per-sample kernel-bound check against the
+batched one, the free B(0) against its closed form, the explicit descent
+step against the implicit one, closed forms against the assembled
+breakdown) or small helpers the tests use.  pytest does not collect
+this module: its name has no test_ prefix.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import warnings
 from dataclasses import fields
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from bdfvac.cli import RunConfig
@@ -27,12 +28,13 @@ from bdfvac.energy import _ingredients
 from bdfvac.numerics import (
     _GL_W,
     _GL_X,
+    _LOG_W,
+    _NEAR_V,
+    _NEAR_W,
     InvalidParameterError,
     OutOfRangeError,
     RadialGrid,
     ShapeMismatchError,
-    _distance_panels,
-    _panel_depth,
 )
 from bdfvac.pekar import PekarState, _apply_h, _uniform_spacing, make_state
 from bdfvac.polarization import (
@@ -59,6 +61,44 @@ def interp(grid: RadialGrid, samples: np.ndarray, p) -> float | np.ndarray:
         raise OutOfRangeError(f"query point outside [0, {grid.cutoff}]")
     out = PchipInterpolator(grid.nodes, samples, extrapolate=True)(p_arr)
     return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
+
+
+def _panel_depth(d, room) -> int:
+    """The smallest J >= 0 with d * 2**-J <= room at every entry."""
+    j = np.maximum(np.ceil(np.log2(d / room)), 0.0)
+    j += np.ldexp(d, -j.astype(int)) > room
+    return int(j.max())
+
+
+def _distance_panels(d, depth: int):
+    """Gauss points and weights in the distance u from a log-singular
+    endpoint, covering (0, d].
+
+    The dyadic panels (d*2**-(j+1), d*2**-j], j < depth, carry 8 Gauss
+    points each.  The near panel [0, g], g = d*2**-depth, carries the 8
+    Gauss points u = g*v too.  There ln(R/u) = ln(R/g) - ln(v): the smooth
+    first part takes the Gauss weights, the second the log weights
+    g*_LOG_W, exact for -ln(v) times any polynomial of degree 7.
+
+    Returns u, w and c, with int F(u) ln(R(u)/u) du over (0, d] equal to
+    sum(w F ln(R/u) + c F): c is zero on the dyadic panels and
+    g*(_LOG_W + _NEAR_W ln v) on the near panel.  d may be a scalar or an
+    array of shape (..., 1); the points of each distance then lie along
+    the last axis, 8*depth + 8 of them, the near panel last.
+    """
+    j = np.arange(depth)
+    lo = d * 0.5 ** (j + 1)
+    hi = d * 0.5**j
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    shape = (*lo.shape[:-1], -1)
+    u = (mid[..., None] + half[..., None] * _GL_X).reshape(shape)
+    w = (half[..., None] * _GL_W).reshape(shape)
+    g = d * 0.5**depth
+    u = np.concatenate([u, g * _NEAR_V], axis=-1)
+    c = np.concatenate([np.zeros_like(w), g * (_LOG_W + _NEAR_W * np.log(_NEAR_V))], axis=-1)
+    w = np.concatenate([w, g * _NEAR_W], axis=-1)
+    return u, w, c
 
 
 def dyadic_gauss_panels(a: float, b: float, singular_at: str, levels: int = 52):
@@ -168,6 +208,48 @@ def angular_kernel_K1(p, s):
     bracket = (p**2 + s**2) / (2.0 * p * s) * np.log((p + s) / np.abs(p - s)) - 1.0
     out = (2.0 * np.pi * s / p) * bracket
     return float(out) if out.ndim == 0 else out
+
+
+# sum_{k>=1} 4k/(4k^2-1) t^{2k}, the K1 bracket below t = 1/2, to 30 terms
+_BRACKET_COEF = [4.0 * k / (4.0 * k * k - 1.0) for k in range(1, 31)]
+
+
+def _bracket(p: float, s: float) -> float:
+    """(p^2+s^2)/(2ps) ln((p+s)/|p-s|) - 1, in scalar arithmetic."""
+    t = min(p, s) / max(p, s)
+    if t > 0.5:
+        return (p * p + s * s) / (2.0 * p * s) * math.log1p(2.0 * min(p, s) / abs(p - s)) - 1.0
+    acc = 0.0
+    for coef in reversed(_BRACKET_COEF):
+        acc = (acc + coef) * t * t
+    return acc
+
+
+def kernel_row_by_quad(grid: RadialGrid, f: np.ndarray, i: int, kernel: int) -> float:
+    """The K0 (kernel 0) or K1 (kernel 1) integral at node i of scipy's
+    PCHIP of f, extrapolated on [0, x_0] and [x_{n-1}, cutoff], by adaptive
+    quad on each cubic piece: every knot is a breakpoint, so quad sees one
+    cubic times the kernel, log-singular at most at one end."""
+    x = grid.nodes
+    coef = PchipInterpolator(x, f, extrapolate=True).c
+    edges = np.concatenate([[0.0], x, [grid.cutoff]])
+    p = float(x[i])
+    parts = []
+    for j in range(edges.size - 1):
+        k = min(max(j - 1, 0), x.size - 2)
+        c3, c2, c1, c0 = coef[:, k]
+        xk = float(x[k])
+
+        def integrand(s):
+            d = s - xk
+            cubic = ((c3 * d + c2) * d + c1) * d + c0
+            if kernel == 0:
+                return s * math.log1p(2.0 * min(p, s) / abs(p - s)) * cubic
+            return s * _bracket(p, s) * cubic
+
+        value, _ = quad(integrand, edges[j], edges[j + 1], epsabs=0.0, epsrel=1e-13, limit=200)
+        parts.append(value)
+    return math.fsum(parts)
 
 
 def e_tilde(d: Dispersion, p) -> float:

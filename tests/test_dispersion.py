@@ -10,12 +10,10 @@ import bdfvac.dispersion
 from bdfvac.cli import EXIT_OK, main
 from bdfvac.dispersion import (
     ALPHA_REGIME_LIMIT,
-    _RULE_BLOCK,
     Dispersion,
     KernelRules,
     ModelParams,
-    _k1_bracket_series,
-    _near_depths,
+    _kernel_rule,
     _pchip_slopes,
     check_asymptotics,
     dispersion_to_csv,
@@ -28,12 +26,13 @@ from bdfvac.dispersion import (
 from bdfvac.numerics import (
     _LOG_W,
     _NEAR_V,
+    _NEAR_W,
     InvalidParameterError,
     RadialGrid,
-    _distance_panels,
+    _graded_panels,
     make_grid,
 )
-from oracles import angular_kernel_K0, angular_kernel_K1, e_tilde, interp
+from oracles import angular_kernel_K0, angular_kernel_K1, e_tilde, interp, kernel_row_by_quad
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -156,43 +155,35 @@ class TestScfStep:
             assert np.all(d.g1 <= g.nodes * d.g0 * (1.0 + 1e-12))
 
 
-class _ReferenceRules:
-    """The singular rules node by node, unfolded: abscissae S and the K0/K1
-    weights WK0/WK1 of every row, flat, with ROW the row of each, as the
-    quadrature was built before the PCHIP was folded into it."""
-
-    def __init__(self, grid):
-        S_rows, K0_rows, K1_rows = [], [], []
-        for i, p in enumerate(grid.nodes):
-            lo = i - i % _RULE_BLOCK
-            depth_l, depth_r = _near_depths(grid, slice(lo, lo + _RULE_BLOCK))
-            u_l, w_l, c_l = _distance_panels(p, depth_l)
-            u_r, w_r, c_r = _distance_panels(grid.cutoff - p, depth_r)
-            s = np.concatenate([p - u_l, p + u_r])
-            u = np.concatenate([u_l, u_r])
-            w = np.concatenate([w_l, w_r])
-            c = np.concatenate([c_l, c_r])
-            logf = np.log1p(2.0 * np.minimum(p, s) / u)
-            t = np.minimum(p, s) / np.maximum(p, s)
-            sym = (p * p + s * s) / (2.0 * p * s)
-            brack = np.where(t <= 0.5, _k1_bracket_series(np.minimum(t, 0.5)), sym * logf - 1.0)
-            S_rows.append(s)
-            K0_rows.append(s * (w * logf + c))
-            K1_rows.append(s * (w * brack + c * sym))
-        self.ROW = np.repeat(np.arange(grid.n_points), [s.size for s in S_rows])
-        self.S = np.concatenate(S_rows)
-        self.WK0 = np.concatenate(K0_rows)
-        self.WK1 = np.concatenate(K1_rows)
+def _row_pieces(grid):
+    """The cubic pieces of every row: [0, x_0], each node interval and
+    [x_{n-1}, cutoff], as (a, b) edges."""
+    edges = np.concatenate([[0.0], grid.nodes, [grid.cutoff]])
+    return edges[:-1], edges[1:]
 
 
-def _reference_step(d, rules):
-    """scf_step with scipy's PCHIP evaluated at every abscissa."""
+def _reference_integrals(grid, f0, f1, rows=None):
+    """The K0 integral of scipy's PCHIP of f0 and the K1 integral of that
+    of f1 at each node of rows, shape (2, rows): each row integrates every
+    piece of _row_pieces directly with _kernel_rule, and the PCHIP is
+    evaluated at every abscissa, with no template and no folding."""
+    x = grid.nodes
+    rows = np.arange(x.size) if rows is None else np.asarray(rows)
+    pchips = [PchipInterpolator(x, f, extrapolate=True) for f in (f0, f1)]
+    a, b = _row_pieces(grid)
+    out = np.zeros((2, rows.size))
+    for j, i in enumerate(rows):
+        for _, s, weights in _kernel_rule(x[i], a, b):
+            for kernel in (0, 1):
+                out[kernel, j] += np.sum(weights[kernel] * pchips[kernel](s))
+    return out
+
+
+def _reference_step(d):
+    """scf_step with the integrals of _reference_integrals."""
     p = d.grid.nodes
     et = d.e_tilde_samples
-    F0 = PchipInterpolator(p, d.g0 / et, extrapolate=True)(rules.S)
-    F1 = PchipInterpolator(p, d.g1 / et, extrapolate=True)(rules.S)
-    i0 = np.bincount(rules.ROW, F0 * rules.WK0)
-    i1 = np.bincount(rules.ROW, F1 * rules.WK1)
+    i0, i1 = _reference_integrals(d.grid, d.g0 / et, d.g1 / et)
     pref = d.params.alpha / (2.0 * math.pi) / p
     return 1.0 + pref * i0, p + pref * i1
 
@@ -209,19 +200,21 @@ class TestFoldedQuadrature:
     def grid_and_rules(self, request):
         n, cutoff = request.param
         grid = make_grid(cutoff, n, "geometric")
-        return grid, _ReferenceRules(grid), KernelRules(grid)
+        return grid, KernelRules(grid)
 
     @pytest.mark.parametrize("profile", ["free", "dressed"])
     def test_step_matches_pchip_at_every_abscissa(self, grid_and_rules, profile):
-        grid, ref_rules, rules = grid_and_rules
-        # both extrapolated end intervals are in use
-        assert ref_rules.S.min() < grid.nodes[0] and ref_rules.S.max() > grid.nodes[-1]
+        grid, rules = grid_and_rules
+        # both extrapolated end pieces are in use
+        blocks = _kernel_rule(grid.nodes[0], *_row_pieces(grid))
+        s = np.concatenate([s.ravel() for _, s, _ in blocks])
+        assert s.min() < grid.nodes[0] and s.max() > grid.nodes[-1]
         params = ModelParams(STRONG_ALPHA, grid.cutoff)
         if profile == "free":
             d = free_dispersion(params, grid)
         else:
             d = solve_dispersion(params, grid)
-        g0_ref, g1_ref = _reference_step(d, ref_rules)
+        g0_ref, g1_ref = _reference_step(d)
         out = scf_step(d, rules)
         assert np.max(np.abs(out.g0 - g0_ref) / np.abs(g0_ref)) <= 1e-14
         assert np.max(np.abs(out.g1 - g1_ref) / np.abs(g1_ref)) <= 1e-14
@@ -233,23 +226,26 @@ class TestFoldedQuadrature:
         assert abs(value - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("which", ["default-n128", "deep"])
-    def test_near_panels_inside_the_adjacent_interval(self, which):
+    def test_last_panels_within_their_room(self, which):
+        # every row's pieces, graded toward its node: each last panel is no
+        # wider than a quarter of its distance from the node, or than p/4
+        # where the node is its end, and no shallower depth would do
         grid = make_grid(CUTOFF, 128, "geometric") if which == "default-n128" else _deep_grid()
         x = grid.nodes
-        left_knots = np.append(0.0, x[:-1])
-        right_knots = np.append(x[1:], grid.cutoff)
-        for lo in range(0, grid.n_points, _RULE_BLOCK):
-            block = slice(lo, lo + _RULE_BLOCK)
-            p = x[block]
-            depth_l, depth_r = _near_depths(grid, block)
-            g_l = p * 0.5**depth_l
-            g_r = (grid.cutoff - p) * 0.5**depth_r
-            assert np.all(p - g_l >= left_knots[block]) and np.all(g_l <= p / 2)
-            assert np.all(p + g_r <= right_knots[block]) and np.all(g_r <= p / 2)
-            # and no shallower depth would do
-            assert np.any(p - 2 * g_l < left_knots[block]) or np.any(2 * g_l > p / 2)
-            if depth_r > 0:
-                assert np.any(p + 2 * g_r > right_knots[block]) or np.any(2 * g_r > p / 2)
+        a, b = _row_pieces(grid)
+        p = np.repeat(x, a.size)
+        a, b = np.tile(a, x.size), np.tile(b, x.size)
+        delta = np.maximum(a - p, p - b)
+        room = np.where(delta > 0, delta, p) / 4
+        (piece, r, w), (r_last, w_last, c_last) = _graded_panels(b - a, room, delta == 0)
+        g = w_last[:, 0] / _NEAR_W[0]
+        assert np.all(r_last < g[:, None])
+        assert np.all(g <= room * (1 + 1e-15))
+        assert np.all(np.isclose(g, b - a, rtol=1e-15, atol=0.0) | (2 * g > room))
+        assert np.all(np.any(c_last != 0.0, axis=1) == (delta == 0))
+        # the panels tile each piece
+        width = np.bincount(piece, np.sum(w, axis=1), a.size) + g
+        assert np.allclose(width, b - a, rtol=1e-14)
 
     def test_solve_builds_no_interpolant(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -263,8 +259,26 @@ class TestFoldedQuadrature:
 def _deep_grid():
     """512 cells with geometric bounds from 1e-3 to 1e13: the nodes span
     16 decades, more than a fixed 52 halvings of the cutoff reach."""
-    bounds = np.concatenate([[0.0], np.geomspace(1e-3, 1e13, 512)])
-    return RadialGrid(0.5 * (bounds[1:] + bounds[:-1]), np.diff(bounds), 1e13)
+    return _geometric_bounds_grid(1e-3, 1e13)
+
+
+def _geometric_bounds_grid(first, cutoff, n=512):
+    """n cells with bounds 0, then geometric from first to cutoff."""
+    bounds = np.concatenate([[0.0], np.geomspace(first, cutoff, n)])
+    return RadialGrid(0.5 * (bounds[1:] + bounds[:-1]), np.diff(bounds), cutoff)
+
+
+@pytest.fixture(scope="module", params=[0.01, STRONG_ALPHA], ids=lambda a: f"alpha{a:g}")
+def quad_rows(request):
+    """The solved g0/Et and g1/Et at n = 512, cutoff 1e4, their K0 and K1
+    rows from KernelRules, and the same rows by kernel_row_by_quad."""
+    grid = make_grid(CUTOFF, 512, "geometric")
+    d = solve_dispersion(ModelParams(request.param, CUTOFF), grid)
+    f = (d.g0 / d.e_tilde_samples, d.g1 / d.e_tilde_samples)
+    rows = (0, 1, 2, 50, 256, 400, 510, 511)
+    fast = KernelRules(grid).integrals(*f)[:, rows]
+    oracle = [[kernel_row_by_quad(grid, f[k], i, k) for i in rows] for k in (0, 1)]
+    return fast, np.array(oracle)
 
 
 class TestSingularRuleAccuracy:
@@ -272,7 +286,7 @@ class TestSingularRuleAccuracy:
         # int_0^L s ln((p+s)/|p-s|) ds = (L^2 - p^2) atanh(p/L) + p L
         grid = make_grid(CUTOFF, 512, "geometric")
         p = grid.nodes
-        rows = KernelRules(grid).A0 @ np.concatenate([np.ones_like(p), np.zeros_like(p)])
+        rows = KernelRules(grid).integrals(np.ones_like(p), np.ones_like(p))[0]
         exact = (CUTOFF**2 - p * p) * np.arctanh(p / CUTOFF) + p * CUTOFF
         assert np.max(np.abs(rows - exact) / exact) <= 1e-13
 
@@ -280,20 +294,115 @@ class TestSingularRuleAccuracy:
         grid = _deep_grid()
         x = grid.nodes
         f = 1.0 / np.hypot(1.0, x)
-        rows = KernelRules(grid).A0 @ np.concatenate([f, _pchip_slopes(x, f)])
-        pchip = PchipInterpolator(x, f, extrapolate=True)
-        edges = np.concatenate([[0.0], x, [grid.cutoff]])
+        rows = KernelRules(grid).integrals(f, f)[0]
         for i in (0, 1, 10, 50, 100):
-            p = x[i]
+            exact = kernel_row_by_quad(grid, f, i, 0)
+            assert abs(rows[i] - exact) <= 1e-12 * exact
 
-            def integrand(s):
-                return s * math.log1p(2.0 * min(p, s) / abs(p - s)) * float(pchip(s))
+    @pytest.mark.parametrize("kernel", [0, 1], ids=["K0", "K1"])
+    def test_rows_are_the_exact_integral_of_the_interpolant(self, quad_rows, kernel):
+        # rows 0, 1, 2, 50, 256, 400, 510 and 511 against adaptive quad on
+        # every cubic piece; the dyadic rule this replaced was off by up to
+        # 1.5e-7, as its outer panels crossed the PCHIP's knots
+        fast, oracle = quad_rows
+        assert np.max(np.abs(fast[kernel] - oracle[kernel]) / oracle[kernel]) <= 1e-12
 
-            exact = math.fsum(
-                quad(integrand, a, b, epsabs=0.0, epsrel=1e-10)[0]
-                for a, b in zip(edges[:-1], edges[1:])
-            )
-            assert abs(rows[i] - exact) <= 1e-6 * exact
+
+def _dense_integrals(rules, f0, f1):
+    """KernelRules.integrals summed term by term: the template of each row
+    times p**2, plus the pieces off the ladder, plus row 0 directly."""
+    x = rules.grid.nodes
+    n = x.size
+    coef = np.stack([rules.coefficients(f, _pchip_slopes(x, f)) for f in (f0, f1)])
+    out = np.empty((2, n))
+    k = np.arange(1, n - 1)
+    for i in range(1, n):
+        toeplitz = np.einsum("kcj,kcj->k", rules.template[..., k - i + n - 2], coef[..., 1:])
+        origin = np.einsum("kc,kc->k", rules.origin[..., i - 1], coef[..., 0])
+        tail = np.einsum("kc,kc->k", rules.tail[..., i - 1], coef[..., -1])
+        out[:, i] = x[i] ** 2 * toeplitz + origin + tail
+    out[:, 0] = np.einsum("kcj,kcj->k", rules.row0, coef)
+    return out
+
+
+def _apply_grids():
+    grids = {
+        f"n{n}-cutoff{cutoff:g}": (make_grid(cutoff, n, "geometric"), STRONG_ALPHA)
+        for n in (64, 512, 2048)
+        for cutoff in (12.18, 1e4, 1.7e7)
+    }
+    grids["deep"] = (_deep_grid(), STRONG_ALPHA)
+    # 47 decades, the span alpha = 5e-4 at L = 0.05 needs (cutoff 2.7e43);
+    # alpha = 1.2 has no fixed point there
+    grids["47-decades"] = (_geometric_bounds_grid(1e-4, 2.7e43), 5e-4)
+    return grids
+
+
+APPLY_GRIDS = _apply_grids()
+
+
+class TestFastApply:
+    """KernelRules.integrals applies the template as an FFT correlation;
+    it must agree with the same template summed term by term, and the
+    template rows with every piece of the row integrated directly."""
+
+    @pytest.fixture(scope="class", params=list(APPLY_GRIDS), ids=str)
+    def case(self, request):
+        grid, alpha = APPLY_GRIDS[request.param]
+        params = ModelParams(alpha, grid.cutoff)
+        profiles = []
+        for d in (free_dispersion(params, grid), solve_dispersion(params, grid)):
+            et = d.e_tilde_samples
+            profiles.append((d.g0 / et, d.g1 / et))
+        return KernelRules(grid), profiles
+
+    @pytest.mark.parametrize("profile", [0, 1], ids=["free", "solved"])
+    def test_fft_matches_the_dense_sum(self, case, profile):
+        rules, profiles = case
+        fast = rules.integrals(*profiles[profile])
+        dense = _dense_integrals(rules, *profiles[profile])
+        assert np.max(np.abs(fast - dense) / np.abs(dense)) <= 1e-13
+
+    @pytest.mark.parametrize("profile", [0, 1], ids=["free", "solved"])
+    def test_template_rows_match_rows_integrated_directly(self, case, profile):
+        rules, profiles = case
+        n = rules.grid.n_points
+        spread = np.linspace(4, n - 4, 12).astype(int)
+        rows = np.unique(np.concatenate([np.arange(4), spread, n - np.arange(1, 4)]))
+        fast = rules.integrals(*profiles[profile])[:, rows]
+        direct = _reference_integrals(rules.grid, *profiles[profile], rows)
+        assert np.max(np.abs(fast - direct) / np.abs(direct)) <= 1e-13
+
+
+class TestGeometricLadder:
+    def test_uniform_grid_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="geometric progression"):
+            KernelRules(make_grid(CUTOFF, 64, "uniform"))
+
+    def test_one_moved_node_is_refused(self):
+        grid = make_grid(CUTOFF, 64, "geometric")
+        nodes = grid.nodes.copy()
+        nodes[30] *= 1.0 + 1e-6
+        with pytest.raises(InvalidParameterError, match="geometric progression"):
+            KernelRules(RadialGrid(nodes, grid.weights, CUTOFF))
+
+    def test_last_node_on_the_cutoff_is_refused(self):
+        # the piece [x_{n-1}, cutoff] would be empty, its product rule 0 * inf
+        grid = make_grid(CUTOFF, 64, "geometric")
+        nodes = grid.nodes * (CUTOFF / grid.nodes[-1])
+        with pytest.raises(InvalidParameterError, match="below the cutoff"):
+            KernelRules(RadialGrid(nodes, grid.weights, CUTOFF))
+
+    @pytest.mark.parametrize("fraction", [1e-3, 0.3, 0.999])
+    def test_any_first_node_below_the_second(self, fraction):
+        grid = make_grid(CUTOFF, 64, "geometric")
+        nodes = grid.nodes.copy()
+        nodes[0] = fraction * nodes[1]
+        p = nodes
+        rules = KernelRules(RadialGrid(nodes, grid.weights, CUTOFF))
+        rows = rules.integrals(np.ones_like(p), np.ones_like(p))[0]
+        exact = (CUTOFF**2 - p * p) * np.arctanh(p / CUTOFF) + p * CUTOFF
+        assert np.max(np.abs(rows - exact) / exact) <= 1e-13
 
 
 def _branch_data():
