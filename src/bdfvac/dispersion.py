@@ -389,23 +389,9 @@ def m_alpha(d: Dispersion) -> float:
     return float(d.interpolant(0.0)[0])
 
 
-def _require_fine_origin(d: Dispersion):
-    if np.count_nonzero(d.grid.nodes < d.grid.cutoff / 100.0) < 4:
-        raise InvalidParameterError(
-            "grid too coarse near p=0 for derivative extraction "
-            "(need >= 4 nodes below cutoff/100; use geometric clustering)"
-        )
-
-
 def g1_prime_zero(d: Dispersion) -> float:
-    """Slope of g1 at the origin via a one-sided second-order stencil over
-    the three smallest nodes (g1 extends continuously with g1(0) = 0)."""
-    _require_fine_origin(d)
-    x = d.grid.nodes[:3]
-    y = d.g1[:3]
-    # derivative at 0 of the quadratic through the three points
-    c = np.polyfit(x, y, 2)
-    return float(c[1])
+    """Slope of g1 at the origin, extrapolated like m_alpha."""
+    return float(d.interpolant(0.0, 1)[1])
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Reference implementations that the tests check the pipeline against.
 
 None of these is run by a bdfvac subcommand.  They are independent routes
-to quantities the pipeline computes another way (the quadrature of
-numerics and the angular kernels, and adaptive quad on each cubic piece,
-against KernelRules, the raw B(k) integrand against the wedge form, an
-unfolded l-centred rule graded toward the integrand's kinks against
-B(k)'s q-centred one, the per-sample kernel-bound check against the
-batched one, the free B(0) against its closed form, the explicit descent
-step against the implicit one, closed forms against the assembled
-breakdown) or small helpers the tests use.  pytest does not collect
-this module: its name has no test_ prefix.
+to quantities the pipeline computes another way (the angular kernels
+with adaptive quad on each cubic piece against KernelRules, the raw B(k)
+integrand against the wedge form, an unfolded l-centred rule graded
+toward the integrand's kinks against B(k)'s q-centred one, the
+per-sample kernel-bound check against the batched one, the free B(0)
+against its closed form, the explicit descent step against the implicit
+one, closed forms against the assembled breakdown) or small helpers the
+tests use.  pytest does not collect this module: its name has no test_
+prefix.
 """
 
 from __future__ import annotations
@@ -25,17 +25,7 @@ from scipy.interpolate import PchipInterpolator
 from bdfvac.cli import RunConfig
 from bdfvac.dispersion import Dispersion
 from bdfvac.energy import _ingredients
-from bdfvac.numerics import (
-    _GL_W,
-    _GL_X,
-    _LOG_W,
-    _NEAR_V,
-    _NEAR_W,
-    InvalidParameterError,
-    OutOfRangeError,
-    RadialGrid,
-    ShapeMismatchError,
-)
+from bdfvac.numerics import InvalidParameterError, OutOfRangeError, RadialGrid, ShapeMismatchError
 from bdfvac.pekar import PekarState, _apply_h, _uniform_spacing, make_state
 from bdfvac.polarization import (
     KernelBoundReport,
@@ -63,121 +53,11 @@ def interp(grid: RadialGrid, samples: np.ndarray, p) -> float | np.ndarray:
     return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
 
 
-def _panel_depth(d, room) -> int:
-    """The smallest J >= 0 with d * 2**-J <= room at every entry."""
-    j = np.maximum(np.ceil(np.log2(d / room)), 0.0)
-    j += np.ldexp(d, -j.astype(int)) > room
-    return int(j.max())
-
-
-def _distance_panels(d, depth: int):
-    """Gauss points and weights in the distance u from a log-singular
-    endpoint, covering (0, d].
-
-    The dyadic panels (d*2**-(j+1), d*2**-j], j < depth, carry 8 Gauss
-    points each.  The near panel [0, g], g = d*2**-depth, carries the 8
-    Gauss points u = g*v too.  There ln(R/u) = ln(R/g) - ln(v): the smooth
-    first part takes the Gauss weights, the second the log weights
-    g*_LOG_W, exact for -ln(v) times any polynomial of degree 7.
-
-    Returns u, w and c, with int F(u) ln(R(u)/u) du over (0, d] equal to
-    sum(w F ln(R/u) + c F): c is zero on the dyadic panels and
-    g*(_LOG_W + _NEAR_W ln v) on the near panel.  d may be a scalar or an
-    array of shape (..., 1); the points of each distance then lie along
-    the last axis, 8*depth + 8 of them, the near panel last.
-    """
-    j = np.arange(depth)
-    lo = d * 0.5 ** (j + 1)
-    hi = d * 0.5**j
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    shape = (*lo.shape[:-1], -1)
-    u = (mid[..., None] + half[..., None] * _GL_X).reshape(shape)
-    w = (half[..., None] * _GL_W).reshape(shape)
-    g = d * 0.5**depth
-    u = np.concatenate([u, g * _NEAR_V], axis=-1)
-    c = np.concatenate([np.zeros_like(w), g * (_LOG_W + _NEAR_W * np.log(_NEAR_V))], axis=-1)
-    w = np.concatenate([w, g * _NEAR_W], axis=-1)
-    return u, w, c
-
-
-def dyadic_gauss_panels(a: float, b: float, singular_at: str, levels: int = 52):
-    """Quadrature points/weights for [a, b] with an integrable singularity
-    at one endpoint.
-
-    Panels halve geometrically toward the singular end; an 8-point Gauss
-    rule per panel resolves any log-type endpoint singularity to near
-    machine precision.  The unresolved sliver next to the endpoint has
-    width (b-a)*2**-levels and contributes O(eps*log(1/eps)).
-    """
-    d = b - a
-    j = np.arange(levels)
-    if singular_at == "b":
-        lo = b - d * 0.5**j
-        hi = b - d * 0.5 ** (j + 1)
-    elif singular_at == "a":
-        lo = a + d * 0.5 ** (j + 1)
-        hi = a + d * 0.5**j
-    else:
-        raise InvalidParameterError("singular_at must be 'a' or 'b'")
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wts = (half[:, None] * _GL_W[None, :]).ravel()
-    return pts, wts
-
-
-def log_singular_points(grid: RadialGrid, p: float):
-    """Points and weights for integrating smooth(s)*ln((p+s)/|p-s|) over
-    (0, cutoff), with the log factor folded into the weights.
-
-    The rule is built in the distance u = |s - p|, so the log factor is
-    evaluated without cancellation arbitrarily close to s = p.  Each side
-    is graded until its near panel lies within p/2 of p and between p and
-    the nearest node, so the interpolant of smooth is one cubic there.
-    """
-    x = grid.nodes
-    below = x[x < p]
-    above = x[x > p]
-    room_l = min(p - (below[-1] if below.size else 0.0), p / 2)
-    room_r = min((above[0] if above.size else grid.cutoff) - p, p / 2)
-    d_l, d_r = p, grid.cutoff - p
-    u_l, w_l, c_l = _distance_panels(d_l, _panel_depth(d_l, room_l))
-    u_r, w_r, c_r = _distance_panels(d_r, _panel_depth(d_r, room_r))
-    pts = np.concatenate([p - u_l, p + u_r])
-    logf = np.concatenate([np.log1p(2.0 * (p - u_l) / u_l), np.log1p(2.0 * p / u_r)])
-    wts = np.concatenate([w_l, w_r]) * logf + np.concatenate([c_l, c_r])
-    return pts, wts
-
-
-def integrate_with_log_singularity(
-    grid: RadialGrid,
-    p: float,
-    smooth_part: np.ndarray,
-    log_weight_fn=None,
-) -> float:
-    """Integrate smooth(s) * ln((p+s)/|p-s|) over (0, cutoff).
-
-    smooth_part holds samples of the smooth factor at the grid nodes; it is
-    interpolated onto a rule split at s = p with panels graded toward the
-    singular point, so the integrable log endpoint costs no accuracy.
-    """
-    if not 0 < p < grid.cutoff:
-        raise InvalidParameterError(f"singular point p={p} must lie inside (0, {grid.cutoff})")
-    smooth_part = np.asarray(smooth_part, dtype=float)
-    if smooth_part.shape != grid.nodes.shape:
-        raise ShapeMismatchError("smooth_part does not match grid")
-    if not np.any(smooth_part):
-        return 0.0
-    h = PchipInterpolator(grid.nodes, smooth_part, extrapolate=True)
-    if log_weight_fn is None:
-        pts, wts = log_singular_points(grid, p)
-        return float(np.dot(wts, h(pts)))
-    pts_l, w_l = dyadic_gauss_panels(0.0, p, singular_at="b")
-    pts_r, w_r = dyadic_gauss_panels(p, grid.cutoff, singular_at="a")
-    pts = np.concatenate([pts_l, pts_r])
-    wts = np.concatenate([w_l, w_r])
-    return float(np.dot(wts * log_weight_fn(pts), h(pts)))
+def geometric_bounds_grid(first, cutoff, n=512):
+    """n cells with bounds 0, then geometric from first to cutoff: the
+    geometric grid of numerics.make_grid with its origin set by hand."""
+    bounds = np.concatenate([[0.0], np.geomspace(first, cutoff, n)])
+    return RadialGrid(0.5 * (bounds[1:] + bounds[:-1]), np.diff(bounds), cutoff)
 
 
 # ---------------------------------------------------------------- dispersion

@@ -32,7 +32,14 @@ from bdfvac.numerics import (
     _graded_panels,
     make_grid,
 )
-from oracles import angular_kernel_K0, angular_kernel_K1, e_tilde, interp, kernel_row_by_quad
+from oracles import (
+    angular_kernel_K0,
+    angular_kernel_K1,
+    e_tilde,
+    geometric_bounds_grid,
+    interp,
+    kernel_row_by_quad,
+)
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -259,13 +266,7 @@ class TestFoldedQuadrature:
 def _deep_grid():
     """512 cells with geometric bounds from 1e-3 to 1e13: the nodes span
     16 decades, more than a fixed 52 halvings of the cutoff reach."""
-    return _geometric_bounds_grid(1e-3, 1e13)
-
-
-def _geometric_bounds_grid(first, cutoff, n=512):
-    """n cells with bounds 0, then geometric from first to cutoff."""
-    bounds = np.concatenate([[0.0], np.geomspace(first, cutoff, n)])
-    return RadialGrid(0.5 * (bounds[1:] + bounds[:-1]), np.diff(bounds), cutoff)
+    return geometric_bounds_grid(1e-3, 1e13)
 
 
 @pytest.fixture(scope="module", params=[0.01, STRONG_ALPHA], ids=lambda a: f"alpha{a:g}")
@@ -334,7 +335,7 @@ def _apply_grids():
     grids["deep"] = (_deep_grid(), STRONG_ALPHA)
     # 47 decades, the span alpha = 5e-4 at L = 0.05 needs (cutoff 2.7e43);
     # alpha = 1.2 has no fixed point there
-    grids["47-decades"] = (_geometric_bounds_grid(1e-4, 2.7e43), 5e-4)
+    grids["47-decades"] = (geometric_bounds_grid(1e-4, 2.7e43), 5e-4)
     return grids
 
 
@@ -488,7 +489,7 @@ class TestSolveDispersion:
 
     def test_m_alpha_regression(self, solved):
         # frozen value from this pipeline; guards against silent drift
-        assert math.isclose(m_alpha(solved), 1.0316962787415533, rel_tol=1e-8)
+        assert math.isclose(m_alpha(solved), 1.0316963017509622, rel_tol=1e-8)
 
     def test_g0_derivative_bounds(self, solved):
         d1 = np.gradient(solved.g0, solved.grid.nodes)
@@ -499,6 +500,13 @@ class TestSolveDispersion:
     def test_grid_doubling_stability(self, solved):
         d2 = solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 1024, "geometric"))
         assert abs(m_alpha(d2) - m_alpha(solved)) < 1e-6
+
+    def test_origin_converged(self, solved):
+        # m and g1'(0) extrapolate to 0 from the first node; moving the
+        # grid's origin a decade below make_grid's leaves both within 1e-8
+        d = solve_dispersion(ModelParams(ALPHA, CUTOFF), geometric_bounds_grid(1e-5, CUTOFF))
+        assert abs(m_alpha(d) - m_alpha(solved)) <= 1e-8
+        assert abs(g1_prime_zero(d) - g1_prime_zero(solved)) <= 1e-8
 
     def test_mass_shift_nearly_linear_in_alpha(self, solved):
         grid = make_grid(CUTOFF, 512, "geometric")

@@ -9,7 +9,7 @@ tests/oracles.py.
 
 The profiles have one PCHIP slope routine, dispersion._pchip_slopes: no
 module refers to scipy's PchipInterpolator, which the tests keep as the
-oracle.
+oracle, or to polyfit, which would read a profile past its interpolant.
 
 Each pipeline stage is also set up in one place: the geometric momentum
 grid, the uniform direct-space grid, the SCF kernel rules and the radial
@@ -97,9 +97,12 @@ def test_every_top_level_definition_is_used(path):
 
 def test_profiles_have_one_pchip_slope_routine():
     # Dispersion.interpolant takes its slopes from _pchip_slopes, like the
-    # SCF operators; scipy's PchipInterpolator is the tests' oracle only
-    users = [p.stem for p in MODULES if "PchipInterpolator" in _used_names([TREES[p]])]
-    assert not users, f"PchipInterpolator is used in {users}"
+    # SCF operators, and the values and slopes at p = 0 are read from it;
+    # scipy's PchipInterpolator is the tests' oracle only
+    forbidden = {"PchipInterpolator", "polyfit"}
+    users = {p.stem: sorted(forbidden & _used_names([TREES[p]])) for p in MODULES}
+    users = {stem: names for stem, names in users.items() if names}
+    assert not users, f"a second profile-read path: {users}"
 
 
 def _callers(callee: str, matches=lambda call: True) -> set:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdfvac.numerics import (
+    MOMENTUM_ORIGIN,
     FixedPointError,
     InvalidParameterError,
     OutOfRangeError,
@@ -17,7 +18,7 @@ from bdfvac.numerics import (
     make_grid,
     write_json,
 )
-from oracles import integrate_with_log_singularity, interp, log_singular_points
+from oracles import interp
 
 
 def SUP(delta):
@@ -46,6 +47,12 @@ class TestMakeGrid:
     def test_geometric_clusters_near_origin(self):
         g = make_grid(1e4, 512, "geometric")
         assert np.count_nonzero(g.nodes < 1e2) >= 4
+
+    def test_first_node_does_not_move_with_the_cutoff(self):
+        for cutoff in (10.0, 1e4, 1e7, 1e40):
+            g = make_grid(cutoff, 512, "geometric")
+            assert g.nodes[0] == MOMENTUM_ORIGIN / 2
+            assert math.isclose(g.weights[1:].sum(), cutoff - MOMENTUM_ORIGIN, rel_tol=1e-14)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -79,7 +86,7 @@ class TestIntegrate:
 
 class TestInterp:
     def test_reproduces_smooth_function(self):
-        g = make_grid(2.0, 256, "geometric")
+        g = make_grid(2.0, 512, "geometric")
         samples = np.cos(g.nodes)
         q = np.array([0.1, 0.5, 1.7])
         assert np.allclose(interp(g, samples, q), np.cos(q), atol=1e-6)
@@ -93,35 +100,6 @@ class TestInterp:
         g = make_grid(2.0, 64, "uniform")
         with pytest.raises(OutOfRangeError):
             interp(g, np.ones(64), 2.5)
-
-
-class TestLogSingularQuadrature:
-    def test_unit_smooth_oracle(self):
-        # int_0^2 ln((1+s)/|1-s|) ds = 3 ln 3, by explicit antiderivative
-        g = make_grid(2.0, 64, "uniform")
-        val = integrate_with_log_singularity(g, 1.0, np.ones(64))
-        assert math.isclose(val, 3.0 * math.log(3.0), rel_tol=1e-12)
-
-    def test_polynomial_smooth_oracle(self):
-        # independent oracle: adaptive quadrature with a declared breakpoint
-        from scipy.integrate import quad
-
-        oracle, _ = quad(
-            lambda s: s * math.log((1.0 + s) / abs(1.0 - s)), 0.0, 2.0, points=[1.0]
-        )
-        g = make_grid(2.0, 512, "uniform")
-        val = integrate_with_log_singularity(g, 1.0, g.nodes.copy())
-        assert math.isclose(val, oracle, rel_tol=1e-9)
-
-    def test_rule_weights_are_finite(self):
-        pts, wts = log_singular_points(make_grid(10.0, 64, "uniform"), 3.0)
-        assert np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))
-        assert np.all(pts > 0) and np.all(pts < 10.0)
-
-    def test_singular_point_must_be_interior(self):
-        g = make_grid(2.0, 64, "uniform")
-        with pytest.raises(InvalidParameterError):
-            integrate_with_log_singularity(g, 2.5, np.ones(64))
 
 
 class TestFixedPoint:

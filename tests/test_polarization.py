@@ -33,6 +33,7 @@ from oracles import (
     b_lambda_k_raw,
     b_lambda_k_unfolded,
     free_b_lambda_zero,
+    geometric_bounds_grid,
     kernel_bound_per_sample,
     screened_density,
 )
@@ -134,6 +135,12 @@ def free():
 @pytest.fixture(scope="module")
 def dressed_large():
     cut = 1e6
+    return solve_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
+
+
+@pytest.fixture(scope="module", params=[1e6, 1e7], ids=lambda c: f"cutoff{c:g}")
+def dressed_deep(request):
+    cut = request.param
     return solve_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
 
 
@@ -414,7 +421,14 @@ class TestPointwiseKernelBound:
 
     @pytest.mark.parametrize("cutoff", [1e4, 1e6])
     def test_batched_matches_per_sample(self, cutoff):
-        d = solve_dispersion(ModelParams(ALPHA, cutoff), make_grid(cutoff, 512, "geometric"))
+        # at 1e6 the grid's origin is at 1.0, so the samples below the
+        # first node read the interpolant extrapolated over p < 0.5, and
+        # most of these seeds break the bound
+        if cutoff == 1e6:
+            grid = geometric_bounds_grid(1.0, cutoff)
+        else:
+            grid = make_grid(cutoff, 512, "geometric")
+        d = solve_dispersion(ModelParams(ALPHA, cutoff), grid)
         reports = [kernel_difference_bound_check(d, seed) for seed in range(10)]
         for seed, rep in enumerate(reports):
             ref = kernel_bound_per_sample(d, seed)
@@ -423,6 +437,23 @@ class TestPointwiseKernelBound:
         if cutoff == 1e6:
             # the comparison covers samples that break the bound
             assert any(rep.violations > 0 for rep in reports)
+
+
+class TestLargeCutoff:
+    """verify's polarization checks at cutoffs 1e6 and 1e7.  The kernel
+    bound samples |p| down to 1/cutoff; the first node is at
+    MOMENTUM_ORIGIN/2 at every cutoff, so the profiles below it are
+    extrapolated over p < 5e-5 only."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_kernel_bound_holds(self, dressed_deep, seed):
+        assert kernel_difference_bound_check(dressed_deep, seed).violations == 0
+
+    def test_continuity_and_k0_consistency(self, dressed_deep):
+        k = default_k_nodes(dressed_deep.grid.cutoff, 128, DEFAULT_K_MIN)
+        table = polarization_table(dressed_deep, k[k <= 0.1])
+        assert continuity_modulus(table).max_ratio <= 10.0
+        assert abs(b_lambda_k(dressed_deep, K_SWITCH) / table.B0_at_zero - 1.0) <= 1e-6
 
 
 class TestChargeRenormalization:
