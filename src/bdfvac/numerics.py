@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,15 @@ class RadialGrid:
     @property
     def n_points(self) -> int:
         return self.nodes.size
+
+    @cached_property
+    def uniform_spacing(self) -> float:
+        """The common node spacing, found and checked once per grid;
+        InvalidParameterError where the nodes are not evenly spaced."""
+        h = np.diff(self.nodes)
+        if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
+            raise InvalidParameterError("the direct-space solver needs a uniform grid")
+        return float(h[0])
 
 
 def make_grid(cutoff: float, n_points: int, clustering: str) -> RadialGrid:

@@ -39,7 +39,8 @@ class PekarState:
 
     T is the kinetic quadratic form of the discrete radial Laplacian, D the
     Coulomb direct energy, E = T - D, and mu = T - 2D the Lagrange
-    multiplier of the Euler-Lagrange equation -lap phi - 2 V phi = mu phi.
+    multiplier of the Euler-Lagrange equation -lap phi - 2 V phi = mu phi,
+    with V the Hartree potential of phi**2.
     """
 
     grid: RadialGrid
@@ -48,13 +49,7 @@ class PekarState:
     D: float
     E: float
     mu: float
-
-
-def _uniform_spacing(grid: RadialGrid) -> float:
-    h = np.diff(grid.nodes)
-    if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
-        raise InvalidParameterError("the direct-space solver needs a uniform grid")
-    return float(h[0])
+    V: np.ndarray
 
 
 def _norm_sq(grid: RadialGrid, phi: np.ndarray) -> float:
@@ -93,25 +88,27 @@ def hartree_potential(grid: RadialGrid, n: np.ndarray) -> np.ndarray:
     return 4.0 * math.pi * (inner / r + outer)
 
 
-def direct_energy(grid: RadialGrid, n: np.ndarray) -> float:
-    """D(n, n) via the Hartree potential."""
-    V = hartree_potential(grid, n)
-    return 4.0 * math.pi * integrate(grid, V * n * grid.nodes**2)
-
-
 def kinetic_energy(grid: RadialGrid, phi: np.ndarray) -> float:
     """Quadratic form 4 pi int u (-u'') dr of the discrete operator."""
-    h = _uniform_spacing(grid)
+    h = grid.uniform_spacing
     u = grid.nodes * phi
     return 4.0 * math.pi * h * float(np.dot(u, -_laplacian_u(u, h)))
 
 
 def make_state(grid: RadialGrid, phi: np.ndarray) -> PekarState:
-    """Normalize phi and fill in the energy components."""
+    """Normalize phi and fill in the energy components.  The state keeps
+    the Hartree potential V of phi**2 that its direct energy D needs, for
+    the next descent step and the EL residual to read.  A profile whose
+    energy is not finite raises InvalidParameterError."""
     phi = normalize(grid, np.asarray(phi, dtype=float))
     T = kinetic_energy(grid, phi)
-    D = direct_energy(grid, phi**2)
-    return PekarState(grid=grid, phi=phi, T=T, D=D, E=T - D, mu=T - 2.0 * D)
+    n = phi**2
+    V = hartree_potential(grid, n)
+    D = 4.0 * math.pi * integrate(grid, V * n * grid.nodes**2)
+    E = T - D
+    if not math.isfinite(E):
+        raise InvalidParameterError(f"Pekar energy {E} is not finite")
+    return PekarState(grid=grid, phi=phi, T=T, D=D, E=E, mu=T - 2.0 * D, V=V)
 
 
 def gaussian_state(grid: RadialGrid) -> PekarState:
@@ -120,39 +117,43 @@ def gaussian_state(grid: RadialGrid) -> PekarState:
     return make_state(grid, phi)
 
 
-def _apply_h(grid: RadialGrid, phi: np.ndarray, h: float) -> np.ndarray:
-    """H phi = -lap phi - 2 V phi through the u = r phi substitution."""
-    V = hartree_potential(grid, phi**2)
-    u = grid.nodes * phi
-    return -_laplacian_u(u, h) / grid.nodes - 2.0 * V * phi
+def _apply_h(state: PekarState) -> np.ndarray:
+    """H phi = -lap phi - 2 V phi through the u = r phi substitution, with
+    the Hartree potential V the state carries."""
+    r = state.grid.nodes
+    u = r * state.phi
+    return -_laplacian_u(u, state.grid.uniform_spacing) / r - 2.0 * state.V * state.phi
 
 
 def _semi_implicit_step(state: PekarState, dt: float) -> PekarState:
     """Descent step with the whole linearized Hamiltonian implicit.
 
     Solves (I + dt (A - 2V)) u_new = u for the tridiagonal A = -d^2/dr^2
-    (the ghost closure of _laplacian_u) with the Hartree potential V
-    frozen at the current iterate.  After renormalization the fixed point
-    satisfies the discrete Euler-Lagrange equation exactly for any dt, and
-    there is no h^2 stability ceiling, so large steps are admissible and
-    the driver converges in a grid-independent number of iterations.
+    (the ghost closure of _laplacian_u) with the Hartree potential V the
+    state carries frozen.  LAPACK's gtsv solves the system, the routine
+    scipy's solve_banded calls for one band either side, without that
+    wrapper's per-call checks: a singular system raises LinAlgError here,
+    and make_state refuses a step whose energy is not finite.  After
+    renormalization the fixed point satisfies the discrete Euler-Lagrange
+    equation exactly for any dt, and there is no h^2 stability ceiling, so
+    large steps are admissible and the driver converges in a
+    grid-independent number of iterations.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     grid = state.grid
-    h = _uniform_spacing(grid)
+    h = grid.uniform_spacing
     r = grid.nodes
     u = r * state.phi
-    V = hartree_potential(grid, state.phi**2)
+    V = state.V
     c = dt / (h * h)
-    n = u.size
-    ab = np.empty((3, n))
-    ab[0, :] = -c
-    ab[1, :] = 1.0 + 2.0 * c - 2.0 * dt * V
-    ab[1, 0] = 1.0 + 3.0 * c - 2.0 * dt * V[0]
-    ab[1, -1] = 1.0 + 3.0 * c - 2.0 * dt * V[-1]
-    ab[2, :] = -c
-    u_new = solve_banded((1, 1), ab, u)
+    diag = 1.0 + 2.0 * c - 2.0 * dt * V
+    diag[0] = 1.0 + 3.0 * c - 2.0 * dt * V[0]
+    diag[-1] = 1.0 + 3.0 * c - 2.0 * dt * V[-1]
+    off = np.full(u.size - 1, -c)
+    *_, u_new, info = dgtsv(off, diag, off, u, overwrite_d=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular descent system (gtsv info {info})")
     phi = u_new / r
     np.clip(phi, 0.0, None, out=phi)
     return make_state(grid, phi)
@@ -161,8 +162,7 @@ def _semi_implicit_step(state: PekarState, dt: float) -> PekarState:
 def el_residual(state: PekarState) -> float:
     """L^2 norm of the Euler-Lagrange defect -lap phi - 2 V phi - mu phi,
     with mu taken as the discrete Rayleigh quotient."""
-    h = _uniform_spacing(state.grid)
-    hphi = _apply_h(state.grid, state.phi, h)
+    hphi = _apply_h(state)
     r2 = state.grid.nodes**2
     mu = 4.0 * math.pi * integrate(state.grid, hphi * state.phi * r2)
     defect = hphi - mu * state.phi
@@ -221,8 +221,7 @@ def solve_pekar(
 
 def state_to_csv(state: PekarState, csv_path, json_path):
     """CSV body r, phi, V plus a JSON summary of the scalars."""
-    V = hartree_potential(state.grid, state.phi**2)
-    write_csv(csv_path, ("r", "phi", "V"), (state.grid.nodes, state.phi, V))
+    write_csv(csv_path, ("r", "phi", "V"), (state.grid.nodes, state.phi, state.V))
     summary = {"T": state.T, "D": state.D, "E": state.E, "mu": state.mu}
     summary["residual"] = el_residual(state)
     write_json(json_path, summary)

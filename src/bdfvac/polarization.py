@@ -23,9 +23,12 @@ for r in [max(0, k - Cut), Cut].  The radial panels break at the two
 kinks of those limits, r = k/2 and r = |Cut - k|, so that no Gauss panel
 straddles one, and q = 0, a conic point of the integrand in coordinates
 centred on l, is the coordinate origin.  Each panel takes a 16 x 16 Gauss
-rule in (r, c), and each B(k) integrates all of its panels in one array
-pass, the per-panel sums added in panel order.  |q| = r is a radial
-node, so the q side of the interpolant is read once per node.
+rule in (r, c).  b_lambda_k takes one k or a 1-d array of them: the
+panels of every k go through the integrand together, PANELS_PER_PASS at
+a time, and each k adds its panel sums in panel order, so a k's B does
+not depend on the other k of its call.  polarization_table makes one
+such call for all of its k from K_SWITCH on.  |q| = r is a radial node,
+so the q side of the interpolant is read once per node.
 
 B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
 the one (g0, g1) interpolant the Dispersion caches.  Where float64
@@ -55,6 +58,10 @@ _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 # B(k)'s radial panels grow by this factor from r = k/2 to the cutoff
 PANEL_RATIO = 4.0
+# radial panels that one B(k) array pass integrates: each (panels, 16, 16)
+# temporary then takes 64 kB, and a pass about 1.5 MB.  At 512 and 2048
+# momentum nodes, 16 to 64 panels run within 10% of one another.
+PANELS_PER_PASS = 32
 
 
 @dataclass(frozen=True)
@@ -135,45 +142,66 @@ def _wedge_integrand(lx, pz, qz, pn, qn, gp, gq):
     return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
 
 
-def _b_lambda_k_generic(d: Dispersion, k: float, integrand) -> float:
-    """B(k) with integrand(lx, pz, qz, pn, qn, gp, gq) on the (r, c) rule of
-    every radial panel of the half-space |p| >= |q|."""
+def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
+    """B at each k of the 1-d array k, with integrand(lx, pz, qz, pn, qn, gp,
+    gq) on the (r, c) rule of every radial panel of the half-space |p| >= |q|.
+
+    The panels of all k go through the integrand together, PANELS_PER_PASS
+    at a time, and each k adds its panel sums in panel order."""
     cut = d.grid.cutoff
-    if k <= 0 or k > 2.0 * cut:
-        raise OutOfRangeError(f"k={k} outside (0, {2 * cut}]")
-    edges = _radial_edges(k, cut)
-    if edges.size < 2:
-        return 0.0
-    a, b = edges[:-1, None], edges[1:, None]
+    outside = ~((k > 0) & (k <= 2.0 * cut))
+    if outside.any():
+        raise OutOfRangeError(f"k={k[outside][0]} outside (0, {2 * cut}]")
+    edges = [_radial_edges(kk, cut) for kk in k]
+    counts = np.array([e.size - 1 for e in edges], dtype=int)
+    a = np.concatenate([np.empty(0), *(e[:-1] for e in edges)])[:, None]
+    b = np.concatenate([np.empty(0), *(e[1:] for e in edges)])[:, None]
+    kp = np.repeat(k, counts)[:, None]  # the k of each panel
     r = 0.5 * (a + b) + 0.5 * (b - a) * _GL16_X
-    rw = 0.5 * (b - a) * _GL16_W
+    w = 0.5 * (b - a) * _GL16_W * r * r
     # c from the plane |p| = |q| to the sphere |p| = cut
-    c_lo = np.maximum(-1.0, -0.5 * k / r)
-    c_hi = np.minimum(1.0, 0.5 * ((cut - r) * (cut + r) / k - k) / r)
+    c_lo = np.maximum(-1.0, -0.5 * kp / r)
+    c_hi = np.minimum(1.0, 0.5 * ((cut - r) * (cut + r) / kp - kp) / r)
     mid, half = (0.5 * (c_hi + c_lo))[..., None], (0.5 * (c_hi - c_lo))[..., None]
-    c, cw = mid + half * _GL16_X, half * _GL16_W
-    # q = r (sin, 0, c), p = q + k e_z: one (panels, 16, 16) array per k
-    qn = r[..., None]
-    lx = qn * np.sqrt(1.0 - c * c)
-    qz = qn * c
-    pz = qz + k
-    pn = np.sqrt(lx * lx + pz * pz)
     gq = d.interpolant(r)[..., None, :]
-    f = integrand(lx, pz, qz, pn, qn, d.interpolant(pn), gq)
-    rows = np.sum(f * cw, axis=-1)
-    # panel-by-panel accumulation, in panel order
-    total = 0.0
-    for w_row, f_row in zip(rw * r * r, rows):
-        total += float(np.dot(w_row, f_row))
+    sums = np.empty(len(r))
+    for start in range(0, len(r), PANELS_PER_PASS):
+        part = slice(start, start + PANELS_PER_PASS)
+        c, cw = mid[part] + half[part] * _GL16_X, half[part] * _GL16_W
+        # q = r (sin, 0, c), p = q + k e_z: one (panels, 16, 16) array
+        qn = r[part, :, None]
+        lx = qn * np.sqrt(1.0 - c * c)
+        qz = qn * c
+        pz = qz + kp[part, :, None]
+        pn = np.sqrt(lx * lx + pz * pz)
+        f = integrand(lx, pz, qz, pn, qn, d.interpolant(pn), gq[part])
+        # one 16-point dot a panel, the same sum as np.dot row by row
+        sums[part] = np.vecdot(w[part], np.sum(f * cw, axis=-1))
+    # panel-by-panel accumulation, in panel order; a k whose ball is empty
+    # has no panel and keeps 0
+    first = np.cumsum(counts) - counts
+    total = np.zeros(k.size)
+    for j in range(counts.max(initial=0)):
+        has = counts > j
+        total[has] += sums[first[has] + j]
     # azimuthal 2 pi, and 2 for the half-space |p| < |q|
     return 4.0 * total / (math.pi * k * k)
 
 
-def b_lambda_k(d: Dispersion, k: float) -> float:
-    """B(k) for k > 0 by 2-d reduction of the momentum-ball integral."""
+def b_lambda_k(d: Dispersion, k):
+    """B(k) for k > 0 by 2-d reduction of the momentum-ball integral: a
+    float for a float k, an array for a 1-d array of k.
+
+    Raises OutOfRangeError for any k outside (0, 2 cutoff], and
+    InvalidParameterError naming the first k whose B is not finite."""
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        Bk = _b_lambda_k_generic(d, k, _wedge_integrand)
-    return _finite(Bk, f"B({k:g})", d)
+        Bk = _b_lambda_k_generic(d, ks, _wedge_integrand)
+    bad = ~np.isfinite(Bk)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _finite(float(Bk[i]), f"B({ks[i]:g})", d)
+    return float(Bk[0]) if np.ndim(k) == 0 else Bk
 
 
 def b_screening(B_value: float, alpha: float) -> float:
@@ -194,12 +222,17 @@ def default_k_nodes(cutoff: float, n: int, k_min: float):
 
 def polarization_table(d: Dispersion, k_nodes: np.ndarray) -> PolarizationTable:
     """Tabulate B and b on a k grid; k below K_SWITCH uses the radial
-    closed form (continuity at 0 backs the substitution).  An empty k grid
-    gives B0_at_zero alone."""
+    closed form (continuity at 0 backs the substitution), and every other
+    k goes into one b_lambda_k call.  An empty k grid gives B0_at_zero
+    alone."""
     k_nodes = np.asarray(k_nodes, dtype=float)
     B0 = b_lambda_zero_radial(d)
     alpha = d.params.alpha
-    B = np.array([B0 if k < K_SWITCH else b_lambda_k(d, k) for k in k_nodes])
+    B = np.full(k_nodes.shape, B0)
+    # not "k >= K_SWITCH": a NaN k goes to b_lambda_k, which refuses it
+    integral = ~(k_nodes < K_SWITCH)
+    if integral.any():
+        B[integral] = b_lambda_k(d, k_nodes[integral])
     b = np.array([b_screening(Bk, alpha) for Bk in B])
     return PolarizationTable(d.params, k_nodes, B, b, B0)
 

@@ -7,8 +7,9 @@ integrand against the wedge form, an unfolded l-centred rule graded
 toward the integrand's kinks against B(k)'s q-centred one, the
 per-sample kernel-bound check against the batched one, the free B(0)
 against its closed form, the explicit descent step against the implicit
-one, closed forms against the assembled breakdown) or small helpers the
-tests use.  pytest does not collect this module: its name has no test_
+one, the banded Pekar descent against the one that reuses each Hartree
+potential, closed forms against the assembled breakdown) or small
+helpers the tests use.  pytest does not collect this module: its name has no test_
 prefix.
 """
 
@@ -20,13 +21,32 @@ from dataclasses import fields
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 from scipy.interpolate import PchipInterpolator
 
 from bdfvac.cli import RunConfig
 from bdfvac.dispersion import Dispersion
 from bdfvac.energy import _ingredients
-from bdfvac.numerics import InvalidParameterError, OutOfRangeError, RadialGrid, ShapeMismatchError
-from bdfvac.pekar import PekarState, _apply_h, _uniform_spacing, make_state
+from bdfvac.numerics import (
+    InvalidParameterError,
+    OutOfRangeError,
+    RadialGrid,
+    ShapeMismatchError,
+    integrate,
+)
+from bdfvac.pekar import (
+    DEFAULT_DT,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    GAUSSIAN_SIGMA_STAR,
+    PekarState,
+    _apply_h,
+    _laplacian_u,
+    hartree_potential,
+    kinetic_energy,
+    make_state,
+    normalize,
+)
 from bdfvac.polarization import (
     KernelBoundReport,
     PolarizationTable,
@@ -154,7 +174,7 @@ def _raw_integrand(lx, pz, qz, pn, qn, gp, gq):
 
 def b_lambda_k_raw(d: Dispersion, k: float) -> float:
     """B(k) from the cancellation-prone raw integrand (validation only)."""
-    return _b_lambda_k_generic(d, k, _raw_integrand)
+    return float(_b_lambda_k_generic(d, np.array([k]), _raw_integrand)[0])
 
 
 def _graded_breaks(a: float, b: float, levels: int) -> np.ndarray:
@@ -281,10 +301,84 @@ def imaginary_time_step(state: PekarState, dt: float) -> PekarState:
     """
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    h = _uniform_spacing(state.grid)
-    phi = state.phi - dt * _apply_h(state.grid, state.phi, h)
+    phi = state.phi - dt * _apply_h(state)
     np.clip(phi, 0.0, None, out=phi)
     return make_state(state.grid, phi)
+
+
+def direct_energy(grid: RadialGrid, n: np.ndarray) -> float:
+    """D(n, n) via the Hartree potential."""
+    V = hartree_potential(grid, n)
+    return 4.0 * math.pi * integrate(grid, V * n * grid.nodes**2)
+
+
+def _banded_state(grid: RadialGrid, phi: np.ndarray) -> PekarState:
+    """make_state with D from direct_energy, which finds the Hartree
+    potential anew."""
+    phi = normalize(grid, np.asarray(phi, dtype=float))
+    T = kinetic_energy(grid, phi)
+    D = direct_energy(grid, phi**2)
+    V = hartree_potential(grid, phi**2)
+    return PekarState(grid=grid, phi=phi, T=T, D=D, E=T - D, mu=T - 2.0 * D, V=V)
+
+
+def _banded_step(state: PekarState, dt: float) -> PekarState:
+    """The implicit descent step through scipy's solve_banded, with the
+    Hartree potential recomputed from phi."""
+    grid = state.grid
+    h = grid.uniform_spacing
+    r = grid.nodes
+    u = r * state.phi
+    V = hartree_potential(grid, state.phi**2)
+    c = dt / (h * h)
+    n = u.size
+    ab = np.empty((3, n))
+    ab[0, :] = -c
+    ab[1, :] = 1.0 + 2.0 * c - 2.0 * dt * V
+    ab[1, 0] = 1.0 + 3.0 * c - 2.0 * dt * V[0]
+    ab[1, -1] = 1.0 + 3.0 * c - 2.0 * dt * V[-1]
+    ab[2, :] = -c
+    u_new = solve_banded((1, 1), ab, u)
+    phi = u_new / r
+    np.clip(phi, 0.0, None, out=phi)
+    return _banded_state(grid, phi)
+
+
+def _banded_el_residual(state: PekarState) -> float:
+    """el_residual with the Hartree potential recomputed from phi."""
+    grid, phi = state.grid, state.phi
+    h = grid.uniform_spacing
+    r = grid.nodes
+    V = hartree_potential(grid, phi**2)
+    hphi = -_laplacian_u(r * phi, h) / r - 2.0 * V * phi
+    r2 = r**2
+    mu = 4.0 * math.pi * integrate(grid, hphi * phi * r2)
+    defect = hphi - mu * phi
+    return math.sqrt(4.0 * math.pi * integrate(grid, defect**2 * r2))
+
+
+def solve_pekar_banded(
+    grid: RadialGrid, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> PekarState:
+    """solve_pekar's descent loop on the banded step: the same schedule
+    from the same Gaussian, each Hartree potential recomputed where it is
+    read."""
+    state = _banded_state(grid, np.exp(-grid.nodes**2 / (2.0 * GAUSSIAN_SIGMA_STAR**2)))
+    dt = DEFAULT_DT
+    check_every = 20
+    for it in range(1, max_iter + 1):
+        new = _banded_step(state, dt)
+        if new.E - state.E > 1e-12:
+            dt *= 0.5
+            if dt < 1e-12:
+                break
+            continue
+        state = new
+        if it % check_every == 0 and _banded_el_residual(state) <= tol:
+            return state
+    if _banded_el_residual(state) <= tol:
+        return state
+    raise AssertionError("the banded descent did not converge")
 
 
 # ---------------------------------------------------------------- energy

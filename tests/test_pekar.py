@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import bdfvac.pekar
-from bdfvac.numerics import InvalidParameterError, make_grid
+from bdfvac.numerics import InvalidParameterError, RadialGrid, make_grid
 from bdfvac.pekar import (
     GAUSSIAN_BOUND,
     GAUSSIAN_SIGMA_STAR,
     PekarConvergenceError,
-    direct_energy,
+    PekarState,
+    _semi_implicit_step,
     el_residual,
     gaussian_state,
     hartree_potential,
@@ -19,7 +20,7 @@ from bdfvac.pekar import (
     solve_pekar,
     state_to_csv,
 )
-from oracles import gaussian_trial_energy, imaginary_time_step
+from oracles import direct_energy, gaussian_trial_energy, imaginary_time_step, solve_pekar_banded
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +174,51 @@ class TestMinimizer:
 
     def test_gaussian_profile_is_not_stationary(self, grid):
         assert el_residual(gaussian_state(grid)) > 1e-2
+
+
+class TestStepReuse:
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_bitwise_equal_to_the_banded_descent(self, n):
+        grid = make_grid(40.0, n, "uniform")
+        st, ref = solve_pekar(grid), solve_pekar_banded(grid)
+        assert np.array_equal(st.phi, ref.phi)
+        assert np.array_equal(st.V, ref.V)
+        assert (st.T, st.D, st.E, st.mu) == (ref.T, ref.D, ref.E, ref.mu)
+
+    def test_one_hartree_potential_per_state(self, grid, monkeypatch):
+        # bench/spans.py counts make_state calls as pekar.steps
+        calls = {"make_state": 0, "hartree_potential": 0}
+        for name in calls:
+            original = getattr(bdfvac.pekar, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(bdfvac.pekar, name, counting)
+        solve_pekar(grid)
+        assert calls == {"make_state": 101, "hartree_potential": 101}
+
+    def _state(self, phi, V):
+        # two nodes, h = 1: at dt = 0.5 the descent matrix is [[d0, -c], [-c, d1]]
+        # with c = 0.5 and d = 2.5 - V
+        grid = RadialGrid(np.array([0.5, 1.5]), np.ones(2), 2.0)
+        return PekarState(grid, np.array(phi), 0.0, 0.0, 0.0, 0.0, np.array(V))
+
+    def test_singular_step_raises(self):
+        # V = 2 gives d0 = d1 = c: the determinant c^2 - c^2 is exactly 0
+        with pytest.raises(np.linalg.LinAlgError):
+            _semi_implicit_step(self._state([1.0, 1.0], [2.0, 2.0]), 0.5)
+
+    def test_non_finite_step_raises(self):
+        with pytest.raises(ValueError):
+            _semi_implicit_step(self._state([1.0, math.nan], [0.0, math.nan]), 0.5)
+
+    def test_non_finite_profile_raises(self, grid):
+        phi = np.exp(-grid.nodes)
+        phi[7] = math.nan
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            make_state(grid, phi)
 
 
 class TestSerialization:

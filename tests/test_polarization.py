@@ -11,7 +11,7 @@ import bdfvac.dispersion
 import bdfvac.polarization
 from bdfvac.dispersion import ModelParams, free_dispersion, solve_dispersion
 from bdfvac.energy import regime_sweep
-from bdfvac.numerics import InvalidParameterError, make_grid
+from bdfvac.numerics import InvalidParameterError, OutOfRangeError, make_grid
 from bdfvac.pekar import solve_pekar
 from bdfvac.polarization import (
     _GL16_W,
@@ -19,6 +19,8 @@ from bdfvac.polarization import (
     DEFAULT_K_MIN,
     K_SWITCH,
     PANEL_RATIO,
+    PANELS_PER_PASS,
+    _wedge_integrand,
     b_lambda_k,
     b_lambda_zero_radial,
     b_screening,
@@ -158,6 +160,15 @@ def unfolded():
 
 
 @pytest.fixture(scope="module")
+def chunked_k(dressed):
+    """The k >= K_SWITCH of a 64-node table grid, with B from the per-panel
+    reference."""
+    k = default_k_nodes(CUTOFF, 64, DEFAULT_K_MIN)
+    k = k[k >= K_SWITCH]
+    return k, [per_panel_b_lambda_k(dressed, kk, reference_wedge_integrand) for kk in k]
+
+
+@pytest.fixture(scope="module")
 def table(dressed):
     return polarization_table(dressed, default_k_nodes(CUTOFF, 128, DEFAULT_K_MIN))
 
@@ -273,19 +284,46 @@ class TestBatchedQuadrature:
         # the half-space |p| >= |q| inside the cutoff sphere
         assert np.all(points >= radial[..., None]) and np.all(points < cut)
 
-    def test_table_calls_b_k_once_per_k_from_the_switch(self, dressed, monkeypatch):
+    def test_table_makes_one_b_k_call_from_the_switch(self, dressed, monkeypatch):
         # bench/spans.py counts these calls as polarization.b_k_calls
         calls = []
 
         def counting(d, k):
-            calls.append(k)
+            calls.append(np.array(k))
             return b_lambda_k(d, k)
 
         monkeypatch.setattr(bdfvac.polarization, "b_lambda_k", counting)
         k = default_k_nodes(CUTOFF, 16, DEFAULT_K_MIN)
         polarization_table(dressed, k)
         assert np.any(k < K_SWITCH)
-        assert calls == k[k >= K_SWITCH].tolist()
+        assert len(calls) == 1
+        assert calls[0].tolist() == k[k >= K_SWITCH].tolist()
+
+    @pytest.mark.parametrize("per_pass", [7, PANELS_PER_PASS])
+    def test_batched_table_matches_the_scalar_rule_across_passes(
+        self, dressed, chunked_k, per_pass, monkeypatch
+    ):
+        k, per_panel = chunked_k
+        panels = sum(len(reference_panels(kk, CUTOFF)) for kk in k)
+        assert panels > 2 * per_pass  # at least three array passes
+        monkeypatch.setattr(bdfvac.polarization, "PANELS_PER_PASS", per_pass)
+        B = b_lambda_k(dressed, k)
+        assert B.tolist() == per_panel
+        assert B.tolist() == [b_lambda_k(dressed, float(kk)) for kk in k]
+
+    def test_b_k_refuses_any_k_outside_the_ball(self, dressed):
+        for bad in (0.0, -1.0, 2.0 * CUTOFF * (1.0 + 1e-9), math.nan):
+            with pytest.raises(OutOfRangeError):
+                b_lambda_k(dressed, np.array([1.0, bad, 2.0]))
+
+    def test_b_k_names_the_first_non_finite_value(self, dressed, monkeypatch):
+        def nan_from_k_1(lx, pz, qz, pn, qn, gp, gq):
+            f = _wedge_integrand(lx, pz, qz, pn, qn, gp, gq)
+            return np.where(pz - qz > 1.0, np.nan, f)
+
+        monkeypatch.setattr(bdfvac.polarization, "_wedge_integrand", nan_from_k_1)
+        with pytest.raises(InvalidParameterError, match=r"^B\(2\) = nan"):
+            b_lambda_k(dressed, np.array([0.5, 2.0, 3.0]))
 
     @pytest.mark.parametrize("order", ["ascending", "reversed", "shuffled"])
     def test_table_workspace_carries_nothing_between_k(self, dressed, order):
