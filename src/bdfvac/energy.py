@@ -129,10 +129,10 @@ def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> Swee
 
     solve(params) returns the Dispersion for one alpha; the variational
     problem is alpha-independent and solved once, by the caller.  Alphas
-    whose derived cutoff overflows or exceeds CUTOFF_CAP are recorded in
-    `skipped` rather than solved.  Row columns: SWEEP_COLUMNS, where
-    binding is -E_CP/C0^2, the depth of E_pred below m taken without the
-    cancellation of m - E_pred (positive when E_CP < 0).
+    whose cutoff would exceed CUTOFF_CAP, L/alpha > ln CUTOFF_CAP, are
+    recorded in `skipped` rather than solved.  Row columns: SWEEP_COLUMNS,
+    where binding is -E_CP/C0^2, the depth of E_pred below m taken without
+    the cancellation of m - E_pred (positive when E_CP < 0).
     """
     if L_fixed <= 0:
         raise InvalidParameterError("L must be positive")
@@ -141,15 +141,10 @@ def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> Swee
     for alpha in alphas:
         if not alpha > 0:
             raise InvalidParameterError("sweep alphas must be positive")
-        try:
-            params = ModelParams.from_L(float(alpha), L_fixed)
-        except InvalidParameterError:
-            if L_fixed / alpha < 1.0:  # exp(L/alpha) rounds to 1, it did not overflow
-                raise
-            params = None
-        if params is None or params.cutoff > CUTOFF_CAP:
+        if L_fixed / alpha > math.log(CUTOFF_CAP):
             skipped.append(float(alpha))
             continue
+        params = ModelParams.from_L(float(alpha), L_fixed)
         d = solve(params)
         t = polarization_table(d, k_nodes=())
         br = assemble_breakdown(d, t, pekar_state)

@@ -1,5 +1,5 @@
-"""Radial grids, quadrature, a damped fixed-point driver and the artifact
-writers.
+"""Radial grids, graded Gauss panels, a damped fixed-point driver and the
+artifact writers.
 
 Everything here works in natural units (hbar = c = 1, bare mass 1).  Grids
 cover (0, cutoff]; the origin is never a node because the singular kernels
@@ -45,28 +45,18 @@ class FixedPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Quadrature rule for integrals over (0, cutoff].
-
-    nodes are the cell midpoints of a partition of [0, cutoff]; weights are
-    the cell widths, so the rule is exact for constants and linears on any
-    partition and sums to the cutoff exactly.
-    """
+    """Nodes in (0, cutoff], the cell midpoints of a partition of
+    [0, cutoff]."""
 
     nodes: np.ndarray
-    weights: np.ndarray
     cutoff: float
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
-            raise ShapeMismatchError("nodes and weights must be 1-d arrays of equal length")
         if np.any(np.diff(self.nodes) <= 0):
             raise InvalidParameterError("grid nodes must be strictly increasing")
         if self.nodes[0] <= 0 or self.nodes[-1] > self.cutoff:
             raise InvalidParameterError("grid nodes must lie in (0, cutoff]")
-        if np.any(self.weights <= 0):
-            raise InvalidParameterError("quadrature weights must be positive")
 
     @property
     def n_points(self) -> int:
@@ -74,16 +64,18 @@ class RadialGrid:
 
     @cached_property
     def uniform_spacing(self) -> float:
-        """The common node spacing, found and checked once per grid;
-        InvalidParameterError where the nodes are not evenly spaced."""
-        h = np.diff(self.nodes)
-        if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
-            raise InvalidParameterError("the direct-space solver needs a uniform grid")
-        return float(h[0])
+        """The spacing h = cutoff/n of the lattice (i + 1/2) h that the
+        direct-space solver assumes, checked once per grid;
+        InvalidParameterError where a node is off it."""
+        h = self.cutoff / self.n_points
+        lattice = (np.arange(self.n_points) + 0.5) * h
+        if not np.allclose(self.nodes, lattice, rtol=1e-12, atol=0.0):
+            raise InvalidParameterError("the direct-space solver needs the nodes (i + 1/2) cutoff/n")
+        return h
 
 
 def make_grid(cutoff: float, n_points: int, clustering: str) -> RadialGrid:
-    """Build a midpoint rule on (0, cutoff].
+    """The cell midpoints of a partition of [0, cutoff] into n_points cells.
 
     clustering="uniform" spaces the cells evenly.  clustering="geometric"
     puts the bounds after 0 in geometric progression from MOMENTUM_ORIGIN
@@ -100,19 +92,7 @@ def make_grid(cutoff: float, n_points: int, clustering: str) -> RadialGrid:
         bounds = np.concatenate([[0.0], np.geomspace(MOMENTUM_ORIGIN, cutoff, n_points)])
     else:
         raise InvalidParameterError(f"unknown clustering {clustering!r}")
-    nodes = 0.5 * (bounds[1:] + bounds[:-1])
-    weights = np.diff(bounds)
-    return RadialGrid(nodes=nodes, weights=weights, cutoff=float(cutoff))
-
-
-def integrate(grid: RadialGrid, samples: np.ndarray) -> float:
-    """Apply the grid rule to samples taken at the grid nodes."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.nodes.shape:
-        raise ShapeMismatchError(
-            f"got {samples.shape[0] if samples.ndim else 0} samples for {grid.n_points} nodes"
-        )
-    return float(np.dot(grid.weights, samples))
+    return RadialGrid(nodes=0.5 * (bounds[1:] + bounds[:-1]), cutoff=float(cutoff))
 
 
 # 8-point Gauss-Legendre on [-1, 1]; on [0, 1] it is the last panel of
@@ -138,7 +118,8 @@ def _log_weights():
 _LOG_W = _log_weights()
 
 
-# 16-point Gauss-Legendre on [0, 1], the rule of each graded panel.
+# 16-point Gauss-Legendre on [-1, 1], the rule of polarization's B(k)
+# panels; on [0, 1] it is the rule of each graded panel.
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _PANEL_V = 0.5 * (1.0 + _GL16_X)
 _PANEL_W = 0.5 * _GL16_W

@@ -19,7 +19,6 @@ from .numerics import (
     InvalidParameterError,
     RadialGrid,
     ShapeMismatchError,
-    integrate,
     write_csv,
     write_json,
 )
@@ -52,12 +51,14 @@ class PekarState:
     V: np.ndarray
 
 
-def _norm_sq(grid: RadialGrid, phi: np.ndarray) -> float:
-    return 4.0 * math.pi * integrate(grid, phi**2 * grid.nodes**2)
+def _ball_integral(grid: RadialGrid, f: np.ndarray) -> float:
+    """4 pi int f r^2 dr of the radial samples f, by the midpoint rule on
+    the grid's cells of width h."""
+    return 4.0 * math.pi * grid.uniform_spacing * float(np.dot(f, grid.nodes**2))
 
 
 def normalize(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
-    return phi / math.sqrt(_norm_sq(grid, phi))
+    return phi / math.sqrt(_ball_integral(grid, phi**2))
 
 
 def _laplacian_u(u: np.ndarray, h: float) -> np.ndarray:
@@ -79,9 +80,9 @@ def hartree_potential(grid: RadialGrid, n: np.ndarray) -> np.ndarray:
     if np.any(n < -1e-14 * max(1.0, float(np.max(np.abs(n))))):
         raise InvalidParameterError("density must be nonnegative")
     r = grid.nodes
-    w = grid.weights
-    inner_cells = w * n * r**2
-    outer_cells = w * n * r
+    h = grid.uniform_spacing
+    inner_cells = h * n * r**2
+    outer_cells = h * n * r
     # cumulative sums split each node's own cell in half (midpoint rule)
     inner = np.cumsum(inner_cells) - 0.5 * inner_cells
     outer = np.cumsum(outer_cells[::-1])[::-1] - 0.5 * outer_cells
@@ -104,7 +105,7 @@ def make_state(grid: RadialGrid, phi: np.ndarray) -> PekarState:
     T = kinetic_energy(grid, phi)
     n = phi**2
     V = hartree_potential(grid, n)
-    D = 4.0 * math.pi * integrate(grid, V * n * grid.nodes**2)
+    D = _ball_integral(grid, V * n)
     E = T - D
     if not math.isfinite(E):
         raise InvalidParameterError(f"Pekar energy {E} is not finite")
@@ -163,10 +164,9 @@ def el_residual(state: PekarState) -> float:
     """L^2 norm of the Euler-Lagrange defect -lap phi - 2 V phi - mu phi,
     with mu taken as the discrete Rayleigh quotient."""
     hphi = _apply_h(state)
-    r2 = state.grid.nodes**2
-    mu = 4.0 * math.pi * integrate(state.grid, hphi * state.phi * r2)
+    mu = _ball_integral(state.grid, hphi * state.phi)
     defect = hphi - mu * state.phi
-    return math.sqrt(4.0 * math.pi * integrate(state.grid, defect**2 * r2))
+    return math.sqrt(_ball_integral(state.grid, defect**2))
 
 
 class PekarConvergenceError(RuntimeError):

@@ -45,7 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Dispersion, ModelParams
-from .numerics import InvalidParameterError, OutOfRangeError, write_csv, write_json
+from .numerics import (
+    _GL16_W,
+    _GL16_X,
+    InvalidParameterError,
+    OutOfRangeError,
+    write_csv,
+    write_json,
+)
 
 # Below this k the 2-d integral cancels catastrophically; continuity of B
 # at 0 lets us report the radial k=0 closed form instead.
@@ -53,8 +60,8 @@ K_SWITCH = 1e-3
 
 DEFAULT_K_MIN = 1e-4
 
-# the Gauss rule of every B(k) panel, in r and in c
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+# B(k)'s panels take numerics' 16-point Gauss rule in r and in c; B(0)
+# one 4-point rule per cubic piece
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 # B(k)'s radial panels grow by this factor from r = k/2 to the cutoff
 PANEL_RATIO = 4.0
@@ -154,9 +161,10 @@ def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
         raise OutOfRangeError(f"k={k[outside][0]} outside (0, {2 * cut}]")
     edges = [_radial_edges(kk, cut) for kk in k]
     counts = np.array([e.size - 1 for e in edges], dtype=int)
+    owner = np.repeat(np.arange(k.size), counts)  # the index of each panel's k
     a = np.concatenate([np.empty(0), *(e[:-1] for e in edges)])[:, None]
     b = np.concatenate([np.empty(0), *(e[1:] for e in edges)])[:, None]
-    kp = np.repeat(k, counts)[:, None]  # the k of each panel
+    kp = k[owner][:, None]
     r = 0.5 * (a + b) + 0.5 * (b - a) * _GL16_X
     w = 0.5 * (b - a) * _GL16_W * r * r
     # c from the plane |p| = |q| to the sphere |p| = cut
@@ -177,13 +185,9 @@ def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
         f = integrand(lx, pz, qz, pn, qn, d.interpolant(pn), gq[part])
         # one 16-point dot a panel, the same sum as np.dot row by row
         sums[part] = np.vecdot(w[part], np.sum(f * cw, axis=-1))
-    # panel-by-panel accumulation, in panel order; a k whose ball is empty
-    # has no panel and keeps 0
-    first = np.cumsum(counts) - counts
-    total = np.zeros(k.size)
-    for j in range(counts.max(initial=0)):
-        has = counts > j
-        total[has] += sums[first[has] + j]
+    # bincount adds each k's panel sums in panel order; a k whose ball is
+    # empty has no panel and keeps 0
+    total = np.bincount(owner, weights=sums, minlength=k.size)
     # azimuthal 2 pi, and 2 for the half-space |p| < |q|
     return 4.0 * total / (math.pi * k * k)
 

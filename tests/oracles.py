@@ -6,11 +6,12 @@ with adaptive quad on each cubic piece against KernelRules, the raw B(k)
 integrand against the wedge form, an unfolded l-centred rule graded
 toward the integrand's kinks against B(k)'s q-centred one, the
 per-sample kernel-bound check against the batched one, the free B(0)
-against its closed form, the explicit descent step against the implicit
-one, the banded Pekar descent against the one that reuses each Hartree
-potential, closed forms against the assembled breakdown) or small
-helpers the tests use.  pytest does not collect this module: its name has no test_
-prefix.
+against its closed form, the free B(0) - B(k) against Uehling's, the
+dressed m, g1'(0) and alpha B(0) against their alpha -> 0 laws at fixed
+L, the explicit descent step against the implicit one, the banded Pekar
+descent against the one that reuses each Hartree potential, closed forms
+against the assembled breakdown) or small helpers the tests use.  pytest
+does not collect this module: its name has no test_ prefix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from bdfvac.numerics import (
     OutOfRangeError,
     RadialGrid,
     ShapeMismatchError,
-    integrate,
 )
 from bdfvac.pekar import (
     DEFAULT_DT,
@@ -41,6 +41,7 @@ from bdfvac.pekar import (
     GAUSSIAN_SIGMA_STAR,
     PekarState,
     _apply_h,
+    _ball_integral,
     _laplacian_u,
     hartree_potential,
     kinetic_energy,
@@ -77,7 +78,7 @@ def geometric_bounds_grid(first, cutoff, n=512):
     """n cells with bounds 0, then geometric from first to cutoff: the
     geometric grid of numerics.make_grid with its origin set by hand."""
     bounds = np.concatenate([[0.0], np.geomspace(first, cutoff, n)])
-    return RadialGrid(0.5 * (bounds[1:] + bounds[:-1]), np.diff(bounds), cutoff)
+    return RadialGrid(0.5 * (bounds[1:] + bounds[:-1]), cutoff)
 
 
 # ---------------------------------------------------------------- dispersion
@@ -273,6 +274,46 @@ def free_b_lambda_zero(cutoff: float) -> float:
     return 2.0 / (3.0 * math.pi) * (math.log(cutoff) + math.log(2.0)) - 5.0 / (9.0 * math.pi)
 
 
+def uehling(k):
+    """Uehling's one-loop vacuum polarization in units of the bare mass
+    (Uehling, Phys. Rev. 48, 55, 1935),
+
+        U(k) = (2/pi) int_0^1 z(1-z) ln(1 + k^2 z(1-z)) dz,
+
+    the free B(0) - B(k) as the cutoff goes to infinity.  The elementary
+    form (2/pi)[-5/18 + 2/(3k^2) + (1/6)(1 - 2/k^2) beta ln((beta+1)/(beta-1))],
+    beta = sqrt(1 + 4/k^2), cancels at small k (2e-5 relative at k = 0.01),
+    so below k = 0.05 the series (2/pi)(k^2/30 - k^4/280 + k^6/1890) is
+    taken, whose next term is 4e-11 relative there."""
+    k = np.asarray(k, dtype=float)
+    small = k < 0.05
+    kc = np.where(small, 1.0, k)
+    beta = np.sqrt(1.0 + 4.0 / kc**2)
+    log = np.log((beta + 1.0) / (beta - 1.0))
+    closed = -5.0 / 18.0 + 2.0 / (3.0 * kc**2) + (1.0 - 2.0 / kc**2) * beta * log / 6.0
+    k2 = k * k
+    series = k2 * (1.0 / 30.0 - k2 / 280.0 + k2 * k2 / 1890.0)
+    return 2.0 / math.pi * np.where(small, series, closed)
+
+
+def free_b_drop(cutoff: float, k):
+    """B(0) - B(k) of the free profiles g0 = 1, g1 = p at the cutoff:
+    U(k) + (k/(8 pi cutoff)) F(k/cutoff), with F(x) = 1 + 0.133 x the
+    small-x form of the edge term's shape (F reads 1.0136 at x = 0.1),
+    up to O(cutoff^-2) in F."""
+    k = np.asarray(k, dtype=float)
+    return uehling(k) + k / (8.0 * math.pi * cutoff) * (1.0 + 0.133 * k / cutoff)
+
+
+def limit_laws(L: float) -> dict:
+    """The alpha -> 0 limits at fixed L = alpha ln(cutoff) of m, g1'(0)
+    and alpha B(0): (1+x)^(3/2), 1 + x and ln(1+x), with x = 2L/(3 pi).
+    At first order in L they are the small-L forms 1 + L/pi, 1 + 2L/(3 pi)
+    and 2L/(3 pi)."""
+    x = 2.0 * L / (3.0 * math.pi)
+    return {"m": (1.0 + x) ** 1.5, "g1_prime_zero": 1.0 + x, "alpha_b0": math.log1p(x)}
+
+
 def screened_density(table: PolarizationTable, n_hat: np.ndarray) -> np.ndarray:
     """Leading screening response -b(k) n_hat(k); the total effective
     density is (1 - b(k)) n_hat(k)."""
@@ -309,7 +350,7 @@ def imaginary_time_step(state: PekarState, dt: float) -> PekarState:
 def direct_energy(grid: RadialGrid, n: np.ndarray) -> float:
     """D(n, n) via the Hartree potential."""
     V = hartree_potential(grid, n)
-    return 4.0 * math.pi * integrate(grid, V * n * grid.nodes**2)
+    return _ball_integral(grid, V * n)
 
 
 def _banded_state(grid: RadialGrid, phi: np.ndarray) -> PekarState:
@@ -351,10 +392,9 @@ def _banded_el_residual(state: PekarState) -> float:
     r = grid.nodes
     V = hartree_potential(grid, phi**2)
     hphi = -_laplacian_u(r * phi, h) / r - 2.0 * V * phi
-    r2 = r**2
-    mu = 4.0 * math.pi * integrate(grid, hphi * phi * r2)
+    mu = _ball_integral(grid, hphi * phi)
     defect = hphi - mu * phi
-    return math.sqrt(4.0 * math.pi * integrate(grid, defect**2 * r2))
+    return math.sqrt(_ball_integral(grid, defect**2))
 
 
 def solve_pekar_banded(

@@ -32,6 +32,7 @@ from bdfvac.numerics import (
     _graded_panels,
     make_grid,
 )
+from bdfvac.polarization import b_lambda_zero_radial
 from oracles import (
     angular_kernel_K0,
     angular_kernel_K1,
@@ -39,6 +40,7 @@ from oracles import (
     geometric_bounds_grid,
     interp,
     kernel_row_by_quad,
+    limit_laws,
 )
 
 ALPHA = 0.01
@@ -385,14 +387,14 @@ class TestGeometricLadder:
         nodes = grid.nodes.copy()
         nodes[30] *= 1.0 + 1e-6
         with pytest.raises(InvalidParameterError, match="geometric progression"):
-            KernelRules(RadialGrid(nodes, grid.weights, CUTOFF))
+            KernelRules(RadialGrid(nodes, CUTOFF))
 
     def test_last_node_on_the_cutoff_is_refused(self):
         # the piece [x_{n-1}, cutoff] would be empty, its product rule 0 * inf
         grid = make_grid(CUTOFF, 64, "geometric")
         nodes = grid.nodes * (CUTOFF / grid.nodes[-1])
         with pytest.raises(InvalidParameterError, match="below the cutoff"):
-            KernelRules(RadialGrid(nodes, grid.weights, CUTOFF))
+            KernelRules(RadialGrid(nodes, CUTOFF))
 
     @pytest.mark.parametrize("fraction", [1e-3, 0.3, 0.999])
     def test_any_first_node_below_the_second(self, fraction):
@@ -400,7 +402,7 @@ class TestGeometricLadder:
         nodes = grid.nodes.copy()
         nodes[0] = fraction * nodes[1]
         p = nodes
-        rules = KernelRules(RadialGrid(nodes, grid.weights, CUTOFF))
+        rules = KernelRules(RadialGrid(nodes, CUTOFF))
         rows = rules.integrals(np.ones_like(p), np.ones_like(p))[0]
         exact = (CUTOFF**2 - p * p) * np.arctanh(p / CUTOFF) + p * CUTOFF
         assert np.max(np.abs(rows - exact) / exact) <= 1e-13
@@ -565,6 +567,33 @@ class TestAsymptoticsReport:
         d = solve_dispersion(ModelParams(0.0, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
         with pytest.raises(InvalidParameterError, match="alpha > 0"):
             check_asymptotics(d)
+
+
+class TestPaperLimit:
+    # The alpha -> 0 value at fixed L, from a quadratic in alpha through
+    # three couplings, each half the last: (v0 - 6 v1 + 8 v2)/3.  Its
+    # relative distances from the laws, on 2048 nodes, are 8.2e-9 (m),
+    # 3.4e-11 (g1'(0)) and 2.8e-10 (alpha B(0)) at L = 0.05, and 1.7e-7,
+    # 1.5e-9 and 1.2e-8 at L = 0.5; each budget is about 2.5 times that.
+    # The largest cutoff, exp(0.5/4e-3) = 1.9e54, is below the radial
+    # B(0)'s overflow.
+    @pytest.mark.parametrize(
+        "L, alphas, budgets",
+        [
+            (0.05, (2e-3, 1e-3, 5e-4), {"m": 2e-8, "g1_prime_zero": 1e-10, "alpha_b0": 1e-9}),
+            (0.5, (1.6e-2, 8e-3, 4e-3), {"m": 4e-7, "g1_prime_zero": 4e-9, "alpha_b0": 3e-8}),
+        ],
+    )
+    def test_extrapolation_meets_the_laws(self, L, alphas, budgets):
+        values = []
+        for alpha in alphas:
+            params = ModelParams.from_L(alpha, L)
+            d = solve_dispersion(params, make_grid(params.cutoff, 2048, "geometric"))
+            values.append((m_alpha(d), g1_prime_zero(d), alpha * b_lambda_zero_radial(d)))
+        v0, v1, v2 = np.array(values)
+        limit = dict(zip(("m", "g1_prime_zero", "alpha_b0"), (v0 - 6.0 * v1 + 8.0 * v2) / 3.0))
+        for name, law in limit_laws(L).items():
+            assert abs(limit[name] / law - 1.0) <= budgets[name], (name, limit[name], law)
 
 
 class TestCsv:

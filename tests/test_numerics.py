@@ -12,9 +12,7 @@ from bdfvac.numerics import (
     InvalidParameterError,
     OutOfRangeError,
     RadialGrid,
-    ShapeMismatchError,
     fixed_point_solve,
-    integrate,
     make_grid,
     write_json,
 )
@@ -27,22 +25,11 @@ def SUP(delta):
 
 
 class TestMakeGrid:
-    def test_weights_sum_to_cutoff(self):
-        for clustering in ("uniform", "geometric"):
-            g = make_grid(7.5, 64, clustering)
-            assert math.isclose(g.weights.sum(), 7.5, rel_tol=1e-14)
-
     def test_nodes_strictly_increasing_inside_domain(self):
         g = make_grid(10.0, 128, "geometric")
         assert np.all(np.diff(g.nodes) > 0)
         assert g.nodes[0] > 0
         assert g.nodes[-1] <= g.cutoff
-
-    def test_midpoint_rule_exact_for_linear(self):
-        g = make_grid(3.0, 37, "geometric")
-        # int_0^3 (2 + 5s) ds = 6 + 22.5
-        val = integrate(g, 2.0 + 5.0 * g.nodes)
-        assert math.isclose(val, 28.5, rel_tol=1e-13)
 
     def test_geometric_clusters_near_origin(self):
         g = make_grid(1e4, 512, "geometric")
@@ -52,7 +39,9 @@ class TestMakeGrid:
         for cutoff in (10.0, 1e4, 1e7, 1e40):
             g = make_grid(cutoff, 512, "geometric")
             assert g.nodes[0] == MOMENTUM_ORIGIN / 2
-            assert math.isclose(g.weights[1:].sum(), cutoff - MOMENTUM_ORIGIN, rel_tol=1e-14)
+            # the last cell is [cutoff/q, cutoff], q the ladder's ratio
+            q = g.nodes[-1] / g.nodes[-2]
+            assert math.isclose(g.nodes[-1], 0.5 * cutoff * (1.0 + 1.0 / q), rel_tol=1e-12)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -64,24 +53,26 @@ class TestMakeGrid:
 
     def test_grid_invariant_validation(self):
         with pytest.raises(InvalidParameterError):
-            RadialGrid(nodes=np.array([2.0, 1.0]), weights=np.array([1.0, 1.0]), cutoff=3.0)
+            RadialGrid(nodes=np.array([2.0, 1.0]), cutoff=3.0)
         with pytest.raises(InvalidParameterError):
-            RadialGrid(nodes=np.array([1.0, 2.0]), weights=np.array([1.0, -1.0]), cutoff=3.0)
-        with pytest.raises(ShapeMismatchError):
-            RadialGrid(nodes=np.array([1.0, 2.0]), weights=np.array([1.0]), cutoff=3.0)
+            RadialGrid(nodes=np.array([0.0, 1.0]), cutoff=3.0)
+        with pytest.raises(InvalidParameterError):
+            RadialGrid(nodes=np.array([1.0, 4.0]), cutoff=3.0)
+
+    def test_no_quadrature_weights(self):
+        for clustering in ("uniform", "geometric"):
+            assert not hasattr(make_grid(7.5, 64, clustering), "weights")
 
 
-class TestIntegrate:
-    def test_shape_mismatch(self):
-        g = make_grid(1.0, 16, "uniform")
-        with pytest.raises(ShapeMismatchError):
-            integrate(g, np.ones(8))
+class TestUniformSpacing:
+    def test_is_cutoff_over_n(self):
+        assert make_grid(7.5, 64, "uniform").uniform_spacing == 7.5 / 64
 
-    def test_smooth_integral_converges(self):
-        # int_0^1 exp(-s) ds = 1 - 1/e
-        exact = 1.0 - math.exp(-1.0)
-        g = make_grid(1.0, 2048, "uniform")
-        assert math.isclose(integrate(g, np.exp(-g.nodes)), exact, rel_tol=1e-7)
+    def test_evenly_spaced_off_the_lattice_refused(self):
+        # spacing 0.99 with the first node at half of it, cutoff 8 over 8
+        # nodes: the ghost closure at R needs h = cutoff/n
+        with pytest.raises(InvalidParameterError, match=r"\(i \+ 1/2\)"):
+            RadialGrid(np.arange(0.5, 8.0) * 0.99, 8.0).uniform_spacing
 
 
 class TestInterp:
