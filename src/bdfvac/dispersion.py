@@ -403,19 +403,19 @@ class AsymptoticsEntry:
 
 
 def check_asymptotics(d: Dispersion) -> dict[str, AsymptoticsEntry]:
-    """Compare the solved profiles against their small-L expansions:
-    m = 1 + L/pi, g1'(0) = 1 + 2L/(3 pi), and the O(alpha) bound on g0'
-    (the interpolant's node slopes, reported as their sup-norm over alpha,
-    so alpha must be positive).  The entries are keyed by name, in that
-    order."""
+    """Compare the solved profiles against their alpha -> 0 laws at fixed
+    L, m = (1 + x)^(3/2) and g1'(0) = 1 + x with x = 2L/(3 pi), and the
+    O(alpha) bound on g0' (the interpolant's node slopes, reported as their
+    sup-norm over alpha, so alpha must be positive).  The entries are keyed
+    by name, in that order."""
     params = d.params
     if not params.alpha > 0:
         raise InvalidParameterError(f"asymptotics need alpha > 0, got {params.alpha}")
-    L = params.L
     m = m_alpha(d)
     g1p0 = g1_prime_zero(d)
-    m_pred = 1.0 + L / math.pi
-    g1p_pred = 1.0 + 2.0 * L / (3.0 * math.pi)
+    x = 2.0 * params.L / (3.0 * math.pi)
+    m_pred = (1.0 + x) ** 1.5
+    g1p_pred = 1.0 + x
     ratio = float(np.max(np.abs(d.interpolant(d.grid.nodes, 1)[:, 0]))) / params.alpha
     entries = (
         AsymptoticsEntry("m_alpha", m, m_pred, abs(m - m_pred) / m_pred),

@@ -26,10 +26,6 @@ class InvalidParameterError(ValueError):
     """A scalar argument is outside its admissible range."""
 
 
-class ShapeMismatchError(ValueError):
-    """Sampled values do not match the grid they claim to live on."""
-
-
 class OutOfRangeError(ValueError):
     """A query point lies outside the grid."""
 

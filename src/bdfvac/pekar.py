@@ -1,9 +1,11 @@
 """Choquard-Pekar variational problem on a radial direct-space grid.
 
 Minimizes E(phi) = int |grad phi|^2 - D(|phi|^2, |phi|^2) over the unit
-L^2 sphere by projected imaginary-time descent.  The radial Laplacian is
-handled through u = r*phi (second-order central differences, u odd at the
-origin, u = 0 at the outer box edge), which removes the 1/r coordinate
+L^2 sphere by projected imaginary-time descent.  The solver works in
+u = r*phi throughout, on the lattice r_i = (i + 1/2) h: every integral
+4 pi int f r^2 dr is then a dot product 4 pi h sum of u-form samples, and
+the radial Laplacian is u'' (second-order central differences, u odd at
+the origin, u = 0 at the outer box edge), free of the 1/r coordinate
 singularity.  The analytic Gaussian trial gives the upper bound -1/(3 pi)
 every run must beat.
 """
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    InvalidParameterError,
-    RadialGrid,
-    ShapeMismatchError,
-    write_csv,
-    write_json,
-)
+from .numerics import InvalidParameterError, RadialGrid, write_csv, write_json
 
 DEFAULT_R_MAX = 40.0  # also the smallest admissible box
 DEFAULT_DT = 0.5
@@ -34,31 +30,26 @@ GAUSSIAN_BOUND = -1.0 / (3.0 * math.pi)
 
 @dataclass(frozen=True)
 class PekarState:
-    """Normalized radial profile with its energy bookkeeping.
+    """Radial profile u = r phi, normalized so that 4 pi h sum u^2 = 1, with
+    its energy bookkeeping.
 
     T is the kinetic quadratic form of the discrete radial Laplacian, D the
     Coulomb direct energy, E = T - D, and mu = T - 2D the Lagrange
-    multiplier of the Euler-Lagrange equation -lap phi - 2 V phi = mu phi,
-    with V the Hartree potential of phi**2.
+    multiplier of the Euler-Lagrange equation -u'' - 2 V u = mu u, with V
+    the Hartree potential of the density u^2/r^2.
     """
 
     grid: RadialGrid
-    phi: np.ndarray
+    u: np.ndarray
     T: float
     D: float
     E: float
     mu: float
     V: np.ndarray
 
-
-def _ball_integral(grid: RadialGrid, f: np.ndarray) -> float:
-    """4 pi int f r^2 dr of the radial samples f, by the midpoint rule on
-    the grid's cells of width h."""
-    return 4.0 * math.pi * grid.uniform_spacing * float(np.dot(f, grid.nodes**2))
-
-
-def normalize(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
-    return phi / math.sqrt(_ball_integral(grid, phi**2))
+    @property
+    def phi(self) -> np.ndarray:
+        return self.u / self.grid.nodes
 
 
 def _laplacian_u(u: np.ndarray, h: float) -> np.ndarray:
@@ -71,59 +62,52 @@ def _laplacian_u(u: np.ndarray, h: float) -> np.ndarray:
     return out / (h * h)
 
 
-def hartree_potential(grid: RadialGrid, n: np.ndarray) -> np.ndarray:
-    """Coulomb potential of the radial density n by Newton's theorem:
-    V(r) = 4 pi [ (1/r) int_0^r n s^2 ds + int_r^Rmax n s ds ]."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != grid.nodes.shape:
-        raise ShapeMismatchError("density samples do not match grid")
-    if np.any(n < -1e-14 * max(1.0, float(np.max(np.abs(n))))):
-        raise InvalidParameterError("density must be nonnegative")
+def hartree_potential(grid: RadialGrid, u2: np.ndarray) -> np.ndarray:
+    """Coulomb potential of the radial density u2/r^2 by Newton's theorem:
+    V(r) = 4 pi [ (1/r) int_0^r u2 ds + int_r^Rmax u2/s ds ]."""
     r = grid.nodes
-    h = grid.uniform_spacing
-    inner_cells = h * n * r**2
-    outer_cells = h * n * r
+    inner_cells = grid.uniform_spacing * u2
+    outer_cells = inner_cells / r
     # cumulative sums split each node's own cell in half (midpoint rule)
     inner = np.cumsum(inner_cells) - 0.5 * inner_cells
     outer = np.cumsum(outer_cells[::-1])[::-1] - 0.5 * outer_cells
     return 4.0 * math.pi * (inner / r + outer)
 
 
-def kinetic_energy(grid: RadialGrid, phi: np.ndarray) -> float:
-    """Quadratic form 4 pi int u (-u'') dr of the discrete operator."""
+def kinetic_energy(grid: RadialGrid, u: np.ndarray) -> float:
+    """Quadratic form 4 pi h sum u (-u'') of the discrete operator."""
     h = grid.uniform_spacing
-    u = grid.nodes * phi
-    return 4.0 * math.pi * h * float(np.dot(u, -_laplacian_u(u, h)))
+    return -4.0 * math.pi * h * float(np.dot(u, _laplacian_u(u, h)))
 
 
-def make_state(grid: RadialGrid, phi: np.ndarray) -> PekarState:
-    """Normalize phi and fill in the energy components.  The state keeps
-    the Hartree potential V of phi**2 that its direct energy D needs, for
-    the next descent step and the EL residual to read.  A profile whose
+def make_state(grid: RadialGrid, u: np.ndarray) -> PekarState:
+    """Normalize u = r phi and fill in the energy components.  The state
+    keeps the Hartree potential V of u^2 that its direct energy D needs,
+    for the next descent step and the EL residual to read.  A profile whose
     energy is not finite raises InvalidParameterError."""
-    phi = normalize(grid, np.asarray(phi, dtype=float))
-    T = kinetic_energy(grid, phi)
-    n = phi**2
-    V = hartree_potential(grid, n)
-    D = _ball_integral(grid, V * n)
+    ball = 4.0 * math.pi * grid.uniform_spacing
+    u = np.asarray(u, dtype=float)
+    u = u / math.sqrt(ball * float(np.dot(u, u)))
+    T = kinetic_energy(grid, u)
+    u2 = u * u
+    V = hartree_potential(grid, u2)
+    D = ball * float(np.dot(V, u2))
     E = T - D
     if not math.isfinite(E):
         raise InvalidParameterError(f"Pekar energy {E} is not finite")
-    return PekarState(grid=grid, phi=phi, T=T, D=D, E=E, mu=T - 2.0 * D, V=V)
+    return PekarState(grid=grid, u=u, T=T, D=D, E=E, mu=T - 2.0 * D, V=V)
 
 
 def gaussian_state(grid: RadialGrid) -> PekarState:
     """The optimal Gaussian trial, where every descent starts."""
-    phi = np.exp(-grid.nodes**2 / (2.0 * GAUSSIAN_SIGMA_STAR**2))
-    return make_state(grid, phi)
+    r = grid.nodes
+    return make_state(grid, r * np.exp(-(r**2) / (2.0 * GAUSSIAN_SIGMA_STAR**2)))
 
 
 def _apply_h(state: PekarState) -> np.ndarray:
-    """H phi = -lap phi - 2 V phi through the u = r phi substitution, with
-    the Hartree potential V the state carries."""
-    r = state.grid.nodes
-    u = r * state.phi
-    return -_laplacian_u(u, state.grid.uniform_spacing) / r - 2.0 * state.V * state.phi
+    """r H phi = -u'' - 2 V u, with the Hartree potential V the state
+    carries."""
+    return -_laplacian_u(state.u, state.grid.uniform_spacing) - 2.0 * state.V * state.u
 
 
 def _semi_implicit_step(state: PekarState, dt: float) -> PekarState:
@@ -134,7 +118,8 @@ def _semi_implicit_step(state: PekarState, dt: float) -> PekarState:
     state carries frozen.  LAPACK's gtsv solves the system, the routine
     scipy's solve_banded calls for one band either side, without that
     wrapper's per-call checks: a singular system raises LinAlgError here,
-    and make_state refuses a step whose energy is not finite.  After
+    and make_state refuses a step whose energy is not finite.  gtsv solves
+    into a copy of u, which a rejected step leaves as it was.  After
     renormalization the fixed point satisfies the discrete Euler-Lagrange
     equation exactly for any dt, and there is no h^2 stability ceiling, so
     large steps are admissible and the driver converges in a
@@ -144,29 +129,24 @@ def _semi_implicit_step(state: PekarState, dt: float) -> PekarState:
 
     grid = state.grid
     h = grid.uniform_spacing
-    r = grid.nodes
-    u = r * state.phi
     V = state.V
     c = dt / (h * h)
     diag = 1.0 + 2.0 * c - 2.0 * dt * V
     diag[0] = 1.0 + 3.0 * c - 2.0 * dt * V[0]
     diag[-1] = 1.0 + 3.0 * c - 2.0 * dt * V[-1]
-    off = np.full(u.size - 1, -c)
-    *_, u_new, info = dgtsv(off, diag, off, u, overwrite_d=True, overwrite_b=True)
+    off = np.full(V.size - 1, -c)
+    *_, u, info = dgtsv(off, diag, off, state.u, overwrite_d=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular descent system (gtsv info {info})")
-    phi = u_new / r
-    np.clip(phi, 0.0, None, out=phi)
-    return make_state(grid, phi)
+    np.clip(u, 0.0, None, out=u)
+    return make_state(grid, u)
 
 
 def el_residual(state: PekarState) -> float:
     """L^2 norm of the Euler-Lagrange defect -lap phi - 2 V phi - mu phi,
-    with mu taken as the discrete Rayleigh quotient."""
-    hphi = _apply_h(state)
-    mu = _ball_integral(state.grid, hphi * state.phi)
-    defect = hphi - mu * state.phi
-    return math.sqrt(_ball_integral(state.grid, defect**2))
+    with the state's mu = T - 2D, the discrete Rayleigh quotient."""
+    defect = _apply_h(state) - state.mu * state.u
+    return math.sqrt(4.0 * math.pi * state.grid.uniform_spacing * float(np.dot(defect, defect)))
 
 
 class PekarConvergenceError(RuntimeError):

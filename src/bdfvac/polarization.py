@@ -208,14 +208,14 @@ def b_lambda_k(d: Dispersion, k):
     return float(Bk[0]) if np.ndim(k) == 0 else Bk
 
 
-def b_screening(B_value: float, alpha: float) -> float:
-    """Dielectric screening fraction alpha B / (1 + alpha B) in [0, 1),
-    exactly 0 at alpha = 0."""
-    if B_value < 0:
-        raise InvalidParameterError(f"B must be nonnegative, got {B_value}")
+def b_screening(B, alpha: float):
+    """Dielectric screening fraction alpha B / (1 + alpha B) in [0, 1) of a
+    B value or of each in an array, exactly 0 at alpha = 0."""
+    if np.any(np.less(B, 0.0)):
+        raise InvalidParameterError(f"B must be nonnegative, got {np.min(B)}")
     if alpha < 0:
         raise InvalidParameterError(f"alpha must be nonnegative, got {alpha}")
-    x = alpha * B_value
+    x = alpha * B
     return x / (1.0 + x)
 
 
@@ -231,14 +231,12 @@ def polarization_table(d: Dispersion, k_nodes: np.ndarray) -> PolarizationTable:
     alone."""
     k_nodes = np.asarray(k_nodes, dtype=float)
     B0 = b_lambda_zero_radial(d)
-    alpha = d.params.alpha
     B = np.full(k_nodes.shape, B0)
     # not "k >= K_SWITCH": a NaN k goes to b_lambda_k, which refuses it
     integral = ~(k_nodes < K_SWITCH)
     if integral.any():
         B[integral] = b_lambda_k(d, k_nodes[integral])
-    b = np.array([b_screening(Bk, alpha) for Bk in B])
-    return PolarizationTable(d.params, k_nodes, B, b, B0)
+    return PolarizationTable(d.params, k_nodes, B, b_screening(B, d.params.alpha), B0)
 
 
 def charge_renormalization(params: ModelParams, B0_zero: float) -> tuple[float, float]:
@@ -258,7 +256,8 @@ def continuity_modulus(table: PolarizationTable) -> ContinuityReport:
     Boundedness of the max is a regression check (the sharp constant is
     not pinned anywhere), frozen in the test suite.
     """
-    mask = (table.k_nodes <= 0.1) & (table.k_nodes >= K_SWITCH)
+    # the k below K_SWITCH carry B(0) itself, so their ratios are 0
+    mask = table.k_nodes <= 0.1
     k = table.k_nodes[mask]
     budget = k * (1.0 / table.params.cutoff + np.sqrt(k))
     ratios = np.abs(table.B[mask] - table.B0_at_zero) / budget

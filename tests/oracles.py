@@ -9,8 +9,9 @@ per-sample kernel-bound check against the batched one, the free B(0)
 against its closed form, the free B(0) - B(k) against Uehling's, the
 dressed m, g1'(0) and alpha B(0) against their alpha -> 0 laws at fixed
 L, the explicit descent step against the implicit one, the banded Pekar
-descent against the one that reuses each Hartree potential, closed forms
-against the assembled breakdown) or small helpers the tests use.  pytest
+descent against the one that reuses each Hartree potential, the EL
+residual with mu recomputed as a Rayleigh quotient against the state's mu,
+closed forms against the assembled breakdown) or small helpers the tests use.  pytest
 does not collect this module: its name has no test_ prefix.
 """
 
@@ -28,12 +29,7 @@ from scipy.interpolate import PchipInterpolator
 from bdfvac.cli import RunConfig
 from bdfvac.dispersion import Dispersion
 from bdfvac.energy import _ingredients
-from bdfvac.numerics import (
-    InvalidParameterError,
-    OutOfRangeError,
-    RadialGrid,
-    ShapeMismatchError,
-)
+from bdfvac.numerics import InvalidParameterError, OutOfRangeError, RadialGrid
 from bdfvac.pekar import (
     DEFAULT_DT,
     DEFAULT_MAX_ITER,
@@ -41,12 +37,10 @@ from bdfvac.pekar import (
     GAUSSIAN_SIGMA_STAR,
     PekarState,
     _apply_h,
-    _ball_integral,
     _laplacian_u,
     hartree_potential,
     kinetic_energy,
     make_state,
-    normalize,
 )
 from bdfvac.polarization import (
     KernelBoundReport,
@@ -66,7 +60,7 @@ def interp(grid: RadialGrid, samples: np.ndarray, p) -> float | np.ndarray:
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.nodes.shape:
-        raise ShapeMismatchError("samples do not match grid")
+        raise ValueError("samples do not match grid")
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0) or np.any(p_arr > grid.cutoff):
         raise OutOfRangeError(f"query point outside [0, {grid.cutoff}]")
@@ -319,7 +313,7 @@ def screened_density(table: PolarizationTable, n_hat: np.ndarray) -> np.ndarray:
     density is (1 - b(k)) n_hat(k)."""
     n_hat = np.asarray(n_hat)
     if n_hat.shape != table.k_nodes.shape:
-        raise ShapeMismatchError("n_hat does not match the table's k grid")
+        raise ValueError("n_hat does not match the table's k grid")
     return -table.b * n_hat
 
 
@@ -335,66 +329,69 @@ def gaussian_trial_energy(sigma: float) -> float:
 
 
 def imaginary_time_step(state: PekarState, dt: float) -> PekarState:
-    """One projected descent step phi <- normalize(clip(phi - dt H phi)).
+    """One projected descent step u <- normalize(clip(u - dt r H phi)).
 
     Negative overshoots are clipped to zero before renormalization to keep
     the iterate in the positive cone where the minimizer lives.
     """
     if dt <= 0:
         raise InvalidParameterError("dt must be positive")
-    phi = state.phi - dt * _apply_h(state)
-    np.clip(phi, 0.0, None, out=phi)
-    return make_state(state.grid, phi)
+    u = state.u - dt * _apply_h(state)
+    np.clip(u, 0.0, None, out=u)
+    return make_state(state.grid, u)
 
 
-def direct_energy(grid: RadialGrid, n: np.ndarray) -> float:
-    """D(n, n) via the Hartree potential."""
-    V = hartree_potential(grid, n)
-    return _ball_integral(grid, V * n)
+def direct_energy(grid: RadialGrid, u2: np.ndarray) -> float:
+    """D(n, n) of the density n = u2/r^2 via its Hartree potential."""
+    V = hartree_potential(grid, u2)
+    return 4.0 * math.pi * grid.uniform_spacing * float(np.dot(V, u2))
 
 
-def _banded_state(grid: RadialGrid, phi: np.ndarray) -> PekarState:
+def normalized(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+    """u scaled to 4 pi h sum u^2 = 1, the unit L^2 norm of phi = u/r."""
+    u = np.asarray(u, dtype=float)
+    return u / math.sqrt(4.0 * math.pi * grid.uniform_spacing * float(np.dot(u, u)))
+
+
+def _banded_state(grid: RadialGrid, u: np.ndarray) -> PekarState:
     """make_state with D from direct_energy, which finds the Hartree
     potential anew."""
-    phi = normalize(grid, np.asarray(phi, dtype=float))
-    T = kinetic_energy(grid, phi)
-    D = direct_energy(grid, phi**2)
-    V = hartree_potential(grid, phi**2)
-    return PekarState(grid=grid, phi=phi, T=T, D=D, E=T - D, mu=T - 2.0 * D, V=V)
+    u = normalized(grid, u)
+    T = kinetic_energy(grid, u)
+    D = direct_energy(grid, u**2)
+    V = hartree_potential(grid, u**2)
+    return PekarState(grid=grid, u=u, T=T, D=D, E=T - D, mu=T - 2.0 * D, V=V)
 
 
 def _banded_step(state: PekarState, dt: float) -> PekarState:
     """The implicit descent step through scipy's solve_banded, with the
-    Hartree potential recomputed from phi."""
+    Hartree potential recomputed from u."""
     grid = state.grid
     h = grid.uniform_spacing
-    r = grid.nodes
-    u = r * state.phi
-    V = hartree_potential(grid, state.phi**2)
+    V = hartree_potential(grid, state.u**2)
     c = dt / (h * h)
-    n = u.size
+    n = V.size
     ab = np.empty((3, n))
     ab[0, :] = -c
     ab[1, :] = 1.0 + 2.0 * c - 2.0 * dt * V
     ab[1, 0] = 1.0 + 3.0 * c - 2.0 * dt * V[0]
     ab[1, -1] = 1.0 + 3.0 * c - 2.0 * dt * V[-1]
     ab[2, :] = -c
-    u_new = solve_banded((1, 1), ab, u)
-    phi = u_new / r
-    np.clip(phi, 0.0, None, out=phi)
-    return _banded_state(grid, phi)
+    u = solve_banded((1, 1), ab, state.u)
+    np.clip(u, 0.0, None, out=u)
+    return _banded_state(grid, u)
 
 
-def _banded_el_residual(state: PekarState) -> float:
-    """el_residual with the Hartree potential recomputed from phi."""
-    grid, phi = state.grid, state.phi
-    h = grid.uniform_spacing
-    r = grid.nodes
-    V = hartree_potential(grid, phi**2)
-    hphi = -_laplacian_u(r * phi, h) / r - 2.0 * V * phi
-    mu = _ball_integral(grid, hphi * phi)
-    defect = hphi - mu * phi
-    return math.sqrt(_ball_integral(grid, defect**2))
+def rayleigh_el_residual(state: PekarState) -> float:
+    """el_residual with the Hartree potential recomputed from u and mu
+    recomputed as the Rayleigh quotient 4 pi h sum u (r H phi)."""
+    grid, u = state.grid, state.u
+    ball = 4.0 * math.pi * grid.uniform_spacing
+    V = hartree_potential(grid, u**2)
+    rh = -_laplacian_u(u, grid.uniform_spacing) - 2.0 * V * u
+    mu = ball * float(np.dot(rh, u))
+    defect = rh - mu * u
+    return math.sqrt(ball * float(np.dot(defect, defect)))
 
 
 def solve_pekar_banded(
@@ -403,7 +400,8 @@ def solve_pekar_banded(
     """solve_pekar's descent loop on the banded step: the same schedule
     from the same Gaussian, each Hartree potential recomputed where it is
     read."""
-    state = _banded_state(grid, np.exp(-grid.nodes**2 / (2.0 * GAUSSIAN_SIGMA_STAR**2)))
+    r = grid.nodes
+    state = _banded_state(grid, r * np.exp(-(r**2) / (2.0 * GAUSSIAN_SIGMA_STAR**2)))
     dt = DEFAULT_DT
     check_every = 20
     for it in range(1, max_iter + 1):
@@ -414,9 +412,9 @@ def solve_pekar_banded(
                 break
             continue
         state = new
-        if it % check_every == 0 and _banded_el_residual(state) <= tol:
+        if it % check_every == 0 and rayleigh_el_residual(state) <= tol:
             return state
-    if _banded_el_residual(state) <= tol:
+    if rayleigh_el_residual(state) <= tol:
         return state
     raise AssertionError("the banded descent did not converge")
 

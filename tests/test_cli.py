@@ -293,6 +293,13 @@ class TestVerify:
         assert report["regime_warning"] is False
         assert all(c["passed"] for c in report["checks"])
 
+    def test_k0_consistency_carries_the_free_drop_at_a_low_cutoff(self, tmp_path):
+        # B(K_SWITCH)/B(0) - 1 reads 1.95e-6 at cutoff 30, almost all of it
+        # Uehling's U(K) and the edge term K/(8 pi cutoff)
+        main(["verify", "--out", str(tmp_path)] + FAST + ["--override", "model.cutoff=30"])
+        checks = {c["name"]: c for c in strict_json(tmp_path / "verify.json")["checks"]}
+        assert checks["polarization.k0_consistency"]["passed"] is True
+
     def test_nonconvergent_config_fails(self, tmp_path):
         code = main(
             ["verify", "--out", str(tmp_path), "--override", "dispersion.max_iter=1"] + FAST

@@ -16,11 +16,17 @@ from bdfvac.pekar import (
     hartree_potential,
     kinetic_energy,
     make_state,
-    normalize,
     solve_pekar,
     state_to_csv,
 )
-from oracles import direct_energy, gaussian_trial_energy, imaginary_time_step, solve_pekar_banded
+from oracles import (
+    direct_energy,
+    gaussian_trial_energy,
+    imaginary_time_step,
+    normalized,
+    rayleigh_el_residual,
+    solve_pekar_banded,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +49,16 @@ class TestGaussianOracles:
 
     def test_grid_kinetic_matches_analytic(self, grid):
         sigma = 2.0
-        phi = normalize(grid, np.exp(-grid.nodes**2 / (2.0 * sigma**2)))
-        T = kinetic_energy(grid, phi)
+        r = grid.nodes
+        u = normalized(grid, r * np.exp(-(r**2) / (2.0 * sigma**2)))
+        T = kinetic_energy(grid, u)
         assert math.isclose(T, 1.5 / sigma**2, rel_tol=5e-4)
 
     def test_grid_direct_matches_analytic(self, grid):
         sigma = 2.0
-        phi = normalize(grid, np.exp(-grid.nodes**2 / (2.0 * sigma**2)))
-        D = direct_energy(grid, phi**2)
+        r = grid.nodes
+        u = normalized(grid, r * np.exp(-(r**2) / (2.0 * sigma**2)))
+        D = direct_energy(grid, u**2)
         assert math.isclose(D, math.sqrt(2.0 / math.pi) / sigma, rel_tol=1e-4)
 
     def test_direct_energy_monte_carlo_oracle(self, grid):
@@ -61,8 +69,9 @@ class TestGaussianOracles:
         x = rng.normal(scale=a, size=(200_000, 3))
         y = rng.normal(scale=a, size=(200_000, 3))
         mc = float(np.mean(1.0 / np.linalg.norm(x - y, axis=1)))
-        phi = normalize(grid, np.exp(-grid.nodes**2 / (4.0 * a**2)))
-        D = direct_energy(grid, phi**2)
+        r = grid.nodes
+        u = normalized(grid, r * np.exp(-(r**2) / (4.0 * a**2)))
+        D = direct_energy(grid, u**2)
         assert math.isclose(D, mc, rel_tol=5e-3)
         assert math.isclose(D, 1.0 / (a * math.sqrt(math.pi)), rel_tol=1e-4)
 
@@ -81,22 +90,16 @@ class TestHartreePotential:
         R = 5.0
         r = grid.nodes
         n = np.where(r <= R, 1.0, 0.0) / (4.0 / 3.0 * math.pi * R**3)
-        V = hartree_potential(grid, n)
+        V = hartree_potential(grid, n * r**2)
         inside = r < R - 0.5
         outside = r > R + 0.5
         exact_in = (3.0 * R**2 - r[inside] ** 2) / (2.0 * R**3)
         assert np.allclose(V[inside], exact_in, rtol=1e-3)
         assert np.allclose(V[outside], 1.0 / r[outside], rtol=1e-3)
 
-    def test_rejects_negative_density(self, grid):
-        n = np.ones(grid.n_points)
-        n[3] = -1.0
-        with pytest.raises(InvalidParameterError):
-            hartree_potential(grid, n)
-
     def test_direct_energy_positive(self, grid):
-        n = np.exp(-grid.nodes)
-        assert direct_energy(grid, n) > 0.0
+        r = grid.nodes
+        assert direct_energy(grid, np.exp(-r) * r**2) > 0.0
 
 
 class TestDescent:
@@ -164,7 +167,7 @@ class TestMinimizer:
 
     def test_init_independence(self, grid, minimizer, monkeypatch):
         def start(g):
-            return make_state(g, np.exp(-g.nodes / 3.0))
+            return make_state(g, g.nodes * np.exp(-g.nodes / 3.0))
 
         monkeypatch.setattr(bdfvac.pekar, "gaussian_state", start)
         st2 = solve_pekar(grid)
@@ -190,9 +193,16 @@ class TestStepReuse:
     def test_bitwise_equal_to_the_banded_descent(self, n):
         grid = make_grid(40.0, n, "uniform")
         st, ref = solve_pekar(grid), solve_pekar_banded(grid)
-        assert np.array_equal(st.phi, ref.phi)
+        assert np.array_equal(st.u, ref.u)
         assert np.array_equal(st.V, ref.V)
         assert (st.T, st.D, st.E, st.mu) == (ref.T, ref.D, ref.E, ref.mu)
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_state_mu_is_the_rayleigh_quotient(self, n):
+        # T - 2D and the recomputed 4 pi h sum u (r H phi) agree to rounding,
+        # so el_residual reads the state's mu
+        st = solve_pekar(make_grid(40.0, n, "uniform"))
+        assert math.isclose(el_residual(st), rayleigh_el_residual(st), rel_tol=1e-11)
 
     def test_one_hartree_potential_per_state(self, grid, monkeypatch):
         # bench/spans.py counts make_state calls as pekar.steps
@@ -208,11 +218,11 @@ class TestStepReuse:
         solve_pekar(grid)
         assert calls == {"make_state": 101, "hartree_potential": 101}
 
-    def _state(self, phi, V):
+    def _state(self, u, V):
         # two nodes, h = 1: at dt = 0.5 the descent matrix is [[d0, -c], [-c, d1]]
         # with c = 0.5 and d = 2.5 - V
         grid = RadialGrid(np.array([0.5, 1.5]), 2.0)
-        return PekarState(grid, np.array(phi), 0.0, 0.0, 0.0, 0.0, np.array(V))
+        return PekarState(grid, np.array(u), 0.0, 0.0, 0.0, 0.0, np.array(V))
 
     def test_singular_step_raises(self):
         # V = 2 gives d0 = d1 = c: the determinant c^2 - c^2 is exactly 0
@@ -224,10 +234,10 @@ class TestStepReuse:
             _semi_implicit_step(self._state([1.0, math.nan], [0.0, math.nan]), 0.5)
 
     def test_non_finite_profile_raises(self, grid):
-        phi = np.exp(-grid.nodes)
-        phi[7] = math.nan
+        u = np.exp(-grid.nodes)
+        u[7] = math.nan
         with pytest.raises(InvalidParameterError, match="not finite"):
-            make_state(grid, phi)
+            make_state(grid, u)
 
 
 class TestSerialization:
