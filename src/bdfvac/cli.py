@@ -52,6 +52,7 @@ from .polarization import (
     charge_renormalization,
     continuity_modulus,
     default_k_nodes,
+    free_reference,
     kernel_difference_bound_check,
     polarization_table,
     table_to_csv,
@@ -337,6 +338,8 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         drop = 2.0 / math.pi * (K**2 / 30.0 - K**4 / 280.0) + K / (8.0 * math.pi * params.cutoff)
         k0 = abs(b_lambda_k(d, K) - table.B0_at_zero + drop) / table.B0_at_zero
         add("polarization.k0_consistency", k0 <= 1e-6, k0, 1e-6)
+        miss, budget = free_reference(d)
+        add("polarization.free_reference", miss <= budget, miss, budget)
 
     # direct-space minimizer
     try:

@@ -133,21 +133,24 @@ def _graded_panels(width, room, log_end):
     Gauss weights and -ln(v) on g*_LOG_W, exact for -ln(v) times any
     polynomial of degree 7.
 
-    width, room and log_end are arrays over the pieces.  Returns
-    (piece, r, w) of the halved panels, one row per panel and piece the
-    index of its piece, and (r, w, c) of the last panels, one row per
-    piece.  The integral of F(r) ln(R(r)/r) over a piece is the sum of
-    w F ln(R/r) over its panels' points plus c F over its last panel's:
-    c is g*(_LOG_W + _NEAR_W ln v) where log_end and zero elsewhere.
+    width, room and log_end are arrays over the pieces.  The point arrays
+    are point-major, one column per panel.  Returns (piece, r, w) of the
+    halved panels, shape (16, panels), piece the index of each column's
+    piece in increasing order, and (r, w, c) of the last panels: r and w
+    of shape (8, pieces), c of shape (8, log_end pieces), one column per
+    log_end piece in piece order.  The integral of F(r) ln(R(r)/r) over a
+    piece is the sum of w F ln(R/r) over its panels' points, plus c F over
+    its last panel's where log_end: c is g*(_LOG_W + _NEAR_W ln v).
     """
     depth = np.maximum(np.ceil(np.log2(width / room)), 0.0).astype(int)
     depth += np.ldexp(width, -depth) > room
     piece = np.repeat(np.arange(width.size), depth)
     j = np.arange(piece.size) - np.repeat(np.cumsum(depth) - depth, depth)
-    lo = np.ldexp(width[piece], -(j + 1))[:, None]
-    g = np.ldexp(width, -depth)[:, None]
-    log_part = np.where(log_end[:, None], g * (_LOG_W + _NEAR_W * np.log(_NEAR_V)), 0.0)
-    return (piece, lo * (1.0 + _PANEL_V), lo * _PANEL_W), (g * _NEAR_V, g * _NEAR_W, log_part)
+    lo = np.ldexp(width[piece], -(j + 1))
+    g = np.ldexp(width, -depth)
+    halved = (piece, (1.0 + _PANEL_V)[:, None] * lo, _PANEL_W[:, None] * lo)
+    log_part = (_LOG_W + _NEAR_W * np.log(_NEAR_V))[:, None] * g[log_end]
+    return halved, (_NEAR_V[:, None] * g, _NEAR_W[:, None] * g, log_part)
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 None of these is run by a bdfvac subcommand.  They are independent routes
 to quantities the pipeline computes another way (the angular kernels
-with adaptive quad on each cubic piece against KernelRules, the raw B(k)
+with adaptive quad on each cubic piece against KernelRules, the 26-term
+K1 bracket series against the banded one, the raw B(k)
 integrand against the wedge form, an unfolded l-centred rule graded
 toward the integrand's kinks against B(k)'s q-centred one, the
 per-sample kernel-bound check against the batched one, the free B(0)
@@ -117,6 +118,17 @@ def _bracket(p: float, s: float) -> float:
     acc = 0.0
     for coef in reversed(_BRACKET_COEF):
         acc = (acc + coef) * t * t
+    return acc
+
+
+def bracket_series_26(t):
+    """(1+t^2) atanh(t)/t - 1 for t in [0, 1/2] as every t takes it from
+    the 26-term series sum_{k>=1} 4k/(4k^2-1) t^{2k} by Horner's rule,
+    truncation error below t^52."""
+    t2 = t * t
+    acc = np.zeros_like(t)
+    for k in range(26, 0, -1):
+        acc = (acc + 4.0 * k / (4.0 * k * k - 1.0)) * t2
     return acc
 
 
@@ -301,11 +313,19 @@ def free_b_drop(cutoff: float, k):
 
 def limit_laws(L: float) -> dict:
     """The alpha -> 0 limits at fixed L = alpha ln(cutoff) of m, g1'(0)
-    and alpha B(0): (1+x)^(3/2), 1 + x and ln(1+x), with x = 2L/(3 pi).
+    and alpha B(0): (1+x)^(3/2), 1 + x and l = ln(1+x), with x = 2L/(3 pi).
     At first order in L they are the small-L forms 1 + L/pi, 1 + 2L/(3 pi)
-    and 2L/(3 pi)."""
+    and 2L/(3 pi).  Through C0^2 = 2 g1'(0)^2/((alpha b(0))^2 m) and
+    b(0) -> l/(1+l), the binding -E_CP/C0^2 over alpha^2 |E_CP| tends to
+    (1/2)(l/(1+l))^2 (1+x)^(-1/2)."""
     x = 2.0 * L / (3.0 * math.pi)
-    return {"m": (1.0 + x) ** 1.5, "g1_prime_zero": 1.0 + x, "alpha_b0": math.log1p(x)}
+    ell = math.log1p(x)
+    return {
+        "m": (1.0 + x) ** 1.5,
+        "g1_prime_zero": 1.0 + x,
+        "alpha_b0": ell,
+        "binding_per_E": 0.5 * (ell / (1.0 + ell)) ** 2 / math.sqrt(1.0 + x),
+    }
 
 
 def screened_density(table: PolarizationTable, n_hat: np.ndarray) -> np.ndarray:

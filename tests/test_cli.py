@@ -300,6 +300,16 @@ class TestVerify:
         checks = {c["name"]: c for c in strict_json(tmp_path / "verify.json")["checks"]}
         assert checks["polarization.k0_consistency"]["passed"] is True
 
+    @pytest.mark.parametrize(
+        "cutoff", [None, 10.0, 100.0], ids=["default", "cutoff10", "cutoff100"]
+    )
+    def test_free_reference_passes(self, tmp_path, cutoff):
+        overrides = [] if cutoff is None else ["--override", f"model.cutoff={cutoff:g}"]
+        main(["verify", "--out", str(tmp_path)] + FAST + overrides)
+        checks = {c["name"]: c for c in strict_json(tmp_path / "verify.json")["checks"]}
+        check = checks["polarization.free_reference"]
+        assert check["passed"] is True and 0.0 < check["value"] <= check["budget"]
+
     def test_nonconvergent_config_fails(self, tmp_path):
         code = main(
             ["verify", "--out", str(tmp_path), "--override", "dispersion.max_iter=1"] + FAST
@@ -339,6 +349,7 @@ class TestVerify:
             "polarization.pointwise_kernel_bound",
             "polarization.continuity_modulus",
             "polarization.k0_consistency",
+            "polarization.free_reference",
             "pekar.beats_gaussian_bound",
             "pekar.virial",
             "energy.binding_sign",
@@ -364,6 +375,7 @@ class TestVerify:
             "polarization.pointwise_kernel_bound",
             "polarization.continuity_modulus",
             "polarization.k0_consistency",
+            "polarization.free_reference",
             "pekar.beats_gaussian_bound",
             "pekar.virial",
         ]

@@ -13,6 +13,8 @@ from bdfvac.dispersion import (
     Dispersion,
     KernelRules,
     ModelParams,
+    _SERIES_EDGES,
+    _k1_bracket_series,
     _kernel_rule,
     _pchip_slopes,
     check_asymptotics,
@@ -32,10 +34,13 @@ from bdfvac.numerics import (
     _graded_panels,
     make_grid,
 )
-from bdfvac.polarization import b_lambda_zero_radial
+from bdfvac.energy import assemble_breakdown
+from bdfvac.pekar import DEFAULT_R_MAX, solve_pekar
+from bdfvac.polarization import polarization_table
 from oracles import (
     angular_kernel_K0,
     angular_kernel_K1,
+    bracket_series_26,
     e_tilde,
     geometric_bounds_grid,
     interp,
@@ -247,13 +252,13 @@ class TestFoldedQuadrature:
         delta = np.maximum(a - p, p - b)
         room = np.where(delta > 0, delta, p) / 4
         (piece, r, w), (r_last, w_last, c_last) = _graded_panels(b - a, room, delta == 0)
-        g = w_last[:, 0] / _NEAR_W[0]
-        assert np.all(r_last < g[:, None])
+        g = w_last[0] / _NEAR_W[0]
+        assert np.all(r_last < g)
         assert np.all(g <= room * (1 + 1e-15))
         assert np.all(np.isclose(g, b - a, rtol=1e-15, atol=0.0) | (2 * g > room))
-        assert np.all(np.any(c_last != 0.0, axis=1) == (delta == 0))
+        assert c_last.shape == (8, np.count_nonzero(delta == 0)) and np.all(c_last != 0.0)
         # the panels tile each piece
-        width = np.bincount(piece, np.sum(w, axis=1), a.size) + g
+        width = np.bincount(piece, np.sum(w, axis=0), a.size) + g
         assert np.allclose(width, b - a, rtol=1e-14)
 
     def test_solve_builds_no_interpolant(self, monkeypatch):
@@ -263,6 +268,24 @@ class TestFoldedQuadrature:
         monkeypatch.setattr(bdfvac.dispersion, "CubicHermiteSpline", refuse)
         d = solve_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
         assert d.report.converged
+
+
+class TestBracketSeries:
+    # each t takes 3, 5, 9 or 26 terms of the series by its band; the sum
+    # must be the 26-term sum to the bit
+    def test_banded_sum_is_the_26_term_sum_on_a_log_sweep(self):
+        t = np.geomspace(1e-12, 0.5, 200_001)
+        assert np.array_equal(_k1_bracket_series(t), bracket_series_26(t))
+
+    def test_banded_sum_is_the_26_term_sum_at_the_band_edges(self):
+        edges = np.append(_SERIES_EDGES, 0.5)
+        t = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+        assert np.array_equal(_k1_bracket_series(t), bracket_series_26(t))
+
+    def test_point_major_blocks_keep_their_shape(self):
+        t = np.geomspace(1e-9, 0.5, 96).reshape(8, 12)
+        out = _k1_bracket_series(t)
+        assert out.shape == t.shape and np.array_equal(out, bracket_series_26(t))
 
 
 def _deep_grid():
@@ -573,26 +596,45 @@ class TestPaperLimit:
     # The alpha -> 0 value at fixed L, from a quadratic in alpha through
     # three couplings, each half the last: (v0 - 6 v1 + 8 v2)/3.  Its
     # relative distances from the laws, on 2048 nodes, are 8.2e-9 (m),
-    # 3.4e-11 (g1'(0)) and 2.8e-10 (alpha B(0)) at L = 0.05, and 1.7e-7,
-    # 1.5e-9 and 1.2e-8 at L = 0.5; each budget is about 2.5 times that.
-    # The largest cutoff, exp(0.5/4e-3) = 1.9e54, is below the radial
-    # B(0)'s overflow.
+    # 3.4e-11 (g1'(0)), 2.8e-10 (alpha B(0)) and 4.6e-9 (binding over
+    # alpha^2 |E_CP|) at L = 0.05, and 1.7e-7, 1.5e-9, 1.2e-8 and 1.66e-7
+    # at L = 0.5; each budget is about 2.5 times that.  The largest cutoff,
+    # exp(0.5/4e-3) = 1.9e54, is below the radial B(0)'s overflow.
+    @pytest.fixture(scope="class")
+    def pekar_state(self):
+        return solve_pekar(make_grid(DEFAULT_R_MAX, 1024, "uniform"))
+
     @pytest.mark.parametrize(
         "L, alphas, budgets",
         [
-            (0.05, (2e-3, 1e-3, 5e-4), {"m": 2e-8, "g1_prime_zero": 1e-10, "alpha_b0": 1e-9}),
-            (0.5, (1.6e-2, 8e-3, 4e-3), {"m": 4e-7, "g1_prime_zero": 4e-9, "alpha_b0": 3e-8}),
+            (
+                0.05,
+                (2e-3, 1e-3, 5e-4),
+                {"m": 2e-8, "g1_prime_zero": 1e-10, "alpha_b0": 1e-9, "binding_per_E": 1.2e-8},
+            ),
+            (
+                0.5,
+                (1.6e-2, 8e-3, 4e-3),
+                {"m": 4e-7, "g1_prime_zero": 4e-9, "alpha_b0": 3e-8, "binding_per_E": 4e-7},
+            ),
         ],
     )
-    def test_extrapolation_meets_the_laws(self, L, alphas, budgets):
+    def test_extrapolation_meets_the_laws(self, pekar_state, L, alphas, budgets):
         values = []
         for alpha in alphas:
             params = ModelParams.from_L(alpha, L)
             d = solve_dispersion(params, make_grid(params.cutoff, 2048, "geometric"))
-            values.append((m_alpha(d), g1_prime_zero(d), alpha * b_lambda_zero_radial(d)))
+            table = polarization_table(d, k_nodes=())
+            br = assemble_breakdown(d, table, pekar_state)
+            # the binding -E_CP/C0^2 over alpha^2 |E_CP|
+            binding_per_E = -br.E_CP / (alpha**2 * br.C0_sq * abs(br.E_CP))
+            values.append((br.m, br.g1_slope, alpha * table.B0_at_zero, binding_per_E))
         v0, v1, v2 = np.array(values)
-        limit = dict(zip(("m", "g1_prime_zero", "alpha_b0"), (v0 - 6.0 * v1 + 8.0 * v2) / 3.0))
-        for name, law in limit_laws(L).items():
+        names = ("m", "g1_prime_zero", "alpha_b0", "binding_per_E")
+        limit = dict(zip(names, (v0 - 6.0 * v1 + 8.0 * v2) / 3.0))
+        laws = limit_laws(L)
+        assert set(laws) == set(names)
+        for name, law in laws.items():
             assert abs(limit[name] / law - 1.0) <= budgets[name], (name, limit[name], law)
 
 

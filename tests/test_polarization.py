@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import bdfvac.dispersion
@@ -25,9 +26,11 @@ from bdfvac.polarization import (
     charge_renormalization,
     continuity_modulus,
     default_k_nodes,
+    free_reference,
     kernel_difference_bound_check,
     polarization_table,
     table_to_csv,
+    uehling,
 )
 from oracles import (
     b_lambda_k_raw,
@@ -38,6 +41,7 @@ from oracles import (
     kernel_bound_per_sample,
     screened_density,
 )
+from oracles import uehling as uehling_oracle
 
 ALPHA = 0.01
 CUTOFF = 1e4
@@ -216,6 +220,33 @@ class TestFreeVacuumDrop:
         residual = np.abs(B0 - b_lambda_k(d, k) - free_b_drop(cut, k))
         budget = floor * B0 + k / (8.0 * math.pi * cut**3)
         assert np.all(residual <= budget), np.max(residual / budget)
+
+
+class TestFreeReference:
+    # verify's polarization.free_reference: the free B(0) and B(0) - B(1)
+    # on the run's grid against their closed forms
+    def test_elementary_uehling_matches_the_oracle_and_the_integral(self):
+        assert abs(uehling(1.0) / float(uehling_oracle(1.0)) - 1.0) <= 1e-15
+        integral, _ = quad(lambda z: z * (1 - z) * math.log1p(z * (1 - z)), 0.0, 1.0)
+        assert abs(uehling(1.0) / (2.0 / math.pi * integral) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("cut", [10.0, 100.0, 1e4, 1e8])
+    def test_within_budget_from_cutoff_10_to_1e8(self, cut):
+        d = free_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 128, "geometric"))
+        miss, budget = free_reference(d)
+        assert 0.0 < miss <= budget
+
+    def test_budget_follows_the_cutoff_term(self):
+        # at cutoff 10 the miss is almost all 0.106/cutoff^2 of B(0)
+        d = free_dispersion(ModelParams(ALPHA, 10.0), make_grid(10.0, 128, "geometric"))
+        miss, budget = free_reference(d)
+        assert miss > 0.85 * budget
+
+    def test_a_wrong_uehling_value_fails(self, monkeypatch):
+        d = free_dispersion(ModelParams(ALPHA, CUTOFF), make_grid(CUTOFF, 128, "geometric"))
+        monkeypatch.setattr(bdfvac.polarization, "uehling", lambda k: uehling(k) * (1 + 1e-6))
+        miss, budget = free_reference(d)
+        assert miss > budget
 
 
 class TestCrossMethodConsistency:
