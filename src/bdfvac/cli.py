@@ -56,6 +56,7 @@ from .polarization import (
     kernel_difference_bound_check,
     polarization_table,
     table_to_csv,
+    uehling,
 )
 
 EXIT_OK = 0
@@ -332,10 +333,9 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         cont = continuity_modulus(table)
         add("polarization.continuity_modulus", cont.max_ratio <= 10.0, cont.max_ratio, 10.0)
         # the 2-d B(k) at its smallest k, K = K_SWITCH, against the radial B(0)
-        # less the free drop there: Uehling's series (2/pi)(K^2/30 - K^4/280),
-        # whose elementary form cancels at K, and the edge term K/(8 pi cutoff)
+        # less the free drop there, U(K) and the edge term K/(8 pi cutoff)
         K = K_SWITCH
-        drop = 2.0 / math.pi * (K**2 / 30.0 - K**4 / 280.0) + K / (8.0 * math.pi * params.cutoff)
+        drop = uehling(K) + K / (8.0 * math.pi * params.cutoff)
         k0 = abs(b_lambda_k(d, K) - table.B0_at_zero + drop) / table.B0_at_zero
         add("polarization.k0_consistency", k0 <= 1e-6, k0, 1e-6)
         miss, budget = free_reference(d)
@@ -423,7 +423,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot use --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if cfg.params().regime_warning:
         print(
             f"warning: alpha={cfg.model.alpha} is outside the admissible regime "

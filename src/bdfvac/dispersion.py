@@ -10,15 +10,16 @@ convolutions reduce to 1-d kernels K0, K1 with an integrable log
 singularity at s = p.  The integrands g/Et between nodes come from the
 monotone cubic (PCHIP) interpolant of their node samples, one cubic per
 grid interval, and KernelRules integrates each kernel against each
-interval's cubic Hermite basis exactly to rounding: Gauss panels graded
-toward s = p, closed by a product rule for the log where p is an end.
-On the geometric grid both kernels are homogeneous of degree 1, so the
-interval integrals of every row but the first are one template per
-kernel, scaled by p^2 and shifted: a Toeplitz operator, applied by FFT,
-plus a few pieces off the geometric ladder integrated per row.  An
-iteration is one slope pass per profile and one FFT correlation.  The
-net prefactor is a/(4 pi^2) times the 2 pi from the azimuthal
-integration, i.e. a/(2 pi) -- applied exactly once, in scf_step.
+interval's cubic Hermite basis exactly to rounding: 8-point Gauss panels
+graded toward s = p in half octaves, closed by a product rule for the
+log where p is an end.  On the geometric grid both kernels are
+homogeneous of degree 1, so the interval integrals of every row but the
+first are one template per kernel, scaled by p^2 and shifted: a Toeplitz
+operator, applied by FFT, plus a few pieces off the geometric ladder
+integrated per row.  An iteration is one slope pass per profile and one
+FFT correlation.  The net prefactor is a/(4 pi^2) times the 2 pi from
+the azimuthal integration, i.e. a/(2 pi) -- applied exactly once, in
+scf_step.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .numerics import (
     FixedPointReport,
     InvalidParameterError,
     RadialGrid,
-    _graded_panels,
     fixed_point_solve,
     write_csv,
 )
@@ -197,23 +197,77 @@ _HERMITE = np.array(
 )
 
 
+# 8-point Gauss-Legendre on [0, 1], the rule of every panel of
+# _graded_panels, and the weights _LOG_W on its points that integrate
+# v**q * -ln(v) exactly for q <= 7 (the moment is 1/(q+1)**2)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+_NEAR_V = 0.5 * (1.0 + _GL_X)
+_NEAR_W = 0.5 * _GL_W
+
+
+def _log_weights():
+    """The Gauss weights times the shifted-Legendre expansion of -ln(v),
+    whose coefficients are 1 at q = 0 and (2q+1)(-1)**q/(q(q+1)) above:
+    no ill-conditioned Vandermonde system is solved."""
+    q = np.arange(8)
+    coef = (2 * q + 1) * (-1.0) ** q / np.maximum(q * (q + 1), 1)
+    coef[0] = 1.0
+    return _NEAR_W * (np.polynomial.legendre.legvander(_GL_X, 7) @ coef)
+
+
+_LOG_W = _log_weights()
+
+
+def _graded_panels(width, room, log_end):
+    """8-point Gauss panels on pieces [0, width] in the distance r from
+    their end nearest a log-singular point, graded toward that end.
+
+    A piece takes the smallest depth J >= 0 with g = width*2**-J no larger
+    than its room.  Its last panel is [0, g], and [g, width] splits into 2J
+    half octaves [lo, sqrt(2) lo].  Where log_end, the singular point is
+    the end itself: at r = g*v, ln(R/r) = ln(R/g) - ln(v) puts the smooth
+    part on the Gauss weights and -ln(v) on g*_LOG_W, exact for -ln(v)
+    times any polynomial of degree 7.
+
+    width, room and log_end are arrays over the pieces.  Returns (piece, r,
+    w, c), point-major, one column per panel, piece naming each column's
+    piece: first the [0, g] panels, one per piece in piece order, then the
+    half octaves, sorted by piece.  c = g*(_LOG_W + _NEAR_W ln v) has one
+    column per log_end piece: the integral of F(r) ln(R(r)/r) over a piece
+    is the sum of w F ln(R/r) over its points, plus c F over its [0, g]
+    panel's where log_end.
+    """
+    depth = np.maximum(np.ceil(np.log2(width / room)), 0.0).astype(int)
+    depth += np.ldexp(width, -depth) > room
+    g = np.ldexp(width, -depth)
+    # half octave k of a piece starts at lo = width*2**(-(k+1)/2)
+    halves = 2 * depth
+    half = np.repeat(np.arange(width.size), halves)
+    k = np.arange(half.size) - np.repeat(np.cumsum(halves) - halves, halves)
+    lo = width[half] * np.exp2(-0.5 * (k + 1))
+    span = np.concatenate([g, (math.sqrt(2.0) - 1.0) * lo])
+    r = _NEAR_V[:, None] * span
+    r[:, width.size :] += lo
+    c = (_LOG_W + _NEAR_W * np.log(_NEAR_V))[:, None] * g[log_end]
+    return np.concatenate([np.arange(width.size), half]), r, _NEAR_W[:, None] * span, c
+
+
 def _kernel_rule(p, a, b):
     """Points and K0, K1 weights that integrate K(p, s) F(s) over the
     pieces [a, b] exactly for F a cubic, to rounding.
 
-    The singular point p lies at or beyond an end of each piece.  Each
-    piece is graded toward p (numerics._graded_panels) until its last
-    panel is no wider than a quarter of its distance from p, or, when p is
-    an end, no wider than p/4, which keeps ln(p + s) smooth on the product
-    rule's panel.  K0 = s*ln((p+s)/|p-s|) and K1 = s*bracket(p, s) take
-    the log as log1p(2 min(p,s)/u) of the distance u = |s - p|, never by
-    subtracting nearly equal numbers, and the bracket takes its series
-    up to min/max = t = 1/2 and (1+t^2)/(2t) times the log above.  The
-    arguments broadcast to one array of pieces.
+    The singular point p lies at or beyond an end of each piece, and
+    _graded_panels grades each piece toward p until its last panel is no
+    wider than a quarter of its distance from p, or, when p is an end, than
+    p/4, which keeps ln(p + s) smooth on the product rule's panel.
+    K0 = s*ln((p+s)/|p-s|) and K1 = s*bracket(p, s) take the log as
+    log1p(2 min(p,s)/u) of the distance u = |s - p|, never by subtracting
+    nearly equal numbers, and the bracket takes its series up to
+    min/max = t = 1/2 and (1+t^2)/(2t) times the log above.  The arguments
+    broadcast to one array of pieces.
 
-    Returns two blocks (piece, s, weights), the graded panels and the last
-    panels, point-major: each column of s holds the points of one panel of
-    the piece named in piece, and weights has shape (2,) + s.shape.
+    Returns (piece, s, weights) in _graded_panels' layout, weights of shape
+    (2,) + s.shape.
     """
     p, a, b = (np.ravel(v) for v in np.broadcast_arrays(p, a, b))
     right = p <= a
@@ -221,61 +275,50 @@ def _kernel_rule(p, a, b):
     delta = np.abs(near - p)
     log_end = delta == 0
     sign = np.where(right, 1.0, -1.0)
-
-    def weigh(k, r, w):
-        # each piece's scalars broadcast as one row over its columns' points
-        ps = p[k]
-        s = r * sign[k]
-        s += near[k]
-        lo = np.minimum(s, ps)
-        t = lo / np.maximum(s, ps)
-        logf = np.log1p(2.0 * lo / (r + delta[k]))
-        brack = _k1_bracket_series(t)
-        close = t > 0.5
-        tc = t[close]
-        brack[close] = 0.5 * (tc + 1.0 / tc) * logf[close] - 1.0
-        w *= s
-        return s, t, np.stack([w * logf, w * brack])
-
     room = np.where(log_end, p, delta) / 4
-    (piece, r, w), (r_last, w_last, c) = _graded_panels(b - a, room, log_end)
-    s, _, weights = weigh(piece, r, w)
-    s_last, t, weights_last = weigh(slice(None), r_last, w_last)
-    # the product rule's -ln(v) part, on the last panels of the pieces
+    piece, r, w, c = _graded_panels(b - a, room, log_end)
+    # each piece's scalars broadcast as one row over its columns' points
+    ps = p[piece]
+    s = r * sign[piece]
+    s += near[piece]
+    low = np.minimum(s, ps)
+    t = low / np.maximum(s, ps)
+    logf = np.log1p(2.0 * low / (r + delta[piece]))
+    brack = _k1_bracket_series(t)
+    close = t > 0.5
+    tc = t[close]
+    brack[close] = 0.5 * (tc + 1.0 / tc) * logf[close] - 1.0
+    w *= s
+    weights = np.stack([w * logf, w * brack])
+    # the product rule's -ln(v) part, on the [0, g] panels of the pieces
     # that end at p
     ends = np.flatnonzero(log_end)
-    sc = s_last[:, ends] * c
+    sc = s[:, ends] * c
     te = t[:, ends]
-    weights_last[0][:, ends] += sc
-    weights_last[1][:, ends] += sc * (0.5 * (te + 1.0 / te))
-    return (piece, s, weights), (np.arange(p.size), s_last, weights_last)
-
-
-def _power_sums(w, tau):
-    """The sums of w tau**j over each column's points, j = 0..3, shape
-    (2, 4, columns), for weights w of shape (2,) + tau.shape; w is
-    scaled in place."""
-    out = np.empty((2, 4, tau.shape[1]))
-    for j in range(4):
-        if j:
-            w *= tau
-        np.sum(w, axis=1, out=out[:, j])
-    return out
+    weights[0][:, ends] += sc
+    weights[1][:, ends] += sc * (0.5 * (te + 1.0 / te))
+    return piece, s, weights
 
 
 def _moments(p, a, b, left, h):
     """The K0 and K1 integrals over the pieces [a, b] of the cubic Hermite
     basis of the interval [left, left + h], shape (2, 4, pieces), by
     _kernel_rule; the arguments broadcast to one array of pieces.  The
-    graded panels come sorted by piece, so their power sums add up per
-    piece over runs of columns."""
+    sums of w tau**j, j = 0..3, are taken over every column at once, and
+    the half octaves' sums, sorted by piece, add to their pieces over runs
+    of columns."""
     p, a, b, left, h = (np.ravel(v) for v in np.broadcast_arrays(p, a, b, left, h))
-    (piece, s, w), (_, s_last, w_last) = _kernel_rule(p, a, b)
-    sums = _power_sums(w_last, (s_last - left) / h)
-    starts = np.flatnonzero(np.diff(piece, prepend=-1))
-    panels = _power_sums(w, (s - left[piece]) / h[piece])
-    sums[..., piece[starts]] += np.add.reduceat(panels, starts, axis=2)
-    return _HERMITE.T @ sums
+    piece, s, w = _kernel_rule(p, a, b)
+    tau = (s - left[piece]) / h[piece]
+    sums = np.empty((2, 4, piece.size))
+    for j in range(4):
+        if j:
+            w *= tau
+        np.sum(w, axis=1, out=sums[:, j])
+    half = piece[p.size :]
+    starts = np.flatnonzero(np.diff(half, prepend=-1))
+    sums[..., half[starts]] += np.add.reduceat(sums[..., p.size :], starts, axis=2)
+    return _HERMITE.T @ sums[..., : p.size]
 
 
 class KernelRules:
@@ -302,7 +345,8 @@ class KernelRules:
     symbol spans q**(+-n), so each kernel's symbol is divided by q**(e m)
     and its input multiplied by p_k**e, with e = _GROWTH: the scaled symbol
     stays bounded on both sides and the FFT keeps the relative accuracy of
-    every row.
+    every row.  Where a rule array or the p**2 scale of the rows overflows
+    float64 (from a cutoff near 1e153), it raises InvalidParameterError.
     """
 
     def __init__(self, grid: RadialGrid):
@@ -338,14 +382,21 @@ class KernelRules:
             ],
             axis=1,
         )
-        self.template, self.origin, self.tail, row0 = np.split(
-            _moments(*pieces), np.cumsum([m.size, n - 1, n - 1]), axis=2
-        )
-        # row 0's first two pieces lie on interval 0's cubic, its last two
-        # on interval n-2's
-        self.row0 = row0[..., 1:-1].copy()
-        self.row0[..., 0] += row0[..., 0]
-        self.row0[..., -1] += row0[..., -1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.template, self.origin, self.tail, row0 = np.split(
+                _moments(*pieces), np.cumsum([m.size, n - 1, n - 1]), axis=2
+            )
+            # row 0's first two pieces lie on interval 0's cubic, its last
+            # two on interval n-2's
+            self.row0 = row0[..., 1:-1].copy()
+            self.row0[..., 0] += row0[..., 0]
+            self.row0[..., -1] += row0[..., -1]
+            self._weight_out = p ** (2.0 - _GROWTH[:, None])
+        rule = (self.template, self.origin, self.tail, self.row0, self._weight_out)
+        if not all(np.all(np.isfinite(v)) for v in rule):
+            raise InvalidParameterError(
+                f"kernel rules at cutoff {grid.cutoff:.3g} overflow float64"
+            )
         # the scaled template as a circular correlation of length 2n, which
         # holds every lag m = k - i: symbol[-m] = template[m] / q**(e m)
         self._size = 2 * n
@@ -353,7 +404,6 @@ class KernelRules:
         symbol[..., -m % self._size] = self.template / lo ** _GROWTH[:, None, None]
         self._spectrum = np.fft.rfft(symbol)
         self._weight_in = x[1 : n - 1] ** _GROWTH[:, None, None]
-        self._weight_out = p ** (2.0 - _GROWTH[:, None])
 
     def coefficients(self, f, slopes):
         """The cubic Hermite coefficients of f on each interval, shape

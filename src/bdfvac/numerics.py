@@ -1,5 +1,4 @@
-"""Radial grids, graded Gauss panels, a damped fixed-point driver and the
-artifact writers.
+"""Radial grids, a damped fixed-point driver and the artifact writers.
 
 Everything here works in natural units (hbar = c = 1, bare mass 1).  Grids
 cover (0, cutoff]; the origin is never a node because the singular kernels
@@ -89,68 +88,6 @@ def make_grid(cutoff: float, n_points: int, clustering: str) -> RadialGrid:
     else:
         raise InvalidParameterError(f"unknown clustering {clustering!r}")
     return RadialGrid(nodes=0.5 * (bounds[1:] + bounds[:-1]), cutoff=float(cutoff))
-
-
-# 8-point Gauss-Legendre on [-1, 1]; on [0, 1] it is the last panel of
-# the graded rules.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
-# The same points on [0, 1], and the weights _LOG_W on them that integrate
-# v**q * -ln(v) exactly for q <= 7 (the moment is 1/(q+1)**2).
-_NEAR_V = 0.5 * (1.0 + _GL_X)
-_NEAR_W = 0.5 * _GL_W
-
-
-def _log_weights():
-    """The Gauss weights times the shifted-Legendre expansion of -ln(v),
-    whose coefficients are 1 at q = 0 and (2q+1)(-1)**q/(q(q+1)) above:
-    no ill-conditioned Vandermonde system is solved."""
-    q = np.arange(8)
-    coef = (2 * q + 1) * (-1.0) ** q / np.maximum(q * (q + 1), 1)
-    coef[0] = 1.0
-    return _NEAR_W * (np.polynomial.legendre.legvander(_GL_X, 7) @ coef)
-
-
-_LOG_W = _log_weights()
-
-
-# 16-point Gauss-Legendre on [-1, 1], the rule of polarization's B(k)
-# panels; on [0, 1] it is the rule of each graded panel.
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-_PANEL_V = 0.5 * (1.0 + _GL16_X)
-_PANEL_W = 0.5 * _GL16_W
-
-
-def _graded_panels(width, room, log_end):
-    """Gauss points and weights on pieces [0, width] in the distance r
-    from their end nearest a log-singular point, graded toward that end.
-
-    Each piece takes the smallest depth J >= 0 with g = width*2**-J no
-    larger than its room.  The panels (width*2**-(j+1), width*2**-j],
-    j < J, carry 16 Gauss points each, and the last panel [0, g] the 8
-    points r = g*v.  Where log_end, the singular point is the end itself:
-    there ln(R/r) = ln(R/g) - ln(v) puts the smooth first part on the
-    Gauss weights and -ln(v) on g*_LOG_W, exact for -ln(v) times any
-    polynomial of degree 7.
-
-    width, room and log_end are arrays over the pieces.  The point arrays
-    are point-major, one column per panel.  Returns (piece, r, w) of the
-    halved panels, shape (16, panels), piece the index of each column's
-    piece in increasing order, and (r, w, c) of the last panels: r and w
-    of shape (8, pieces), c of shape (8, log_end pieces), one column per
-    log_end piece in piece order.  The integral of F(r) ln(R(r)/r) over a
-    piece is the sum of w F ln(R/r) over its panels' points, plus c F over
-    its last panel's where log_end: c is g*(_LOG_W + _NEAR_W ln v).
-    """
-    depth = np.maximum(np.ceil(np.log2(width / room)), 0.0).astype(int)
-    depth += np.ldexp(width, -depth) > room
-    piece = np.repeat(np.arange(width.size), depth)
-    j = np.arange(piece.size) - np.repeat(np.cumsum(depth) - depth, depth)
-    lo = np.ldexp(width[piece], -(j + 1))
-    g = np.ldexp(width, -depth)
-    halved = (piece, (1.0 + _PANEL_V)[:, None] * lo, _PANEL_W[:, None] * lo)
-    log_part = (_LOG_W + _NEAR_W * np.log(_NEAR_V))[:, None] * g[log_end]
-    return halved, (_NEAR_V[:, None] * g, _NEAR_W[:, None] * g, log_part)
 
 
 @dataclass

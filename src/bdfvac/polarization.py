@@ -45,14 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import Dispersion, ModelParams, free_dispersion
-from .numerics import (
-    _GL16_W,
-    _GL16_X,
-    InvalidParameterError,
-    OutOfRangeError,
-    write_csv,
-    write_json,
-)
+from .numerics import InvalidParameterError, OutOfRangeError, write_csv, write_json
 
 # Below this k polarization_table reports the radial B(0).  The wedge form
 # does not cancel as k -> 0 (on the free vacuum at cutoff 1e4 it holds
@@ -63,8 +56,9 @@ K_SWITCH = 1e-3
 
 DEFAULT_K_MIN = 1e-4
 
-# B(k)'s panels take numerics' 16-point Gauss rule in r and in c; B(0)
-# one 4-point rule per cubic piece
+# B(k)'s panels take a 16-point Gauss rule in r and in c, B(0) one 4-point
+# rule per cubic piece
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 # B(k)'s radial panels grow by this factor from r = k/2 to the cutoff
 PANEL_RATIO = 4.0
@@ -274,9 +268,13 @@ def uehling(k: float) -> float:
 
         (2/pi) [-5/18 + 2/(3k^2) + (1/6)(1 - 2/k^2) beta ln((beta+1)/(beta-1))],
 
-    accurate to 2e-15 at k = 1.  It cancels as k -> 0 (2e-5 relative at
-    k = 0.01), so it serves k of order 1."""
+    accurate to 2e-15 at k = 1.  That form cancels as k -> 0 (2e-5
+    relative at k = 0.01), so below k = 0.05 U takes the series
+    (2/pi)(k^2/30 - k^4/280 + k^6/1890), whose next term is 4e-11
+    relative there."""
     k2 = k * k
+    if k < 0.05:
+        return 2.0 / math.pi * (k2 * (1.0 / 30.0 - k2 / 280.0 + k2 * k2 / 1890.0))
     beta = math.sqrt(1.0 + 4.0 / k2)
     log = math.log((beta + 1.0) / (beta - 1.0))
     return 2.0 / math.pi * (-5.0 / 18.0 + 2.0 / (3.0 * k2) + (1.0 - 2.0 / k2) * beta * log / 6.0)

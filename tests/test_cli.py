@@ -199,6 +199,28 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert not any(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command", ["dispersion", "verify", "predict"])
+    def test_cutoff_past_the_scf_rule_is_usage_error(self, command, tmp_path, capsys):
+        # alpha = 5e-4, L = 0.2 puts the cutoff at e^400 = 5.2e173, where the
+        # SCF rule's weights pass the float64 range
+        argv = [command, "--out", str(tmp_path)]
+        for override in ("model.alpha=0.0005", "model.L=0.2", "dispersion.n_nodes=128",
+                         "pekar.n_nodes=512"):
+            argv += ["--override", override]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "5.22e+173" in err[0], err
+        assert not any(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_on_a_file_is_usage_error(self, below, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        out = target / "sub" if below else target
+        assert main(["pekar", "--out", str(out)] + FAST) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
 
 class TestCommands:
     def test_dispersion_writes_artifacts(self, tmp_path):

@@ -13,7 +13,11 @@ from bdfvac.dispersion import (
     Dispersion,
     KernelRules,
     ModelParams,
+    _LOG_W,
+    _NEAR_V,
+    _NEAR_W,
     _SERIES_EDGES,
+    _graded_panels,
     _k1_bracket_series,
     _kernel_rule,
     _pchip_slopes,
@@ -25,15 +29,7 @@ from bdfvac.dispersion import (
     scf_step,
     solve_dispersion,
 )
-from bdfvac.numerics import (
-    _LOG_W,
-    _NEAR_V,
-    _NEAR_W,
-    InvalidParameterError,
-    RadialGrid,
-    _graded_panels,
-    make_grid,
-)
+from bdfvac.numerics import InvalidParameterError, RadialGrid, make_grid
 from bdfvac.energy import assemble_breakdown
 from bdfvac.pekar import DEFAULT_R_MAX, solve_pekar
 from bdfvac.polarization import polarization_table
@@ -187,9 +183,9 @@ def _reference_integrals(grid, f0, f1, rows=None):
     a, b = _row_pieces(grid)
     out = np.zeros((2, rows.size))
     for j, i in enumerate(rows):
-        for _, s, weights in _kernel_rule(x[i], a, b):
-            for kernel in (0, 1):
-                out[kernel, j] += np.sum(weights[kernel] * pchips[kernel](s))
+        _, s, weights = _kernel_rule(x[i], a, b)
+        for kernel in (0, 1):
+            out[kernel, j] = np.sum(weights[kernel] * pchips[kernel](s))
     return out
 
 
@@ -220,8 +216,7 @@ class TestFoldedQuadrature:
     def test_step_matches_pchip_at_every_abscissa(self, grid_and_rules, profile):
         grid, rules = grid_and_rules
         # both extrapolated end pieces are in use
-        blocks = _kernel_rule(grid.nodes[0], *_row_pieces(grid))
-        s = np.concatenate([s.ravel() for _, s, _ in blocks])
+        _, s, _ = _kernel_rule(grid.nodes[0], *_row_pieces(grid))
         assert s.min() < grid.nodes[0] and s.max() > grid.nodes[-1]
         params = ModelParams(STRONG_ALPHA, grid.cutoff)
         if profile == "free":
@@ -241,9 +236,11 @@ class TestFoldedQuadrature:
 
     @pytest.mark.parametrize("which", ["default-n128", "deep"])
     def test_last_panels_within_their_room(self, which):
-        # every row's pieces, graded toward its node: each last panel is no
-        # wider than a quarter of its distance from the node, or than p/4
-        # where the node is its end, and no shallower depth would do
+        # every row's pieces, graded toward its node: each piece's first
+        # column is its last panel [0, g], no wider than a quarter of its
+        # distance from the node, or than p/4 where the node is its end,
+        # and no shallower depth would do; every other column is a half
+        # octave, (sqrt(2) - 1) times as wide as its distance from the end
         grid = make_grid(CUTOFF, 128, "geometric") if which == "default-n128" else _deep_grid()
         x = grid.nodes
         a, b = _row_pieces(grid)
@@ -251,15 +248,21 @@ class TestFoldedQuadrature:
         a, b = np.tile(a, x.size), np.tile(b, x.size)
         delta = np.maximum(a - p, p - b)
         room = np.where(delta > 0, delta, p) / 4
-        (piece, r, w), (r_last, w_last, c_last) = _graded_panels(b - a, room, delta == 0)
-        g = w_last[0] / _NEAR_W[0]
-        assert np.all(r_last < g)
+        piece, r, w, c = _graded_panels(b - a, room, delta == 0)
+        n = a.size
+        assert r.shape == w.shape == (8, piece.size)
+        assert np.array_equal(piece[:n], np.arange(n)) and np.all(np.diff(piece[n:]) >= 0)
+        g = w[0, :n] / _NEAR_W[0]
+        assert np.allclose(r[:, :n], _NEAR_V[:, None] * g, rtol=1e-15, atol=0.0)
         assert np.all(g <= room * (1 + 1e-15))
         assert np.all(np.isclose(g, b - a, rtol=1e-15, atol=0.0) | (2 * g > room))
-        assert c_last.shape == (8, np.count_nonzero(delta == 0)) and np.all(c_last != 0.0)
-        # the panels tile each piece
-        width = np.bincount(piece, np.sum(w, axis=0), a.size) + g
-        assert np.allclose(width, b - a, rtol=1e-14)
+        span = np.sum(w[:, n:], axis=0)
+        lo = r[0, n:] - _NEAR_V[0] * span
+        assert np.allclose(span, (math.sqrt(2.0) - 1.0) * lo, rtol=1e-14, atol=0.0)
+        assert np.allclose(r[:, n:], lo + _NEAR_V[:, None] * span, rtol=1e-15, atol=0.0)
+        assert c.shape == (8, np.count_nonzero(delta == 0)) and np.all(c != 0.0)
+        # the columns tile each piece
+        assert np.allclose(np.bincount(piece, np.sum(w, axis=0), n), b - a, rtol=1e-14, atol=0.0)
 
     def test_solve_builds_no_interpolant(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -411,6 +414,14 @@ class TestGeometricLadder:
         nodes[30] *= 1.0 + 1e-6
         with pytest.raises(InvalidParameterError, match="geometric progression"):
             KernelRules(RadialGrid(nodes, CUTOFF))
+
+    def test_cutoff_past_float64_is_refused(self):
+        # the weights s*w of the pieces near the cutoff pass 1.8e308
+        # between cutoff 1e150 and 1e153 at 128 nodes
+        rules = KernelRules(make_grid(1e150, 128, "geometric"))
+        assert all(np.all(np.isfinite(v)) for v in (rules.template, rules.tail, rules.row0))
+        with pytest.raises(InvalidParameterError, match="cutoff 1e\\+153"):
+            KernelRules(make_grid(1e153, 128, "geometric"))
 
     def test_last_node_on_the_cutoff_is_refused(self):
         # the piece [x_{n-1}, cutoff] would be empty, its product rule 0 * inf

@@ -12,13 +12,15 @@ import bdfvac.dispersion
 import bdfvac.polarization
 from bdfvac.dispersion import ModelParams, free_dispersion, solve_dispersion
 from bdfvac.energy import regime_sweep
-from bdfvac.numerics import _GL16_W, _GL16_X, InvalidParameterError, OutOfRangeError, make_grid
+from bdfvac.numerics import InvalidParameterError, OutOfRangeError, make_grid
 from bdfvac.pekar import solve_pekar
 from bdfvac.polarization import (
     DEFAULT_K_MIN,
     K_SWITCH,
     PANEL_RATIO,
     PANELS_PER_PASS,
+    _GL16_W,
+    _GL16_X,
     _wedge_integrand,
     b_lambda_k,
     b_lambda_zero_radial,
@@ -229,6 +231,11 @@ class TestFreeReference:
         assert abs(uehling(1.0) / float(uehling_oracle(1.0)) - 1.0) <= 1e-15
         integral, _ = quad(lambda z: z * (1 - z) * math.log1p(z * (1 - z)), 0.0, 1.0)
         assert abs(uehling(1.0) / (2.0 / math.pi * integral) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1e-4, 1e-3, 0.049, 0.05, 0.1, 1.0, 10.0])
+    def test_uehling_matches_the_oracle_on_both_branches(self, k):
+        # the series below k = 0.05, the elementary form from there on
+        assert abs(uehling(k) / float(uehling_oracle(k)) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("cut", [10.0, 100.0, 1e4, 1e8])
     def test_within_budget_from_cutoff_10_to_1e8(self, cut):
