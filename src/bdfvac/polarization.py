@@ -12,29 +12,35 @@ accuracy as k -> 0.  At k = 0 the kernel has a radial closed form in the
 profile derivatives, used both as the k -> 0 value and as an independent
 cross-check of the 2-d integral.
 
-B(k) integrates in spherical coordinates centred on q: r = |q| and
-c = cos(q, k).  Swapping p and q leaves f unchanged, so B(k) takes the
-half-space |p| >= |q| (l.k >= 0 for l = q + k/2) with weight 2:
+B(k) integrates over r = |q| and t = |p| - |q|.  Swapping p and q leaves
+f unchanged, so B(k) takes the half-space |p| >= |q| with weight 2.  In
+spherical coordinates centred on q, with c = cos(q, k), |p|^2 = r^2 + k^2
++ 2rkc, so c -> |p| = r + t has dc = |p| dt / (rk) and
 
-    B(k) = 4/(pi k^2) int r^2 dr int_{c_lo(r)}^{c_hi(r)} f dc,
-    c_lo = max(-1, -k/(2r)),  c_hi = min(1, (Cut^2 - r^2 - k^2)/(2rk)),
+    B(k) = 4/(pi k^3) int r dr int_{t_lo(r)}^{t_hi(r)} |p| f dt,
+    t_lo = max(0, k - 2r),  t_hi = min(k, Cut - r),
 
-for r in [max(0, k - Cut), Cut].  The radial panels break at the two
-kinks of those limits, r = k/2 and r = |Cut - k|, so that no Gauss panel
-straddles one, and q = 0, a conic point of the integrand in coordinates
-centred on l, is the coordinate origin.  Each panel takes a 16 x 16 Gauss
-rule in (r, c).  b_lambda_k takes one k or a 1-d array of them: the
-panels of every k go through the integrand together, PANELS_PER_PASS at
-a time, and each k adds its panel sums in panel order, so a k's B does
-not depend on the other k of its call.  polarization_table makes one
-such call for all of its k from K_SWITCH on.  |q| = r is a radial node,
-so the q side of the interpolant is read once per node.
+for r in [max(0, k - Cut), Cut].  The integrand needs only the profiles
+at r and |p| and s = 1 - cos(p, q) = (k - t)(k + t)/(2 r |p|), which the
+law of cosines gives straight from t with no cancellation, so the rule
+holds at any Cut/k: the free B(0) - B(k) matches Uehling's within 6e-14
+B(0) for k from 1e-4 to 1 at cutoffs from 1e6 to 1e61.  The radial panels
+break at the two kinks of the t limits, r = k/2 and r = |Cut - k|, so that
+no Gauss panel straddles one, and each panel takes a 16 x 16 Gauss rule
+in (r, t): about 2200 points a k.  b_lambda_k takes one k or a 1-d array
+of them: the panels of every k go through the integrand together,
+PANELS_PER_PASS at a time in buffers made once a call, and each k adds
+its panel sums in panel order, so a k's B does not depend on the other k
+of its call.  polarization_table makes one such call for all of its k
+from K_SWITCH on.  |q| = r is a radial node, so the q side of the
+interpolant is read once per node.
 
 B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
 the one (g0, g1) interpolant the Dispersion caches.  Where float64
-overflows (on the free dispersion, the radial B(0) from a cutoff near
-1e77 and the wedge's squared minors in B(k) near 2e85), B(0) and B(k)
-raise InvalidParameterError rather than return NaN.
+overflows (on the free dispersion, B(k) from a cutoff near 1.3e61, where
+the wedge's denominator 4 Et(cutoff)^5 passes the float64 range, and the
+radial B(0) from a cutoff near 1e77), B(0) and B(k) raise
+InvalidParameterError rather than return a wrong number.
 """
 
 from __future__ import annotations
@@ -47,24 +53,23 @@ import numpy as np
 from .dispersion import Dispersion, ModelParams, free_dispersion
 from .numerics import InvalidParameterError, OutOfRangeError, write_csv, write_json
 
-# Below this k polarization_table reports the radial B(0).  The wedge form
-# does not cancel as k -> 0 (on the free vacuum at cutoff 1e4 it holds
-# Uehling's drop within 1.4e-8 B(0) down to k = 1e-6), but the 2-d rule
-# degrades once cutoff/k passes about 1e10, and continuity of B at 0
-# backs reporting B(0) there.
+# Below this k polarization_table reports the radial B(0), which
+# continuity of B at 0 backs.  The 2-d rule itself holds as k -> 0: on the
+# free vacuum at cutoffs 1e4 and 1e10 it holds Uehling's drop within 6e-12
+# B(0) down to k = 1e-8.
 K_SWITCH = 1e-3
 
 DEFAULT_K_MIN = 1e-4
 
-# B(k)'s panels take a 16-point Gauss rule in r and in c, B(0) one 4-point
+# B(k)'s panels take a 16-point Gauss rule in r and in t, B(0) one 4-point
 # rule per cubic piece
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 # B(k)'s radial panels grow by this factor from r = k/2 to the cutoff
 PANEL_RATIO = 4.0
-# radial panels that one B(k) array pass integrates: each (panels, 16, 16)
-# temporary then takes 64 kB, and a pass about 1.5 MB.  At 512 and 2048
-# momentum nodes, 16 to 64 panels run within 10% of one another.
+# radial panels that one B(k) array pass integrates: the pass writes into
+# five (panels, 16, 16) buffers of 64 kB each, made once a call.  At 16,
+# 32 and 64 panels the 512-k table runs within 10% of one another.
 PANELS_PER_PASS = 32
 
 
@@ -114,79 +119,114 @@ def _finite(value: float, what: str, d: Dispersion) -> float:
     return value
 
 
-def _radial_edges(k: float, cut: float) -> np.ndarray:
-    """Panel edges in r = |q| over [max(0, k - cut), cut]: the kinks k/2
-    and |cut - k| of the c limits, then PANEL_RATIO octaves from k/2."""
-    r0 = max(0.0, k - cut)
-    edges = {r0, abs(cut - k), cut}
-    edge = 0.5 * k
+def _panel_edges(k: np.ndarray, cut: float) -> np.ndarray:
+    """Panel edges in r = |q| over [max(0, k - cut), cut], one row for each
+    k of the 1-d array k, ascending and padded with inf: the kinks k/2 and
+    |cut - k| of the t limits, then PANEL_RATIO octaves from k/2."""
+    octaves, edge = 0, 0.5 * float(k.min(initial=cut))
     while edge < cut:
-        edges.add(edge)
-        edge *= PANEL_RATIO
-    return np.array(sorted(e for e in edges if e >= r0))
+        octaves, edge = octaves + 1, edge * PANEL_RATIO
+    # PANEL_RATIO**j is exact, so each edge is k/2 multiplied j times
+    grid = np.multiply.outer(0.5 * k, PANEL_RATIO ** np.arange(octaves))
+    grid[grid >= cut] = np.inf
+    edges = np.column_stack([np.maximum(0.0, k - cut), np.abs(cut - k), np.full_like(k, cut), grid])
+    # sort, send each repeat of an edge to the end and sort again
+    edges.sort(axis=1)
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.inf
+    edges.sort(axis=1)
+    return edges
 
 
-def _wedge_integrand(lx, pz, qz, pn, qn, gp, gq):
-    """Wedge-form integrand f from the transverse component lx, the axial
-    components pz, qz and the norms pn, qn of p and q, with (g0, g1) at pn
-    in gp and at qn in gq on their last axis; all broadcast together."""
+def _wedge_integrand(s, gp, gq, work):
+    """Wedge-form integrand f from s = 1 - cos(p, q), with (g0, g1) at |p|
+    in gp and at |q| in gq on their last axis, broadcast to s's shape.
+    Overwrites s and the three arrays of work, each of s's shape, and
+    returns f in work[0]."""
     g0p, g1p, g0q, g1q = gp[..., 0], gp[..., 1], gq[..., 0], gq[..., 1]
-    # every Gauss point has pn, qn > 0 and lx > 0
-    ax, az = g1p * (lx / pn), g1p * (pz / pn)
-    bx, bz = g1q * (lx / qn), g1q * (qz / qn)
-    # difference form of the 2x2 minors keeps full accuracy at small k
-    d0, dx, dz = g0p - g0q, ax - bx, az - bz
-    d0x = d0 * bx - g0q * dx
-    d0z = d0 * bz - g0q * dz
-    dxz = dx * bz - dz * bx
-    wedge = d0x * d0x + d0z * d0z + dxz * dxz
-    etp = np.sqrt(g0p * g0p + g1p * g1p)
+    wedge, a, b = work
+    # the minor g0p g1q - g1p g0q in difference form keeps full accuracy
+    # at small k, and the rest of the wedge, both s (same + both + dot)
+    # with both = g1p g1q and same = g0p g0q, has no negative term
+    np.subtract(g0p, g0q, out=wedge)
+    wedge *= g1q
+    np.subtract(g1p, g1q, out=a)
+    a *= g0q
+    wedge -= a
+    wedge *= wedge
+    np.multiply(g1p, g1q, out=a)
+    np.multiply(g0p, g0q, out=b)
+    b += a
+    a *= s
+    dot = np.subtract(b, a, out=s)  # same + both (1 - s)
+    b += dot
+    b *= a
+    wedge += b
+    # the denominator etp etq (etp + etq) (etp etq + dot)
     etq = np.sqrt(g0q * g0q + g1q * g1q)
-    dot = g0p * g0q + ax * bx + az * bz
-    return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
+    etp = np.multiply(g0p, g0p, out=a)
+    np.multiply(g1p, g1p, out=b)
+    etp += b
+    np.sqrt(etp, out=etp)
+    np.multiply(etp, etq, out=b)
+    dot += b
+    dot *= b
+    etp += etq
+    dot *= etp
+    wedge /= dot
+    return wedge
 
 
 def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
-    """B at each k of the 1-d array k, with integrand(lx, pz, qz, pn, qn, gp,
-    gq) on the (r, c) rule of every radial panel of the half-space |p| >= |q|.
+    """B at each k of the 1-d array k, with integrand(s, gp, gq, work) on
+    the (r, t) rule of every radial panel of the half-space |p| >= |q|.
 
     The panels of all k go through the integrand together, PANELS_PER_PASS
-    at a time, and each k adds its panel sums in panel order."""
+    at a time in buffers made once a call, and each k adds its panel sums
+    in panel order."""
     cut = d.grid.cutoff
     outside = ~((k > 0) & (k <= 2.0 * cut))
     if outside.any():
         raise OutOfRangeError(f"k={k[outside][0]} outside (0, {2 * cut}]")
-    edges = [_radial_edges(kk, cut) for kk in k]
-    counts = np.array([e.size - 1 for e in edges], dtype=int)
-    owner = np.repeat(np.arange(k.size), counts)  # the index of each panel's k
-    a = np.concatenate([np.empty(0), *(e[:-1] for e in edges)])[:, None]
-    b = np.concatenate([np.empty(0), *(e[1:] for e in edges)])[:, None]
+    edges = _panel_edges(k, cut)
+    panel = np.isfinite(edges[:, 1:])
+    owner = np.nonzero(panel)[0]  # the index of each panel's k
+    a, b = edges[:, :-1][panel][:, None], edges[:, 1:][panel][:, None]
     kp = k[owner][:, None]
     r = 0.5 * (a + b) + 0.5 * (b - a) * _GL16_X
-    w = 0.5 * (b - a) * _GL16_W * r * r
-    # c from the plane |p| = |q| to the sphere |p| = cut
-    c_lo = np.maximum(-1.0, -0.5 * kp / r)
-    c_hi = np.minimum(1.0, 0.5 * ((cut - r) * (cut + r) / kp - kp) / r)
-    mid, half = (0.5 * (c_hi + c_lo))[..., None], (0.5 * (c_hi - c_lo))[..., None]
+    # t from the plane |p| = |q| (or p antiparallel to q) to the sphere
+    # |p| = cut (or p parallel to q)
+    t_lo = np.maximum(0.0, kp - 2.0 * r)
+    t_hi = np.minimum(kp, cut - r)
+    mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
+    # r dr times the t rule's half width; |p| and the t weight come per point
+    w = 0.5 * (b - a) * _GL16_W * r * half
     gq = d.interpolant(r)[..., None, :]
-    sums = np.empty(len(r))
-    for start in range(0, len(r), PANELS_PER_PASS):
+    # one value a radial node, on a new last axis for the t points
+    r, two_r, mid, half = (x[..., None] for x in (r, 2.0 * r, mid, half))
+    k2 = (kp * kp)[..., None]
+    sums = np.empty(len(w))
+    buffers = np.empty((5, PANELS_PER_PASS, 16, 16))
+    for start in range(0, len(w), PANELS_PER_PASS):
         part = slice(start, start + PANELS_PER_PASS)
-        c, cw = mid[part] + half[part] * _GL16_X, half[part] * _GL16_W
-        # q = r (sin, 0, c), p = q + k e_z: one (panels, 16, 16) array
-        qn = r[part, :, None]
-        lx = qn * np.sqrt(1.0 - c * c)
-        qz = qn * c
-        pz = qz + kp[part, :, None]
-        pn = np.sqrt(lx * lx + pz * pz)
-        f = integrand(lx, pz, qz, pn, qn, d.interpolant(pn), gq[part])
-        # one 16-point dot a panel, the same sum as np.dot row by row
-        sums[part] = np.vecdot(w[part], np.sum(f * cw, axis=-1))
+        # the integrand's work starts with t's buffer, free once s is made
+        pn, s, *work = buffers[:, : len(w[part])]
+        t = work[0]
+        np.multiply(half[part], _GL16_X, out=t)
+        t += mid[part]
+        np.add(r[part], t, out=pn)
+        # s = 1 - cos(p, q) = (k^2 - t^2)/(2 r |p|) by the law of cosines
+        np.multiply(t, t, out=s)
+        np.subtract(k2[part], s, out=s)
+        s /= np.multiply(two_r[part], pn, out=t)
+        f = integrand(s, d.interpolant(pn), gq[part], work)
+        f *= pn
+        # one 16-point dot a row and one a panel, the same sums as np.dot
+        sums[part] = np.vecdot(w[part], np.vecdot(f, _GL16_W))
     # bincount adds each k's panel sums in panel order; a k whose ball is
     # empty has no panel and keeps 0
     total = np.bincount(owner, weights=sums, minlength=k.size)
     # azimuthal 2 pi, and 2 for the half-space |p| < |q|
-    return 4.0 * total / (math.pi * k * k)
+    return 4.0 * total / (math.pi * k * k * k)
 
 
 def b_lambda_k(d: Dispersion, k):
@@ -194,9 +234,14 @@ def b_lambda_k(d: Dispersion, k):
     float for a float k, an array for a 1-d array of k.
 
     Raises OutOfRangeError for any k outside (0, 2 cutoff], and
-    InvalidParameterError naming the first k whose B is not finite."""
+    InvalidParameterError where the rule overflows float64 or naming the
+    first k whose B is not finite."""
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
+        # the wedge form's denominator is at most 4 Et(cutoff)^5, and every
+        # other term of the rule less; past that f would read 0, not NaN
+        et = np.hypot(*d.interpolant(d.grid.cutoff))
+        _finite(float(4.0 * et**5), "4 Et(cutoff)^5", d)
         Bk = _b_lambda_k_generic(d, ks, _wedge_integrand)
     bad = ~np.isfinite(Bk)
     if bad.any():
@@ -284,7 +329,9 @@ def uehling(k: float) -> float:
 # drop at k = 1 exceeds U(1) + 1/(8 pi cutoff) by about 0.133/(8 pi cutoff^2);
 # with a margin, cutoff 10 to 1e8
 FREE_CUTOFF_TERM = 0.125
-# 2.5 times the 1e-10 B(0) that the 2-d B(1) misses by up to cutoff 1e10
+# the 2-d B(1) misses its closed form by under 1e-13 B(0) from cutoff 1e6
+# to 1e20; the floor covers the radial B(0) on coarse grids (8.6e-11 B(0)
+# at 64 nodes and cutoff 1e12), with a margin
 FREE_FLOOR = 2.5e-10
 
 

@@ -5,7 +5,8 @@ to quantities the pipeline computes another way (the angular kernels
 with adaptive quad on each cubic piece against KernelRules, the 26-term
 K1 bracket series against the banded one, the raw B(k)
 integrand against the wedge form, an unfolded l-centred rule graded
-toward the integrand's kinks against B(k)'s q-centred one, the
+toward the integrand's kinks, with the wedge built from vector minors,
+against B(k)'s (|q|, |p| - |q|) one, the
 per-sample kernel-bound check against the batched one, the free B(0)
 against its closed form, the free B(0) - B(k) against Uehling's, the
 dressed m, g1'(0) and alpha B(0) against their alpha -> 0 laws at fixed
@@ -47,7 +48,6 @@ from bdfvac.polarization import (
     KernelBoundReport,
     PolarizationTable,
     _b_lambda_k_generic,
-    _wedge_integrand,
 )
 
 # ---------------------------------------------------------------- numerics
@@ -169,19 +169,39 @@ def e_tilde(d: Dispersion, p) -> float:
 # ---------------------------------------------------------------- polarization
 
 
-def _raw_integrand(lx, pz, qz, pn, qn, gp, gq):
-    """Textbook-form integrand, kept only to validate the wedge form."""
+def raw_integrand(s, gp, gq, work):
+    """Textbook-form integrand in s = 1 - cos(p, q), kept only to validate
+    the wedge form; it leaves work unused."""
     (g0p, g1p), (g0q, g1q) = np.moveaxis(gp, -1, 0), np.moveaxis(gq, -1, 0)
     etp = np.sqrt(g0p * g0p + g1p * g1p)
     etq = np.sqrt(g0q * g0q + g1q * g1q)
-    cosang = (lx * lx + pz * qz) / (pn * qn)
-    dot = g0p * g0q + g1p * g1q * cosang
+    dot = g0p * g0q + g1p * g1q * (1.0 - s)
     return (etp * etq - dot) / (etp * etq * (etp + etq))
+
+
+def _vector_wedge_integrand(lx, pz, qz, pn, qn, gp, gq):
+    """The wedge-form integrand from the vectors q = (lx, 0, qz) and
+    p = (lx, 0, pz) with norms pn, qn: |g(p) ^ g(q)|^2 as the sum of the
+    squared 2x2 minors of g = (g0, g1 p/|p|), each in difference form,
+    over Et(p) Et(q) (Et(p) + Et(q)) (Et(p) Et(q) + g(p).g(q)), with
+    (g0, g1) at pn in gp and at qn in gq on their last axis."""
+    g0p, g1p, g0q, g1q = gp[..., 0], gp[..., 1], gq[..., 0], gq[..., 1]
+    ax, az = g1p * (lx / pn), g1p * (pz / pn)
+    bx, bz = g1q * (lx / qn), g1q * (qz / qn)
+    d0, dx, dz = g0p - g0q, ax - bx, az - bz
+    d0x = d0 * bx - g0q * dx
+    d0z = d0 * bz - g0q * dz
+    dxz = dx * bz - dz * bx
+    wedge = d0x * d0x + d0z * d0z + dxz * dxz
+    etp = np.sqrt(g0p * g0p + g1p * g1p)
+    etq = np.sqrt(g0q * g0q + g1q * g1q)
+    dot = g0p * g0q + ax * bx + az * bz
+    return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
 
 
 def b_lambda_k_raw(d: Dispersion, k: float) -> float:
     """B(k) from the cancellation-prone raw integrand (validation only)."""
-    return float(_b_lambda_k_generic(d, np.array([k]), _raw_integrand)[0])
+    return float(_b_lambda_k_generic(d, np.array([k]), raw_integrand)[0])
 
 
 def _graded_breaks(a: float, b: float, levels: int) -> np.ndarray:
@@ -198,7 +218,7 @@ def _gauss_on(breaks: np.ndarray, order: int):
 
 
 def b_lambda_k_unfolded(d: Dispersion, k: float, levels: int = 24, order: int = 16) -> float:
-    """B(k) on a rule that shares only the wedge integrand with b_lambda_k.
+    """B(k) on a rule that shares nothing with b_lambda_k but the profiles.
 
     l-centred coordinates u = |l|, c = cos(l, k) with p = l + k/2 and
     q = l - k/2, over the whole domain |c| <= cmax(u), with no p <-> q
@@ -237,7 +257,7 @@ def b_lambda_k_unfolded(d: Dispersion, k: float, levels: int = 24, order: int = 
         pn, qn = np.hypot(lx, pz), np.hypot(lx, qz)
         gp = np.stack([g0(pn), g1(pn)], axis=-1)
         gq = np.stack([g0(qn), g1(qn)], axis=-1)
-        f = _wedge_integrand(lx, pz, qz, pn, qn, gp, gq)
+        f = _vector_wedge_integrand(lx, pz, qz, pn, qn, gp, gq)
         total += float(np.dot(uw * u[:, 0] ** 2, (f * cmax) @ tw))
     # azimuthal 2 pi over pi^2 k^2
     return 2.0 * total / (math.pi * k * k)

@@ -322,6 +322,22 @@ class TestVerify:
         checks = {c["name"]: c for c in strict_json(tmp_path / "verify.json")["checks"]}
         assert checks["polarization.k0_consistency"]["passed"] is True
 
+    def test_passes_in_the_paper_limit(self, tmp_path):
+        # alpha = 0.002 at L = 0.05 is cutoff 7.2e10, where the B(k) rule in
+        # (|q|, cos(q, k)) read k0_consistency 3.3e-5 and verify exited 1
+        args = ["--override", "model.alpha=0.002", "--override", "model.L=0.05"]
+        assert main(["verify", "--out", str(tmp_path)] + args) == EXIT_OK
+
+    @pytest.mark.parametrize("alpha", ["0.001", "0.0005"])
+    def test_polarization_holds_deeper_in_the_paper_limit(self, alpha):
+        # cutoffs 5.2e21 and 2.7e43: at the first that rule read
+        # k0_consistency 1.2e14 and continuity_modulus 3.9e19; now both
+        # read under 1e-2 at either
+        cfg = load_config(None, [f"model.alpha={alpha}", "model.L=0.05", "pekar.n_nodes=512"])
+        checks = {c.name: c for c in run_verification(cfg)[0]}
+        assert checks["polarization.k0_consistency"].value <= 1e-6
+        assert checks["polarization.continuity_modulus"].value <= 10.0
+
     @pytest.mark.parametrize(
         "cutoff", [None, 10.0, 100.0], ids=["default", "cutoff10", "cutoff100"]
     )

@@ -21,6 +21,7 @@ from bdfvac.polarization import (
     PANELS_PER_PASS,
     _GL16_W,
     _GL16_X,
+    _panel_edges,
     _wedge_integrand,
     b_lambda_k,
     b_lambda_zero_radial,
@@ -41,6 +42,7 @@ from oracles import (
     free_b_lambda_zero,
     geometric_bounds_grid,
     kernel_bound_per_sample,
+    raw_integrand,
     screened_density,
 )
 from oracles import uehling as uehling_oracle
@@ -49,45 +51,38 @@ ALPHA = 0.01
 CUTOFF = 1e4
 
 
-def _reference_profiles(d, k, r, c):
-    """q = r (sin, 0, c) and p = q + k e_z, and the profiles at |p| and
-    |q| = r from scipy's PchipInterpolator."""
-    lx = r * np.sqrt(1.0 - c * c)
-    qz = r * c
-    pz = qz + k
-    pn = np.sqrt(lx * lx + pz * pz)
-    qn = r
+def _reference_points(d, k, r, t):
+    """|p| = r + t, s = 1 - cos(p, q) by the law of cosines, and the
+    profiles at |p| and at |q| = r from scipy's PchipInterpolator, with
+    (g0, g1) on a new last axis."""
+    pn = r + t
+    s = (k * k - t * t) / (2.0 * r * pn)
     g0i = PchipInterpolator(d.grid.nodes, d.g0, extrapolate=True)
     g1i = PchipInterpolator(d.grid.nodes, d.g1, extrapolate=True)
-    return lx, pz, qz, pn, qn, g0i(pn), g0i(qn), g1i(pn), g1i(qn)
+    gp = np.stack([g0i(pn), g1i(pn)], axis=-1)
+    gq = np.stack([g0i(r), g1i(r)], axis=-1)
+    return s, pn, gp, gq
 
 
-def reference_wedge_integrand(d, k, r, c):
-    """Wedge integrand with both sides read from the oracle interpolant."""
-    lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, r, c)
-    ax, az = g1p * (lx / pn), g1p * (pz / pn)
-    bx, bz = g1q * (lx / qn), g1q * (qz / qn)
-    d0 = g0p - g0q
-    dx = ax - bx
-    dz = az - bz
-    D0x = d0 * bx - g0q * dx
-    D0z = d0 * bz - g0q * dz
-    Dxz = dx * bz - dz * bx
-    wedge = D0x**2 + D0z**2 + Dxz**2
+def reference_wedge_integrand(d, k, r, t):
+    """Wedge integrand f |p| with both sides read from the oracle
+    interpolant, in the order of operations of polarization's."""
+    s, pn, gp, gq = _reference_points(d, k, r, t)
+    (g0p, g1p), (g0q, g1q) = np.moveaxis(gp, -1, 0), np.moveaxis(gq, -1, 0)
+    minor = (g0p - g0q) * g1q - (g1p - g1q) * g0q
+    both, same = g1p * g1q, g0p * g0q
+    dot = (same + both) - both * s
+    wedge = minor * minor + ((same + both) + dot) * (both * s)
     etp = np.sqrt(g0p * g0p + g1p * g1p)
     etq = np.sqrt(g0q * g0q + g1q * g1q)
-    dot = g0p * g0q + ax * bx + az * bz
-    return wedge / (etp * etq * (etp + etq) * (etp * etq + dot))
+    return wedge / ((dot + etp * etq) * (etp * etq) * (etp + etq)) * pn
 
 
-def reference_raw_integrand(d, k, r, c):
-    """Raw integrand with both sides read from the oracle interpolant."""
-    lx, pz, qz, pn, qn, g0p, g0q, g1p, g1q = _reference_profiles(d, k, r, c)
-    cosang = (lx * lx + pz * qz) / (pn * qn)
-    etp = np.sqrt(g0p * g0p + g1p * g1p)
-    etq = np.sqrt(g0q * g0q + g1q * g1q)
-    dot = g0p * g0q + g1p * g1q * cosang
-    return (etp * etq - dot) / (etp * etq * (etp + etq))
+def reference_raw_integrand(d, k, r, t):
+    """Raw integrand f |p| with both sides read from the oracle
+    interpolant."""
+    s, pn, gp, gq = _reference_points(d, k, r, t)
+    return raw_integrand(s, gp, gq, None) * pn
 
 
 def reference_panels(k, cut):
@@ -95,10 +90,10 @@ def reference_panels(k, cut):
     |cut - k| and k/2 times each power of PANEL_RATIO below the cutoff."""
     r0 = max(0.0, k - cut)
     edges = [r0, abs(cut - k), cut]
-    j = 0
-    while 0.5 * k * PANEL_RATIO**j < cut:
-        edges.append(0.5 * k * PANEL_RATIO**j)
-        j += 1
+    edge = 0.5 * k
+    while edge < cut:
+        edges.append(edge)
+        edge *= PANEL_RATIO
     edges = sorted({e for e in edges if e >= r0})
     return list(zip(edges[:-1], edges[1:]))
 
@@ -107,26 +102,29 @@ def reference_radial_nodes(a, b):
     return 0.5 * (a + b) + 0.5 * (b - a) * _GL16_X, 0.5 * (b - a) * _GL16_W
 
 
-def reference_c_rule(k, cut, r):
-    """Gauss nodes and weights in c at each radial node r, on a new last
-    axis: c from max(-1, -k/(2r)) to the cutoff sphere."""
-    c_lo = np.maximum(-1.0, -0.5 * k / r)
-    c_hi = np.minimum(1.0, 0.5 * ((cut - r) * (cut + r) / k - k) / r)
-    mid, half = (0.5 * (c_hi + c_lo))[..., None], (0.5 * (c_hi - c_lo))[..., None]
-    return mid + half * _GL16_X, half * _GL16_W
+def reference_t_rule(k, cut, r):
+    """Gauss nodes in t = |p| - |q| at each radial node r, on a new last
+    axis, from max(0, k - 2r) to min(k, cut - r), and each node's half
+    width."""
+    t_lo = np.maximum(0.0, k - 2.0 * r)
+    t_hi = np.minimum(k, cut - r)
+    mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
+    return mid[:, None] + half[:, None] * _GL16_X, half
 
 
 def per_panel_b_lambda_k(d, k, integrand):
     """Reference B(k): one integrand call per radial panel on its 16 x 16
-    Gauss rule in (r, c), panel sums added in panel order."""
+    Gauss rule in (r, t), B(k) = 4/(pi k^3) int r dr int |p| f dt, with
+    the t sums dotted row by row and the panel sums added in panel
+    order."""
     cut = d.grid.cutoff
     total = 0.0
     for a, b in reference_panels(k, cut):
         r, rw = reference_radial_nodes(a, b)
-        c, cw = reference_c_rule(k, cut, r)
-        f = integrand(d, k, r[:, None], c)
-        total += float(np.dot(rw * r * r, np.sum(f * cw, axis=1)))
-    return 4.0 * total / (math.pi * k * k)
+        t, half = reference_t_rule(k, cut, r)
+        fp = integrand(d, k, r[:, None], t)
+        total += float(np.dot(rw * r * half, [np.dot(row, _GL16_W) for row in fp]))
+    return 4.0 * total / (math.pi * k * k * k)
 
 
 @pytest.fixture(scope="module")
@@ -209,18 +207,37 @@ class TestFreeVacuumDrop:
     # (k/(8 pi cutoff)) F(k/cutoff), on 20 k a decade from 1e-4 (below
     # K_SWITCH) to 1e-2 cutoff.  The budget is k/(8 pi cutoff^3), the
     # O(cutoff^-2) part of F (at cutoff 1e2 the residual is 0.44 of it,
-    # 1.8e-8 B(0) at k = 1), plus a floor times B(0).  Measured on 801 k a
-    # cutoff, the floor is 2e-12 at cutoff 1e2 and 1.3e-9 at 1e4.  At 1e6
-    # it is 1.3e-9 from k = 1e-3 on, but up to 1.4e-8 (k = 1.29e-4) below,
-    # where cutoff/k passes 1e9: the start of the defect of ROADMAP item 9,
-    # which puts B(1e-6) off by 8.2e-7 B(0) at that cutoff.
-    @pytest.mark.parametrize("cut, floor", [(1e2, 3e-9), (1e4, 3e-9), (1e6, 2e-8)])
-    def test_matches_uehling_and_the_edge_term(self, cut, floor):
+    # 1.8e-8 B(0) at k = 1), plus FLOOR times B(0).  Measured on 801 k a
+    # cutoff, the floor is 2e-12 at cutoff 1e2, and 1.3e-9 at 1e4 and
+    # 9.8e-10 at 1e6, both at k = 1e-2 cutoff; below k = 1e-3 it is under
+    # 1e-14.
+    FLOOR = 3e-9
+
+    @pytest.mark.parametrize("cut", [1e2, 1e4, 1e6])
+    def test_matches_uehling_and_the_edge_term(self, cut):
         d = free_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 2048, "geometric"))
         B0 = b_lambda_zero_radial(d)
         k = np.geomspace(1e-4, 1e-2 * cut, 20 * round(math.log10(cut) + 2) + 1)
         residual = np.abs(B0 - b_lambda_k(d, k) - free_b_drop(cut, k))
-        budget = floor * B0 + k / (8.0 * math.pi * cut**3)
+        budget = self.FLOOR * B0 + k / (8.0 * math.pi * cut**3)
+        assert np.all(residual <= budget), np.max(residual / budget)
+
+    # ROADMAP item 9: the paper's limit alpha -> 0 at fixed L takes the
+    # cutoff to e^(L/alpha).  A rule in (r, c = cos(q, k)) forms
+    # 1 - cos(p, q) from minors whose rounding grows like eps r/k, and
+    # misses by up to 6e-5, 2e15 and 2.5e58 B(0) at cutoffs 1e10, e^50 and
+    # e^100; the (r, t) rule reads under 4e-14 B(0) up to 1e61,
+    # the largest cutoff whose B(k) stays in float64's range.  The free
+    # profiles are exact in any cubic, so 512 nodes do.
+    @pytest.mark.parametrize(
+        "cut", [1e10, math.exp(50), math.exp(100), 1e61], ids=["1e10", "e50", "e100", "1e61"]
+    )
+    def test_holds_at_the_cutoffs_of_the_paper_limit(self, cut):
+        d = free_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
+        B0 = b_lambda_zero_radial(d)
+        k = np.geomspace(1e-4, 1.0, 41)
+        residual = np.abs(B0 - b_lambda_k(d, k) - free_b_drop(cut, k))
+        budget = self.FLOOR * B0 + k / (8.0 * math.pi * cut**3)
         assert np.all(residual <= budget), np.max(residual / budget)
 
 
@@ -293,8 +310,9 @@ class TestUnfoldedOracle:
 
     @pytest.mark.parametrize("k", [K_SWITCH, 1e-2, 4.59])
     def test_b_k_matches_the_unfolded_graded_rule_at_large_cutoff(self, dressed_large, k):
-        # small k sits on a floor of a few 1e-8 B(0) from the interpolant's
-        # C1 knots in r, which no Gauss order in r or c removes
+        # small k reads 1.3e-9 B(0) (K_SWITCH) and 8.8e-10 (1e-2) from the
+        # interpolant's C1 knots in r, which 32 radial points cut to 3e-10
+        # and 5e-10
         B0 = b_lambda_zero_radial(dressed_large)
         assert abs(b_lambda_k(dressed_large, k) - b_lambda_k_unfolded(dressed_large, k)) <= 1e-7 * B0
 
@@ -326,18 +344,20 @@ class TestBatchedQuadrature:
         interpolant = fresh.interpolant
 
         def recording(x, *rest):
-            args.append(x)
+            args.append(np.array(x))  # a copy: the points come in a reused buffer
             return interpolant(x, *rest)
 
         fresh.__dict__["interpolant"] = recording  # shadows the cached property
         k, cut = 1.0, CUTOFF
         b_lambda_k(fresh, k)
-        assert len(args) == 2
-        radial, points = sorted(args, key=np.ndim)
+        # the cutoff for the overflow guard, every radial node, every point
+        assert len(args) == 3
+        edge, radial, points = sorted(args, key=np.ndim)
+        assert edge == cut
         r = np.array([reference_radial_nodes(a, b)[0] for a, b in reference_panels(k, cut)])
         assert np.array_equal(radial, r)
-        pn = _reference_profiles(dressed, k, r[..., None], reference_c_rule(k, cut, r)[0])[3]
-        assert np.array_equal(points, pn)
+        t = np.array([reference_t_rule(k, cut, rr)[0] for rr in r])
+        assert np.array_equal(points, r[..., None] + t)
         # the half-space |p| >= |q| inside the cutoff sphere
         assert np.all(points >= radial[..., None]) and np.all(points < cut)
 
@@ -368,17 +388,34 @@ class TestBatchedQuadrature:
         assert B.tolist() == per_panel
         assert B.tolist() == [b_lambda_k(dressed, float(kk)) for kk in k]
 
+    def test_panel_edges_are_the_per_k_loop(self):
+        # one call for k of different panel counts, the support edge 2 cutoff
+        # (no panel) and k = cutoff (the kinks 0 and |cutoff - k| meet)
+        k = np.array([K_SWITCH, 1.0, CUTOFF, 2.0 * CUTOFF * (1.0 - 1e-9), 2.0 * CUTOFF])
+        edges = _panel_edges(k, CUTOFF)
+        for kk, row in zip(k, edges):
+            panels = reference_panels(kk, CUTOFF)
+            expected = [a for a, _ in panels] + [b for _, b in panels][-1:] or [CUTOFF]
+            assert row[: len(expected)].tolist() == expected
+            assert np.all(np.isinf(row[len(expected) :]))
+
     def test_b_k_refuses_any_k_outside_the_ball(self, dressed):
         for bad in (0.0, -1.0, 2.0 * CUTOFF * (1.0 + 1e-9), math.nan):
             with pytest.raises(OutOfRangeError):
                 b_lambda_k(dressed, np.array([1.0, bad, 2.0]))
 
     def test_b_k_names_the_first_non_finite_value(self, dressed, monkeypatch):
-        def nan_from_k_1(lx, pz, qz, pn, qn, gp, gq):
-            f = _wedge_integrand(lx, pz, qz, pn, qn, gp, gq)
-            return np.where(pz - qz > 1.0, np.nan, f)
+        # one panel a pass, so every pass after the panels of k = 0.5 is
+        # one of k = 2 or 3
+        calls, first = [], len(reference_panels(0.5, CUTOFF))
 
-        monkeypatch.setattr(bdfvac.polarization, "_wedge_integrand", nan_from_k_1)
+        def nan_from_k_2(s, gp, gq, work):
+            calls.append(1)
+            f = _wedge_integrand(s, gp, gq, work)
+            return f if len(calls) <= first else f * np.nan
+
+        monkeypatch.setattr(bdfvac.polarization, "PANELS_PER_PASS", 1)
+        monkeypatch.setattr(bdfvac.polarization, "_wedge_integrand", nan_from_k_2)
         with pytest.raises(InvalidParameterError, match=r"^B\(2\) = nan"):
             b_lambda_k(dressed, np.array([0.5, 2.0, 3.0]))
 
@@ -427,10 +464,14 @@ class TestFloatRange:
         with pytest.raises(InvalidParameterError, match="overflows float64"):
             b_lambda_zero_radial(d)
 
-    def test_b_k_raises_where_its_weights_overflow(self):
-        # the wedge's squared minors pass the float64 range near cutoff
-        # 2e85, and the weights rw r^2 near 5e102
-        d = free_dispersion(ModelParams(ALPHA, 1e105), make_grid(1e105, 512, "geometric"))
+    @pytest.mark.parametrize("cut", [1e62, 1e105])
+    def test_b_k_raises_where_its_denominator_overflows(self, cut):
+        # the wedge form's denominator reaches 4 Et(cutoff)^5, which passes
+        # the float64 range near cutoff 1.3e61; there it would read 0 and
+        # drop the outer panels.  B(0) still holds at 1e62.
+        d = free_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
+        if cut < 1e77:
+            assert math.isfinite(b_lambda_zero_radial(d))
         with pytest.raises(InvalidParameterError, match="overflows float64"):
             b_lambda_k(d, 1.0)
 
