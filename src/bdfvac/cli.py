@@ -102,7 +102,7 @@ class PekarConfig:
 
 @dataclass
 class SweepConfig:
-    alphas: tuple = _knob((0.02, 0.01, 0.005), above=0.0)
+    alphas: tuple = _knob((0.02, 0.01, 0.005, 0.002, 0.001, 0.0005), above=0.0)
     L: float = _knob(0.05, above=0.0)
 
 
@@ -279,8 +279,6 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     table = regime_sweep(c.alphas, c.L, p, lambda params: _solve_dispersion(cfg, params))
     sweep_to_csv(table, out / "sweep.csv")
     sweep_to_json(table, out / "sweep.json")
-    for alpha in table.skipped:
-        print(f"sweep: alpha={alpha} skipped (cutoff over cap)", file=sys.stderr)
     return EXIT_OK
 
 

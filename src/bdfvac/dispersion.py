@@ -156,7 +156,10 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The same operations as scipy's PchipInterpolator._find_derivatives and
     _edge_case (Fritsch-Butland weighted harmonic mean inside, Moler's
     one-sided three-point end slopes), so the result agrees to the bit;
-    the tests keep scipy's PchipInterpolator as the oracle.
+    the tests keep scipy's PchipInterpolator as the oracle.  Where the
+    harmonic mean overflows float64, for a secant slope under about
+    3 h/1.8e308 (that of g0/Et ~ 1/p from nodes near 1e103), the slope
+    would read 0, so it raises InvalidParameterError instead.
     """
     h = x[1:] - x[:-1]
     m = (y[1:] - y[:-1]) / h
@@ -165,9 +168,11 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
     dk = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         dk[1:-1][~flat] = 1.0 / whmean[~flat]
+    if np.isinf(whmean[~flat]).any():
+        raise InvalidParameterError(f"PCHIP slopes on nodes up to {x[-1]:.3g} overflow float64")
     dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
     dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
     return dk
@@ -503,16 +508,18 @@ class AsymptoticsEntry:
 
 def check_asymptotics(d: Dispersion) -> dict[str, AsymptoticsEntry]:
     """Compare the solved profiles against their alpha -> 0 laws at fixed
-    L, m = (1 + x)^(3/2) and g1'(0) = 1 + x with x = 2L/(3 pi), and the
-    O(alpha) bound on g0' (the interpolant's node slopes, reported as their
-    sup-norm over alpha, so alpha must be positive).  The entries are keyed
-    by name, in that order."""
+    L, m = (1 + x)^(3/2) and g1'(0) = 1 + x, and the O(alpha) bound on g0'
+    (the interpolant's node slopes, reported as their sup-norm over alpha,
+    so alpha must be positive).  x = 2 alpha asinh(cutoff)/(3 pi) makes
+    both laws exact to first order in alpha at every cutoff; it tends to
+    2L/(3 pi) as the cutoff grows.  The entries are keyed by name, in that
+    order."""
     params = d.params
     if not params.alpha > 0:
         raise InvalidParameterError(f"asymptotics need alpha > 0, got {params.alpha}")
     m = m_alpha(d)
     g1p0 = g1_prime_zero(d)
-    x = 2.0 * params.L / (3.0 * math.pi)
+    x = 2.0 * params.alpha * math.asinh(params.cutoff) / (3.0 * math.pi)
     m_pred = (1.0 + x) ** 1.5
     g1p_pred = 1.0 + x
     ratio = float(np.max(np.abs(d.interpolant(d.grid.nodes, 1)[:, 0]))) / params.alpha

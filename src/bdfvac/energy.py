@@ -21,8 +21,6 @@ from .numerics import InvalidParameterError, write_csv, write_json
 from .pekar import PekarState
 from .polarization import PolarizationTable, b_screening, polarization_table
 
-CUTOFF_CAP = 1e8
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -112,12 +110,10 @@ SWEEP_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Per-alpha rows at fixed L = alpha*ln(cutoff), plus skipped alphas
-    whose derived cutoff exceeded the feasibility cap."""
+    """Per-alpha rows at fixed L = alpha*ln(cutoff)."""
 
     L: float
     rows: list
-    skipped: list
     E_CP: float
 
     def to_dicts(self) -> list:
@@ -128,22 +124,15 @@ def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> Swee
     """Solve the pipeline for each alpha at cutoff = exp(L/alpha).
 
     solve(params) returns the Dispersion for one alpha; the variational
-    problem is alpha-independent and solved once, by the caller.  Alphas
-    whose cutoff would exceed CUTOFF_CAP, L/alpha > ln CUTOFF_CAP, are
-    recorded in `skipped` rather than solved.  Row columns: SWEEP_COLUMNS,
-    where binding is -E_CP/C0^2, the depth of E_pred below m taken without
-    the cancellation of m - E_pred (positive when E_CP < 0).
+    problem is alpha-independent and solved once, by the caller.  Every
+    alpha gives a row, or the sweep raises InvalidParameterError: for an
+    alpha or L that ModelParams.from_L refuses, or for a cutoff past the
+    float64 range of a stage.  Row columns: SWEEP_COLUMNS, where binding is -E_CP/C0^2, the depth of
+    E_pred below m taken without the cancellation of m - E_pred (positive
+    when E_CP < 0).
     """
-    if L_fixed <= 0:
-        raise InvalidParameterError("L must be positive")
     rows = []
-    skipped = []
     for alpha in alphas:
-        if not alpha > 0:
-            raise InvalidParameterError("sweep alphas must be positive")
-        if L_fixed / alpha > math.log(CUTOFF_CAP):
-            skipped.append(float(alpha))
-            continue
         params = ModelParams.from_L(float(alpha), L_fixed)
         d = solve(params)
         t = polarization_table(d, k_nodes=())
@@ -161,7 +150,7 @@ def regime_sweep(alphas, L_fixed: float, pekar_state: PekarState, solve) -> Swee
                 -br.E_CP / br.C0_sq,
             )
         )
-    return SweepTable(L=float(L_fixed), rows=rows, skipped=skipped, E_CP=pekar_state.E)
+    return SweepTable(L=float(L_fixed), rows=rows, E_CP=pekar_state.E)
 
 
 def breakdown_to_dict(br: EnergyBreakdown) -> dict:
@@ -182,5 +171,4 @@ def sweep_to_csv(table: SweepTable, path) -> None:
 
 
 def sweep_to_json(table: SweepTable, path) -> None:
-    rows, skipped = table.to_dicts(), table.skipped
-    write_json(path, {"L": table.L, "E_CP": table.E_CP, "rows": rows, "skipped_alphas": skipped})
+    write_json(path, {"L": table.L, "E_CP": table.E_CP, "rows": table.to_dicts()})

@@ -36,11 +36,14 @@ from K_SWITCH on.  |q| = r is a radial node, so the q side of the
 interpolant is read once per node.
 
 B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
-the one (g0, g1) interpolant the Dispersion caches.  Where float64
-overflows (on the free dispersion, B(k) from a cutoff near 1.3e61, where
-the wedge's denominator 4 Et(cutoff)^5 passes the float64 range, and the
-radial B(0) from a cutoff near 1e77), B(0) and B(k) raise
-InvalidParameterError rather than return a wrong number.
+the one (g0, g1) interpolant the Dispersion caches.  B(0)'s integrand is
+written in ratios bounded by the slopes, so it holds its free closed form
+until the interpolant itself overflows.  Where float64 overflows (on the
+free dispersion, B(k) from a cutoff near 1.3e61, where the wedge's
+denominator 4 Et(cutoff)^5 passes the float64 range, and the radial B(0)
+from a cutoff near 1e103, where the cube of the interpolant's offset does),
+B(0) and B(k) raise InvalidParameterError rather than return a wrong
+number.
 """
 
 from __future__ import annotations
@@ -103,8 +106,11 @@ def b_lambda_zero_radial(d: Dispersion) -> float:
     g0p, g1p = d.interpolant(u, 1).T
     et = np.hypot(g0, g1)
     with np.errstate(over="ignore", invalid="ignore"):
-        first = u**2 * (g0p**2 + g1p**2 + 2.0 * (g1 / u) ** 2) / et**3
-        second = u**2 * (g0 * g0p + g1 * g1p) ** 2 / et**5
+        # in ratios bounded by the slopes, so that no power of u or Et
+        # leaves float64 before the slopes themselves do
+        ue = (u / et) ** 2 / et
+        first = ue * (g0p**2 + g1p**2 + 2.0 * (g1 / u) ** 2)
+        second = ue * ((g0 * g0p + g1 * g1p) / et) ** 2
         B0 = float(np.dot(w, first) - np.dot(w, second)) / (3.0 * math.pi)
     return _finite(B0, "B(0)", d)
 

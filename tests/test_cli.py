@@ -24,7 +24,7 @@ from bdfvac.cli import (
 from bdfvac.dispersion import ModelParams, check_asymptotics, free_dispersion
 from bdfvac.numerics import make_grid
 from bdfvac.polarization import b_lambda_zero_radial, b_screening
-from oracles import config_to_ini
+from oracles import config_to_ini, limit_laws
 
 # small, fast parameter set reused across command tests
 FAST = [
@@ -188,12 +188,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"{command}: {stage} stage failed ("), err
 
-    @pytest.mark.parametrize("command", ["polarization", "predict"])
-    def test_overflowing_cutoff_is_usage_error_with_no_nan_written(self, command, tmp_path):
-        # alpha = 2.5e-4, L = 0.05 puts the cutoff at e^200 = 7.2e86, where
-        # the radial B(0) integrand passes the float64 range
+    @pytest.mark.parametrize(
+        "command, alpha",
+        [("polarization", "0.00025"), ("predict", "0.0002")],
+        ids=["polarization", "predict"],
+    )
+    def test_overflowing_cutoff_is_usage_error_with_no_nan_written(self, command, alpha, tmp_path):
+        # at L = 0.05, alpha = 2.5e-4 puts the cutoff at e^200 = 7.2e86, past
+        # the range of B(k)'s denominator, and alpha = 2e-4 at e^250 = 3.7e108,
+        # past that of the SCF rule's PCHIP slopes and of B(0)
         argv = [command, "--out", str(tmp_path)]
-        for override in ("model.alpha=0.00025", "model.L=0.05", "dispersion.n_nodes=128",
+        for override in (f"model.alpha={alpha}", "model.L=0.05", "dispersion.n_nodes=128",
                          "polarization.k_nodes=12", "pekar.n_nodes=512"):
             argv += ["--override", override]
         assert main(argv) == EXIT_USAGE
@@ -281,6 +286,17 @@ class TestCommands:
         # C0^2 is infinite with the coupling off
         assert strict_json(tmp_path / "prediction.json")["C0_sq"] is None
 
+    def test_predict_in_the_paper_limit(self, tmp_path):
+        # alpha = 2.5e-4 at L = 0.05 is cutoff e^200 = 7.2e86, where the
+        # radial B(0) in powers of u and Et overflowed
+        args = ["predict", "--out", str(tmp_path)]
+        for override in ("model.alpha=0.00025", "model.L=0.05", "pekar.n_nodes=512"):
+            args += ["--override", override]
+        assert main(args) == EXIT_OK
+        pred = strict_json(tmp_path / "prediction.json")
+        closed = 2.0 / (3.0 * math.pi) * (200.0 + math.log(2.0)) - 5.0 / (9.0 * math.pi)
+        assert abs(pred["b0_free"] / b_screening(closed, 0.00025) - 1.0) <= 1e-13
+
     def test_predict_free_companion_on_the_dressed_grid(self, tmp_path):
         assert main(["predict", "--out", str(tmp_path)] + FAST) == EXIT_OK
         pred = json.loads((tmp_path / "prediction.json").read_text())
@@ -293,6 +309,35 @@ class TestCommands:
         assert main(args + FAST) == EXIT_OK
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 4  # header + 3
+
+    def test_sweep_rows_in_the_paper_limit(self, tmp_path):
+        # cutoffs 7.2e10 to 5.0e98 at L = 0.05.  binding/(alpha^2 |E_CP|)
+        # misses its alpha -> 0 law by -6.06 alpha to -6.14 alpha on 512
+        # nodes; the radial B(0) in powers of u and Et read +15% off the
+        # line at 3e-4
+        alphas = (2e-3, 1e-3, 5e-4, 3e-4, 2.5e-4, 2.2e-4)
+        args = ["sweep", "--out", str(tmp_path), "--override", "pekar.n_nodes=512",
+                "--override", "sweep.alphas=" + ",".join(map(str, alphas))]
+        assert main(args) == EXIT_OK
+        data = strict_json(tmp_path / "sweep.json")
+        assert [row["alpha"] for row in data["rows"]] == list(alphas)
+        law = limit_laws(0.05)["binding_per_E"]
+        for row in data["rows"]:
+            alpha = row["alpha"]
+            line = law * (1.0 - 6.1 * alpha)
+            value = row["binding"] / (alpha**2 * abs(data["E_CP"]))
+            assert abs(value / line - 1.0) <= 0.1 * alpha, (alpha, value, line)
+
+    @pytest.mark.parametrize("alpha", ["0.0002", "0.0001", "0.00005"])
+    def test_sweep_past_float64_is_usage_error(self, alpha, tmp_path, capsys):
+        # cutoffs 3.7e108 (the PCHIP slopes), 1.4e217 (the SCF rule) and
+        # e^1000 (no float) at L = 0.05
+        args = ["sweep", "--out", str(tmp_path), "--override", "pekar.n_nodes=512",
+                "--override", f"sweep.alphas=0.002,{alpha}"]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert not any(tmp_path.glob("sweep.*"))
 
     def test_sweep_uses_the_dispersion_section(self, tmp_path):
         args = ["sweep", "--out", str(tmp_path), "--override", "dispersion.max_iter=1"]
@@ -321,6 +366,12 @@ class TestVerify:
         main(["verify", "--out", str(tmp_path)] + FAST + ["--override", "model.cutoff=30"])
         checks = {c["name"]: c for c in strict_json(tmp_path / "verify.json")["checks"]}
         assert checks["polarization.k0_consistency"]["passed"] is True
+
+    def test_passes_at_cutoff_10(self, tmp_path):
+        # the windows' laws in 2 alpha ln(cutoff)/(3 pi) read m_alpha 1.30
+        # and g1_slope 1.30 here; in asinh(cutoff) they read 1.000 and 0.999
+        args = FAST + ["--override", "model.cutoff=10"]
+        assert main(["verify", "--out", str(tmp_path)] + args) == EXIT_OK
 
     def test_passes_in_the_paper_limit(self, tmp_path):
         # alpha = 0.002 at L = 0.05 is cutoff 7.2e10, where the B(k) rule in

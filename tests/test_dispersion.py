@@ -479,6 +479,13 @@ class TestPchipSlopes:
         last = float(pchip.derivative()(x[-1]))
         assert abs(dk[-1] - last) <= 1e-12 * max(1.0, abs(last))
 
+    def test_refuses_a_harmonic_mean_past_float64(self):
+        # the SCF's g0/Et ~ 1/p on nodes up to 1e110: w/m ~ p^3 overflows,
+        # and the slope would read 0 where it is about -1/p^2
+        x = make_grid(1e110, 128, "geometric").nodes
+        with pytest.raises(InvalidParameterError, match="overflow float64"):
+            _pchip_slopes(x, 1.0 / np.hypot(1.0, x))
+
 
 class TestStrongCoupling:
     @pytest.mark.parametrize("alpha,iterations", [(0.01, 5), (0.3, 14), (1.2, 33)])
@@ -601,6 +608,19 @@ class TestAsymptoticsReport:
         d = solve_dispersion(ModelParams(0.0, CUTOFF), make_grid(CUTOFF, 512, "geometric"))
         with pytest.raises(InvalidParameterError, match="alpha > 0"):
             check_asymptotics(d)
+
+    @pytest.mark.parametrize("cutoff", [1.5, 2.0, 10.0, 1e4, 1e8])
+    def test_first_order_laws_hold_at_every_cutoff(self, cutoff):
+        # one step from the free profiles is the first order in alpha:
+        # m - 1 = (alpha/pi) asinh(cutoff) and g1'(0) - 1 = (2 alpha/(3 pi))
+        # asinh(cutoff), the laws of check_asymptotics; they miss by at most
+        # 3.4e-7 on 512 nodes
+        alpha = 1e-6
+        grid = make_grid(cutoff, 512, "geometric")
+        d = scf_step(free_dispersion(ModelParams(alpha, cutoff), grid), KernelRules(grid))
+        first = alpha * math.asinh(cutoff) / math.pi
+        assert abs((m_alpha(d) - 1.0) / first - 1.0) <= 1e-6
+        assert abs((g1_prime_zero(d) - 1.0) / (2.0 * first / 3.0) - 1.0) <= 1e-6
 
 
 class TestPaperLimit:

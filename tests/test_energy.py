@@ -7,7 +7,6 @@ import pytest
 import bdfvac.energy
 from bdfvac.dispersion import ModelParams, free_dispersion, solve_dispersion
 from bdfvac.energy import (
-    CUTOFF_CAP,
     EnergyBreakdown,
     assemble_breakdown,
     breakdown_to_json,
@@ -186,7 +185,6 @@ def sweep(minimizer):
 class TestSweep:
     def test_row_count_and_columns(self, sweep):
         assert len(sweep.rows) == 3
-        assert not sweep.skipped
         assert set(sweep.to_dicts()[0]) == {
             "alpha", "cutoff", "m", "b0", "g1_slope", "lambda_inv", "C0_sq", "E_pred", "binding",
         }
@@ -215,20 +213,13 @@ class TestSweep:
             assert row["binding"] == -sweep.E_CP / row["C0_sq"]
             assert abs(row["binding"] - (row["m"] - row["E_pred"])) <= math.ulp(row["m"])
 
-    def test_over_cap_rows_skipped(self, minimizer):
-        alpha = 0.05 / (math.log(CUTOFF_CAP) + 1.0)
-        sw = regime_sweep([alpha], 0.05, minimizer, _solver(256))
-        assert sw.skipped == [alpha]
-        assert not sw.rows
-
-    def test_overflowing_cutoff_skipped(self, minimizer):
-        # exp(0.1 / 1e-4) overflows a float: the row is skipped, not raised
-        sw = regime_sweep([1e-4], 0.1, minimizer, _solver(128))
-        assert sw.skipped == [1e-4]
-        assert not sw.rows
+    def test_overflowing_cutoff_raises(self, minimizer):
+        # exp(0.1 / 1e-4) overflows a float: the sweep refuses, with no row
+        with pytest.raises(InvalidParameterError, match="overflows a float"):
+            regime_sweep([0.01, 1e-4], 0.1, minimizer, _solver(128))
 
     def test_cutoff_rounding_to_one_raises(self, minimizer):
-        # exp(1e-18 / 1) is 1.0, no cutoff: an error, not a skipped row
+        # exp(1e-18 / 1) is 1.0, no cutoff
         with pytest.raises(InvalidParameterError):
             regime_sweep([1.0], 1e-18, minimizer, solve_dispersion)
 
@@ -245,5 +236,6 @@ class TestSweep:
         assert c1.read_bytes() == c2.read_bytes()
         sweep_to_json(sweep, tmp_path / "s.json")
         data = json.loads((tmp_path / "s.json").read_text())
+        assert list(data) == ["L", "E_CP", "rows"]
         assert len(data["rows"]) == 3
         assert data["E_CP"] == sweep.E_CP

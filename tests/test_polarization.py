@@ -459,19 +459,21 @@ class TestBatchedQuadrature:
 
 class TestFloatRange:
     def test_b0_raises_where_its_integrand_overflows(self):
-        # u^2 (g0 g0' + g1 g1')^2 passes the float64 range near cutoff 1e77
-        d = free_dispersion(ModelParams(ALPHA, 1e80), make_grid(1e80, 512, "geometric"))
+        # the interpolant's cubics pass the float64 range near cutoff 1e103
+        d = free_dispersion(ModelParams(ALPHA, 1e110), make_grid(1e110, 512, "geometric"))
         with pytest.raises(InvalidParameterError, match="overflows float64"):
             b_lambda_zero_radial(d)
 
-    @pytest.mark.parametrize("cut", [1e62, 1e105])
+    @pytest.mark.parametrize("cut", [1e62, 1e70, 1e76, 1e100])
     def test_b_k_raises_where_its_denominator_overflows(self, cut):
         # the wedge form's denominator reaches 4 Et(cutoff)^5, which passes
         # the float64 range near cutoff 1.3e61; there it would read 0 and
-        # drop the outer panels.  B(0) still holds at 1e62.
+        # drop the outer panels.  B(0), in bounded ratios, still holds its
+        # closed form: within 2.7e-14 at these cutoffs, where u^2/Et^3 read
+        # 2.7e-3 to 9.5e-2 above it from 1e62 and overflowed from 1e77.
         d = free_dispersion(ModelParams(ALPHA, cut), make_grid(cut, 512, "geometric"))
-        if cut < 1e77:
-            assert math.isfinite(b_lambda_zero_radial(d))
+        closed = 2.0 / (3.0 * math.pi) * (math.log(cut) + math.log(2.0)) - 5.0 / (9.0 * math.pi)
+        assert abs(b_lambda_zero_radial(d) / closed - 1.0) <= 1e-13
         with pytest.raises(InvalidParameterError, match="overflows float64"):
             b_lambda_k(d, 1.0)
 
