@@ -84,8 +84,6 @@ class ModelConfig:
 @dataclass
 class DispersionConfig:
     n_nodes: int = _knob(512, min=8)
-    tol: float = _knob(dispersion.DEFAULT_TOL, above=0.0)
-    max_iter: int = _knob(dispersion.DEFAULT_MAX_ITER, min=1)
 
 
 @dataclass
@@ -96,8 +94,6 @@ class PolarizationConfig:
 @dataclass
 class PekarConfig:
     n_nodes: int = _knob(1024, min=8)
-    tol: float = _knob(pekar.DEFAULT_TOL, above=0.0)
-    max_iter: int = _knob(pekar.DEFAULT_MAX_ITER, min=1)
 
 
 @dataclass
@@ -214,15 +210,11 @@ def _momentum_grid(cfg: RunConfig, cutoff: float):
 
 
 def _solve_dispersion(cfg: RunConfig, params: ModelParams):
-    c = cfg.dispersion
-    grid = _momentum_grid(cfg, params.cutoff)
-    return solve_dispersion(params, grid, tol=c.tol, max_iter=c.max_iter)
+    return solve_dispersion(params, _momentum_grid(cfg, params.cutoff))
 
 
 def _solve_pekar(cfg: RunConfig):
-    c = cfg.pekar
-    grid = make_grid(pekar.DEFAULT_R_MAX, c.n_nodes, "uniform")
-    return solve_pekar(grid, tol=c.tol, max_iter=c.max_iter)
+    return solve_pekar(make_grid(pekar.DEFAULT_R_MAX, cfg.pekar.n_nodes, "uniform"))
 
 
 def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
@@ -306,9 +298,9 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
     d = None
     try:
         d = _solve_dispersion(cfg, params)
-        add("dispersion.converged", True, d.report.final_residual, cfg.dispersion.tol)
+        add("dispersion.converged", True, d.report.final_residual, dispersion.DEFAULT_TOL)
     except FixedPointError as exc:
-        add("dispersion.converged", False, exc.report.final_residual, cfg.dispersion.tol)
+        add("dispersion.converged", False, exc.report.final_residual, dispersion.DEFAULT_TOL)
 
     if d is not None:
         # ordering of the solved profiles, 1 <= g0 and p <= g1 <= p*g0, as
@@ -346,7 +338,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[_Check], bool]:
         virial = abs(st.D - 2.0 * st.T) / st.D
         add("pekar.virial", virial <= 1e-3, virial, 1e-3)
     except PekarConvergenceError as exc:
-        add("pekar.converged", False, exc.residual, cfg.pekar.tol)
+        add("pekar.converged", False, exc.residual, pekar.DEFAULT_TOL)
         st = None
 
     # a bound state must lower the total below m; this fails once the

@@ -118,11 +118,8 @@ def free_dispersion(params: ModelParams, grid: RadialGrid) -> Dispersion:
     return Dispersion(params, grid, np.ones_like(grid.nodes), grid.nodes.copy(), report)
 
 
-# sum_{k>=1} 4k/(4k^2-1) t^{2k}, the K1 bracket below t = 1/2, to 26 terms;
-# t up to each edge takes the first 3, 5, 9 and 26 terms
+# sum_{k>=1} 4k/(4k^2-1) t^{2k}, the K1 bracket below t = 1/2, to 26 terms
 _BRACKET_COEF = [4.0 * k / (4.0 * k * k - 1.0) for k in range(1, 27)]
-_SERIES_EDGES = np.array([1e-4, 1e-2, 0.1])
-_SERIES_TERMS = (3, 5, 9, 26)
 
 
 def _k1_bracket_series(t):
@@ -131,22 +128,14 @@ def _k1_bracket_series(t):
     This is the K1 angular factor with the kernel scale stripped off:
     K1(p,s) = (2 pi s / p) * bracket(min(p,s)/max(p,s)).  The series is
     summed by Horner's rule from its last term; 26 terms leave an error
-    below t^52, and where t is at most 1e-4, 1e-2 or 0.1 the terms past
-    the 3rd, 5th or 9th are below rounding, so each t takes the fewest
-    terms of its band and the sum is the 26-term sum to the bit.
+    below t^52.
     """
     t2 = t * t
-    out = np.empty_like(t)
-    band = np.searchsorted(_SERIES_EDGES, t)
-    for b, terms in enumerate(_SERIES_TERMS):
-        sel = band == b
-        x = t2[sel]
-        acc = _BRACKET_COEF[terms - 1] * x
-        for coef in _BRACKET_COEF[terms - 2 :: -1]:
-            acc += coef
-            acc *= x
-        out[sel] = acc
-    return out
+    acc = _BRACKET_COEF[-1] * t2
+    for coef in _BRACKET_COEF[-2::-1]:
+        acc += coef
+        acc *= t2
+    return acc
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -459,15 +448,11 @@ def scf_step(d: Dispersion, rules: KernelRules) -> Dispersion:
     return replace(d, g0=g0_new, g1=g1_new)
 
 
-def solve_dispersion(
-    params: ModelParams,
-    grid: RadialGrid,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Dispersion:
-    """Solve the self-consistent equations for (g0, g1) by damped Picard
-    iteration on the stacked [g0, g1]; raises FixedPointError with the
-    report on non-convergence.  The norm is the larger of sup|dg0| and
+def solve_dispersion(params: ModelParams, grid: RadialGrid) -> Dispersion:
+    """Solve the self-consistent equations for (g0, g1) by Picard iteration
+    on the stacked [g0, g1], to DEFAULT_TOL within DEFAULT_MAX_ITER
+    iterations; raises FixedPointError with the report on
+    non-convergence.  The norm is the larger of sup|dg0| and
     sup|dg1|/max(p, 0.1): g1 grows like p, and the relative change of g1
     degenerates as p -> 0, hence the floor.
     """
@@ -484,7 +469,7 @@ def solve_dispersion(
         return float(max(np.max(np.abs(delta[:n])), np.max(np.abs(delta[n:]) / denom)))
 
     y0 = np.concatenate([d0.g0, d0.g1])
-    y, report = fixed_point_solve(step, y0, tol, max_iter, norm=norm)
+    y, report = fixed_point_solve(step, y0, DEFAULT_TOL, DEFAULT_MAX_ITER, norm=norm)
     return replace(d0, g0=y[:n], g1=y[n:], report=report)
 
 

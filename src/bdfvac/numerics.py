@@ -1,4 +1,4 @@
-"""Radial grids, a damped fixed-point driver and the artifact writers.
+"""Radial grids, a Picard fixed-point driver and the artifact writers.
 
 Everything here works in natural units (hbar = c = 1, bare mass 1).  Grids
 cover (0, cutoff]; the origin is never a node because the singular kernels
@@ -105,33 +105,23 @@ def fixed_point_solve(
     max_iter: int,
     norm,
 ):
-    """Damped Picard iteration x <- (1-w) x + w map(x), from w = 1.
-
-    The residual is norm(map(x) - x).  Whenever the residual increases,
-    the damping factor w is halved, floored at 1/64; the iteration degrades
-    gracefully outside the contraction regime.  Raises FixedPointError
-    (carrying the report and last state) if max_iter is reached above
-    tolerance.
+    """Picard iteration x <- map(x) until norm(map(x) - x) <= tol; returns
+    map(x) with the report.  Raises FixedPointError (carrying the report
+    and last state) if max_iter is reached above tolerance.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be at least 1, got {max_iter}")
     x = np.asarray(init, dtype=float)
-    omega = 1.0
     history = []
-    prev = np.inf
     for it in range(1, max_iter + 1):
         fx = np.asarray(map_fn(x), dtype=float)
         res = norm(fx - x)
         history.append(res)
-        if res > prev:
-            omega = max(omega / 2.0, 1.0 / 64.0)
-        prev = res
-        x = (1.0 - omega) * x + omega * fx
+        x = fx
         if res <= tol:
-            report = FixedPointReport(True, it, history, res)
-            return x, report
+            return x, FixedPointReport(True, it, history, res)
     report = FixedPointReport(False, max_iter, history, history[-1])
     raise FixedPointError(
         f"no convergence after {max_iter} iterations (residual {history[-1]:.3e} > {tol:.3e})",

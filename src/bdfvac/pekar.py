@@ -158,13 +158,9 @@ class PekarConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def solve_pekar(
-    grid: RadialGrid,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> PekarState:
-    """Imaginary-time minimization to EL residual <= tol, from the optimal
-    Gaussian.
+def solve_pekar(grid: RadialGrid) -> PekarState:
+    """Imaginary-time minimization to EL residual <= DEFAULT_TOL within
+    DEFAULT_MAX_ITER steps, from the optimal Gaussian.
 
     Uses the implicit step, whose fixed point is the Euler-Lagrange
     equation itself; the step size starts at DEFAULT_DT and halves on any
@@ -176,7 +172,7 @@ def solve_pekar(
     state = gaussian_state(grid)
     dt = DEFAULT_DT
     check_every = 20
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         new = _semi_implicit_step(state, dt)
         # increases at rounding level must not trigger halving near the
         # minimum, where the true decrease underflows the energy's ulp
@@ -186,13 +182,13 @@ def solve_pekar(
                 break
             continue
         state = new
-        if it % check_every == 0 and el_residual(state) <= tol:
+        if it % check_every == 0 and el_residual(state) <= DEFAULT_TOL:
             return state
     res = el_residual(state)
-    if res <= tol:
+    if res <= DEFAULT_TOL:
         return state
     raise PekarConvergenceError(
-        f"EL residual {res:.3e} > {tol:.3e} after {max_iter} steps "
+        f"EL residual {res:.3e} > {DEFAULT_TOL:.3e} after {DEFAULT_MAX_ITER} steps "
         f"(E = {state.E:.8f}, Gaussian bound {GAUSSIAN_BOUND:.8f}); "
         "grid too small or the step-size schedule failed",
         res,

@@ -3,7 +3,7 @@
 None of these is run by a bdfvac subcommand.  They are independent routes
 to quantities the pipeline computes another way (the angular kernels
 with adaptive quad on each cubic piece against KernelRules, the 26-term
-K1 bracket series against the banded one, the raw B(k)
+K1 bracket series against dispersion's, the raw B(k)
 integrand against the wedge form, an unfolded l-centred rule graded
 toward the integrand's kinks, with the wedge built from vector minors,
 against B(k)'s (|q|, |p| - |q|) one, the

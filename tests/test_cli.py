@@ -6,6 +6,7 @@ import pytest
 
 import bdfvac.cli
 import bdfvac.dispersion
+import bdfvac.pekar
 import bdfvac.polarization
 from bdfvac.cli import (
     EXIT_FAIL,
@@ -100,7 +101,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["dispersion.n_nodes=4"])
         with pytest.raises(ConfigError):
-            load_config(None, ["pekar.tol=-1"])
+            load_config(None, ["polarization.k_nodes=4"])
 
     def test_round_trip(self, tmp_path):
         cfg = load_config(None, ["model.alpha=0.03", "polarization.k_nodes=33"])
@@ -116,8 +117,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "command, overrides",
         [
-            ("dispersion", ["dispersion.max_iter=0"]),
-            ("pekar", ["pekar.max_iter=0"]),
+            ("dispersion", ["dispersion.n_nodes=4"]),
+            ("pekar", ["pekar.n_nodes=4"]),
             ("dispersion", ["model.alpha=1e-4", "model.L=0.1"]),
             ("dispersion", ["model.cutoff=inf"]),
             ("dispersion", ["model.cutoff=nan"]),
@@ -143,10 +144,15 @@ class TestConfigErrors:
             ("polarization", "polarization.k_min=1e-4"),
             ("pekar", "pekar.dt=0.5"),
             ("sweep", "pekar.r_max=30"),
+            ("dispersion", "dispersion.tol=1e-9"),
+            ("sweep", "dispersion.max_iter=200"),
+            ("pekar", "pekar.tol=1e-6"),
+            ("verify", "pekar.max_iter=50000"),
         ],
     )
     def test_removed_key_is_unknown(self, command, override, tmp_path, capsys):
-        # the starting steps, the Pekar box and the k-grid floor are constants
+        # the starting steps, the Pekar box, the k-grid floor and the
+        # solvers' tolerances and iteration caps are constants
         argv = [command, "--out", str(tmp_path), "--override", override]
         assert main(argv + FAST) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
@@ -165,26 +171,27 @@ class TestExitCodes:
         code = main(["dispersion", "--config", "/nope.ini", "--out", str(tmp_path)])
         assert code == EXIT_USAGE
 
-    def test_nonconvergence_is_failure(self, tmp_path):
-        code = main(
-            ["dispersion", "--out", str(tmp_path), "--override", "dispersion.max_iter=1"]
-            + FAST
-        )
-        assert code == EXIT_FAIL
+    def test_strong_coupling_at_a_large_cutoff_converges(self, tmp_path):
+        # L = 165.8: damping every residual rise stalled this solve at its
+        # floor, and the command exited 1 after 200 iterations
+        argv = ["dispersion", "--out", str(tmp_path)]
+        argv += ["--override", "model.alpha=1.2", "--override", "model.cutoff=1e60"]
+        assert main(argv) == EXIT_OK
+        assert strict_json(tmp_path / "asymptotics.json")["converged"] is True
+
+    def test_nonconvergence_is_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bdfvac.dispersion, "DEFAULT_MAX_ITER", 1)
+        assert main(["dispersion", "--out", str(tmp_path)] + FAST) == EXIT_FAIL
         report = json.loads((tmp_path / "asymptotics.json").read_text())
         assert report["converged"] is False
 
     @pytest.mark.parametrize(
-        "command, stage, override",
-        [
-            ("pekar", "pekar", "pekar.max_iter=1"),
-            ("polarization", "dispersion", "dispersion.max_iter=1"),
-            ("predict", "dispersion", "dispersion.max_iter=1"),
-        ],
+        "command, stage",
+        [("pekar", "pekar"), ("polarization", "dispersion"), ("predict", "dispersion")],
     )
-    def test_stage_failure_is_one_line(self, command, stage, override, tmp_path, capsys):
-        argv = [command, "--out", str(tmp_path), "--override", override]
-        assert main(argv + FAST) == EXIT_FAIL
+    def test_stage_failure_is_one_line(self, command, stage, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(getattr(bdfvac, stage), "DEFAULT_MAX_ITER", 1)
+        assert main([command, "--out", str(tmp_path)] + FAST) == EXIT_FAIL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"{command}: {stage} stage failed ("), err
 
@@ -339,9 +346,9 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert not any(tmp_path.glob("sweep.*"))
 
-    def test_sweep_uses_the_dispersion_section(self, tmp_path):
-        args = ["sweep", "--out", str(tmp_path), "--override", "dispersion.max_iter=1"]
-        assert main(args + FAST) == EXIT_FAIL
+    def test_sweep_uses_the_dispersion_section(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bdfvac.dispersion, "DEFAULT_MAX_ITER", 1)
+        assert main(["sweep", "--out", str(tmp_path)] + FAST) == EXIT_FAIL
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -399,18 +406,16 @@ class TestVerify:
         check = checks["polarization.free_reference"]
         assert check["passed"] is True and 0.0 < check["value"] <= check["budget"]
 
-    def test_nonconvergent_config_fails(self, tmp_path):
-        code = main(
-            ["verify", "--out", str(tmp_path), "--override", "dispersion.max_iter=1"] + FAST
-        )
-        assert code == EXIT_FAIL
+    def test_nonconvergent_config_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bdfvac.dispersion, "DEFAULT_MAX_ITER", 1)
+        assert main(["verify", "--out", str(tmp_path)] + FAST) == EXIT_FAIL
         report = json.loads((tmp_path / "verify.json").read_text())
         names = {c["name"]: c["passed"] for c in report["checks"]}
         assert names["dispersion.converged"] is False
 
-    def test_pekar_failure_records_its_residual_as_strict_json(self, tmp_path):
-        args = ["verify", "--out", str(tmp_path), "--override", "pekar.max_iter=1"]
-        assert main(args + FAST) == EXIT_FAIL
+    def test_pekar_failure_records_its_residual_as_strict_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bdfvac.pekar, "DEFAULT_MAX_ITER", 1)
+        assert main(["verify", "--out", str(tmp_path)] + FAST) == EXIT_FAIL
         checks = {c["name"]: c for c in strict_json(tmp_path / "verify.json")["checks"]}
         check = checks["pekar.converged"]
         assert check["passed"] is False

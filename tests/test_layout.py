@@ -31,6 +31,11 @@ but the derived model.L, to its default.
 The traced benchmark run reads the import times of bdfvac.cli and
 scipy.interpolate from `python -X importtime`; bench/run.py's
 parse_importtime must find both in the import of bdfvac.cli.
+
+bench/spans.py instruments package functions by name and reads the fields
+of each FixedPointReport: every name it wraps is a top-level definition
+in src/bdfvac, and every report field it reads is a FixedPointReport
+field, so a rename cannot silently zero a per-layer timing or counter.
 """
 
 import ast
@@ -244,3 +249,50 @@ def test_benchmark_reads_the_import_times(monkeypatch):
 
     times = parse_importtime(proc.stderr)
     assert set(times) == {"cli.import_s", "cli.import.scipy_interpolate_s"}
+
+
+def _spans_tree():
+    return ast.parse((ROOT / "bench" / "spans.py").read_text())
+
+
+def test_benchmark_instruments_names_the_package_defines():
+    tree = _spans_tree()
+    traced = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target = node.targets[0].id
+            if target in ("SPANNED", "COUNTED"):
+                traced |= {key.value for key in node.value.keys}
+            elif target == "traced":
+                traced |= {
+                    sub.value
+                    for sub in ast.walk(node.value)
+                    if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                }
+    assert "fixed_point_solve" in traced and "solve_dispersion" in traced
+    defined = {
+        node.name
+        for tree in TREES.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    missing = sorted(traced - defined)
+    assert not missing, f"bench/spans.py instruments names src/bdfvac does not define: {missing}"
+
+
+def test_benchmark_reads_fields_the_fixed_point_report_keeps():
+    read = {
+        sub.attr
+        for sub in ast.walk(_spans_tree())
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "report"
+    }
+    assert read >= {"iterations", "residual_history"}
+    (report,) = (
+        node
+        for node in TREES[ROOT / "src" / "bdfvac" / "numerics.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "FixedPointReport"
+    )
+    kept = {node.target.id for node in report.body if isinstance(node, ast.AnnAssign)}
+    assert read <= kept, f"bench/spans.py reads {sorted(read - kept)} off FixedPointReport"

@@ -134,9 +134,9 @@ class TestFixedPoint:
         with pytest.raises(InvalidParameterError):
             fixed_point_solve(lambda x: x, np.array([0.0]), tol=-1.0, max_iter=200, norm=SUP)
 
-    def test_residual_rise_never_raises_the_damping(self):
+    def test_residual_rise_takes_the_full_step(self):
         # x -> 2x from 1 moves away, so every residual after the first
-        # rises; a step of damping w multiplies x by 1 + w, exactly here
+        # rises; plain Picard still takes map(x), doubling every input
         inputs = []
 
         def doubling(x):
@@ -146,7 +146,7 @@ class TestFixedPoint:
         with pytest.raises(FixedPointError):
             fixed_point_solve(doubling, np.array([1.0]), tol=1e-12, max_iter=9, norm=SUP)
         steps = [b / a - 1.0 for a, b in zip(inputs, inputs[1:])]
-        assert steps == [1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 64], steps
+        assert steps == [1.0] * 8, steps
 
     def test_max_iter_must_be_positive(self):
         with pytest.raises(InvalidParameterError):

@@ -177,9 +177,11 @@ class TestMinimizer:
         with pytest.raises(InvalidParameterError):
             solve_pekar(make_grid(10.0, 256, "uniform"))
 
-    def test_iteration_budget_failure(self, grid):
+    def test_iteration_budget_failure(self, grid, monkeypatch):
+        monkeypatch.setattr(bdfvac.pekar, "DEFAULT_TOL", 1e-14)
+        monkeypatch.setattr(bdfvac.pekar, "DEFAULT_MAX_ITER", 5)
         with pytest.raises(PekarConvergenceError) as exc:
-            solve_pekar(grid, tol=1e-14, max_iter=5)
+            solve_pekar(grid)
         # the error carries the final EL residual that its message names
         assert math.isfinite(exc.value.residual) and exc.value.residual > 1e-14
         assert f"{exc.value.residual:.3e}" in str(exc.value)
