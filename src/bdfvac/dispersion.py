@@ -94,18 +94,16 @@ class Dispersion:
         return np.hypot(self.g0, self.g1)
 
     @cached_property
-    def interpolant(self) -> CubicHermiteSpline:
-        """Monotone cubic interpolant of (g0, g1): the cubic Hermite spline
-        on the _pchip_slopes node slopes the SCF operators use.  At p it
-        returns shape p.shape + (2,), g0 in [..., 0] and g1 in [..., 1].
+    def interpolant(self) -> ProfileSpline:
+        """Monotone cubic interpolant of (g0, g1): the ProfileSpline on the
+        _pchip_slopes node slopes the SCF operators use.  At p it returns
+        shape (2,) + p.shape, g0 in [0] and g1 in [1].
 
         Built on first use and kept: the instance is frozen and replace()
         makes a new one, so the cache follows the profiles.  It extrapolates
         beyond the grid; callers guard their own range.
         """
-        x = self.grid.nodes
-        slopes = np.column_stack([_pchip_slopes(x, self.g0), _pchip_slopes(x, self.g1)])
-        return CubicHermiteSpline(x, np.column_stack([self.g0, self.g1]), slopes)
+        return ProfileSpline(self.grid.nodes, (self.g0, self.g1))
 
 
 def free_dispersion(params: ModelParams, grid: RadialGrid) -> Dispersion:
@@ -178,6 +176,103 @@ def _pchip_end_slope(h0, h1, m0, m1) -> float:
 
 # largest relative distance of nodes[1:] from a geometric ladder
 _LADDER_RTOL = 1e-12
+
+
+def _ladder_log_ratio(x: np.ndarray) -> float:
+    """ln q of the ladder x_k = x_1 q**(k-1), k >= 1, that the nodes from
+    the second on follow within _LADDER_RTOL, the grid KernelRules and
+    ProfileSpline need; InvalidParameterError where they do not."""
+    log_q = (math.log(x[-1]) - math.log(x[1])) / (x.size - 2)
+    ladder = x[1] * np.exp(log_q * np.arange(x.size - 1))
+    if not np.all(np.abs(x[1:] - ladder) <= _LADDER_RTOL * x[1:]):
+        raise InvalidParameterError(
+            "the momentum grid needs nodes[1:] in geometric progression, "
+            f"x_k = x_1 q**(k-1) within {_LADDER_RTOL:g} relative"
+        )
+    return log_q
+
+
+class ProfileSpline:
+    """The cubic Hermite spline of profiles on their PCHIP node slopes, on
+    a grid geometric from its second node.  At p it returns shape
+    (len(profiles),) + p.shape, each profile contiguous, and derivative(p)
+    their first derivatives, both scipy's to the bit: the coefficients are
+    CubicHermiteSpline's, each point takes scipy's interval (x_i <= p <
+    x_{i+1}, the last one closed, the end ones extrapolated), and the
+    powers of s = p - x_i are summed in scipy's order.  The interval comes
+    in closed form from the ladder x_k = x_1 q**(k-1), as
+    floor(ln(p/x_1)/ln(q)) + 1 clipped to the intervals, then moves one
+    step either way against the nodes where rounding put it off by one.
+    A NaN p gives NaN, and where the cubics leave float64 they give inf or
+    NaN, as scipy's do, without a warning.
+    """
+
+    def __init__(self, x: np.ndarray, profiles):
+        log_q = _ladder_log_ratio(x)
+        self.x = x
+        slopes = np.column_stack([_pchip_slopes(x, y) for y in profiles])
+        spline = CubicHermiteSpline(x, np.column_stack(profiles), slopes)
+        # powers 3 to 0, then profile, then interval: one take gathers
+        # every coefficient a point needs, profile-major
+        self._c = np.ascontiguousarray(spline.c.transpose(0, 2, 1))
+        self._top = x.size - 2
+        # floor(ln(p/x_1)/ln q) + 1 as ln(p) times 1/ln q plus an offset
+        self._inv_log_q = 1.0 / log_q
+        self._offset = 1.0 - math.log(x[1]) * self._inv_log_q
+        # each interval's bounds for the correction, open to -inf below
+        # the first, and no point moves past the last (NaN compares false)
+        self._lo = np.concatenate([[-np.inf], x[1:-1]])
+        self._hi = np.concatenate([x[1:-1], [np.nan]])
+
+    def interval(self, p) -> np.ndarray:
+        """scipy's interval of each point, clip(searchsorted(x, p, "right")
+        - 1, 0, n - 2), with 0 for NaN."""
+        p = np.asarray(p, dtype=float)
+        t = np.empty(p.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(p, out=t)
+        t *= self._inv_log_q
+        t += self._offset
+        np.fmax(t, 0.0, out=t)
+        np.fmin(t, self._top, out=t)
+        i = t.astype(np.intp)
+        i -= p < self._lo.take(i)
+        i += p >= self._hi.take(i)
+        return i
+
+    def _local(self, p):
+        """Each point's offset s = p - x_i in its interval i, and the
+        interval's coefficients, shape (4, profiles) + p.shape."""
+        i = self.interval(p)
+        return p - self.x.take(i), self._c.take(i, axis=-1)
+
+    def __call__(self, p) -> np.ndarray:
+        """The profiles at p, ((a0 + a1 s) + a2 s^2) + a3 s^3 with s^3 as
+        (s s) s."""
+        s, (a3, a2, a1, a0) = self._local(p)
+        with np.errstate(all="ignore"):
+            a1 *= s
+            a1 += a0
+            s2 = s * s
+            a2 *= s2
+            a1 += a2
+            s2 *= s
+            a3 *= s2
+            a1 += a3
+        return a1
+
+    def derivative(self, p) -> np.ndarray:
+        """The profiles' first derivatives at p, (a1 + (a2 s) 2) + (a3 s^2) 3."""
+        s, (a3, a2, a1, _) = self._local(p)
+        with np.errstate(all="ignore"):
+            a2 *= s
+            a2 *= 2.0
+            a2 += a1
+            a3 *= s * s
+            a3 *= 3.0
+            a2 += a3
+        return a2
+
 
 # growth exponent e of each kernel's symbol: K(1, s) tends to 2 (K0) and to
 # 0 like 1/s (K1) as s grows, so its interval integrals grow like q**(e m)
@@ -347,11 +442,7 @@ class KernelRules:
         self.grid = grid
         x = grid.nodes
         n = x.size
-        if not np.all(np.abs(x[1:] - np.geomspace(x[1], x[-1], n - 1)) <= _LADDER_RTOL * x[1:]):
-            raise InvalidParameterError(
-                "kernel rules need nodes[1:] in geometric progression, "
-                f"x_k = x_1 q**(k-1) within {_LADDER_RTOL:g} relative"
-            )
+        _ladder_log_ratio(x)
         if not x[-1] < grid.cutoff:
             raise InvalidParameterError("kernel rules need the last node below the cutoff")
         self.h = np.diff(x)
@@ -480,7 +571,7 @@ def m_alpha(d: Dispersion) -> float:
 
 def g1_prime_zero(d: Dispersion) -> float:
     """Slope of g1 at the origin, extrapolated like m_alpha."""
-    return float(d.interpolant(0.0, 1)[1])
+    return float(d.interpolant.derivative(0.0)[1])
 
 
 @dataclass(frozen=True)
@@ -507,7 +598,7 @@ def check_asymptotics(d: Dispersion) -> dict[str, AsymptoticsEntry]:
     x = 2.0 * params.alpha * math.asinh(params.cutoff) / (3.0 * math.pi)
     m_pred = (1.0 + x) ** 1.5
     g1p_pred = 1.0 + x
-    ratio = float(np.max(np.abs(d.interpolant(d.grid.nodes, 1)[:, 0]))) / params.alpha
+    ratio = float(np.max(np.abs(d.interpolant.derivative(d.grid.nodes)[0]))) / params.alpha
     entries = (
         AsymptoticsEntry("m_alpha", m, m_pred, abs(m - m_pred) / m_pred),
         AsymptoticsEntry("g1_prime_zero", g1p0, g1p_pred, abs(g1p0 - g1p_pred) / g1p_pred),

@@ -36,7 +36,9 @@ from K_SWITCH on.  |q| = r is a radial node, so the q side of the
 interpolant is read once per node.
 
 B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
-the one (g0, g1) interpolant the Dispersion caches.  B(0)'s integrand is
+the one (g0, g1) interpolant the Dispersion caches.  It returns g0 and g1
+profile-first, each a contiguous array of the points' shape, which the
+wedge integrand reads with no stride.  B(0)'s integrand is
 written in ratios bounded by the slopes, so it holds its free closed form
 until the interpolant itself overflows.  Where float64 overflows (on the
 free dispersion, B(k) from a cutoff near 1.3e61, where the wedge's
@@ -102,8 +104,8 @@ def b_lambda_zero_radial(d: Dispersion) -> float:
     u_log = np.exp(0.5 * (a + b) + 0.5 * (b - a) * _GL4_X)
     u = np.concatenate([0.5 * x[0] * (1.0 + _GL4_X), u_log.ravel()])
     w = np.concatenate([0.5 * x[0] * _GL4_W, (0.5 * (b - a) * _GL4_W * u_log).ravel()])
-    g0, g1 = d.interpolant(u).T
-    g0p, g1p = d.interpolant(u, 1).T
+    g0, g1 = d.interpolant(u)
+    g0p, g1p = d.interpolant.derivative(u)
     et = np.hypot(g0, g1)
     with np.errstate(over="ignore", invalid="ignore"):
         # in ratios bounded by the slopes, so that no power of u or Et
@@ -145,10 +147,10 @@ def _panel_edges(k: np.ndarray, cut: float) -> np.ndarray:
 
 def _wedge_integrand(s, gp, gq, work):
     """Wedge-form integrand f from s = 1 - cos(p, q), with (g0, g1) at |p|
-    in gp and at |q| in gq on their last axis, broadcast to s's shape.
+    in gp and at |q| in gq on their first axis, broadcast to s's shape.
     Overwrites s and the three arrays of work, each of s's shape, and
     returns f in work[0]."""
-    g0p, g1p, g0q, g1q = gp[..., 0], gp[..., 1], gq[..., 0], gq[..., 1]
+    (g0p, g1p), (g0q, g1q) = gp, gq
     wedge, a, b = work
     # the minor g0p g1q - g1p g0q in difference form keeps full accuracy
     # at small k, and the rest of the wedge, both s (same + both + dot)
@@ -206,7 +208,7 @@ def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
     mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
     # r dr times the t rule's half width; |p| and the t weight come per point
     w = 0.5 * (b - a) * _GL16_W * r * half
-    gq = d.interpolant(r)[..., None, :]
+    gq = d.interpolant(r)[..., None]
     # one value a radial node, on a new last axis for the t points
     r, two_r, mid, half = (x[..., None] for x in (r, 2.0 * r, mid, half))
     k2 = (kp * kp)[..., None]
@@ -224,7 +226,7 @@ def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
         np.multiply(t, t, out=s)
         np.subtract(k2[part], s, out=s)
         s /= np.multiply(two_r[part], pn, out=t)
-        f = integrand(s, d.interpolant(pn), gq[part], work)
+        f = integrand(s, d.interpolant(pn), gq[:, part], work)
         f *= pn
         # one 16-point dot a row and one a panel, the same sums as np.dot
         sums[part] = np.vecdot(w[part], np.vecdot(f, _GL16_W))
@@ -387,7 +389,7 @@ def kernel_difference_bound_check(d: Dispersion, seed: int) -> KernelBoundReport
     radii = d.grid.cutoff ** np.array(expo)
     p_vec, q_vec = np.moveaxis(vec * radii[..., None], 1, 0)
     cosang = np.sum(p_vec * q_vec, axis=-1) / (radii[:, 0] * radii[:, 1])
-    (g0p, g1p), (g0q, g1q) = np.transpose(d.interpolant(radii), (1, 2, 0))
+    (g0p, g0q), (g1p, g1q) = d.interpolant(radii.T)
     ep, eq = np.hypot(g0p, g1p), np.hypot(g0q, g1q)
     dot = g0p * g0q + g1p * g1q * cosang
     lhs = (ep * eq - dot) / (ep * eq * (ep + eq))

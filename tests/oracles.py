@@ -32,8 +32,8 @@ from bdfvac.cli import RunConfig
 from bdfvac.dispersion import Dispersion
 from bdfvac.energy import _ingredients
 from bdfvac.numerics import InvalidParameterError, OutOfRangeError, RadialGrid
+from bdfvac import pekar
 from bdfvac.pekar import (
-    DEFAULT_DT,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     GAUSSIAN_SIGMA_STAR,
@@ -172,7 +172,7 @@ def e_tilde(d: Dispersion, p) -> float:
 def raw_integrand(s, gp, gq, work):
     """Textbook-form integrand in s = 1 - cos(p, q), kept only to validate
     the wedge form; it leaves work unused."""
-    (g0p, g1p), (g0q, g1q) = np.moveaxis(gp, -1, 0), np.moveaxis(gq, -1, 0)
+    (g0p, g1p), (g0q, g1q) = gp, gq
     etp = np.sqrt(g0p * g0p + g1p * g1p)
     etq = np.sqrt(g0q * g0q + g1q * g1q)
     dot = g0p * g0q + g1p * g1q * (1.0 - s)
@@ -277,7 +277,7 @@ def kernel_bound_per_sample(d: Dispersion, seed: int) -> KernelBoundReport:
         p_vec, q_vec = vec * radii[:, None]
         pn, qn = radii
         cosang = float(np.dot(p_vec, q_vec) / (pn * qn))
-        (g0p, g1p), (g0q, g1q) = d.interpolant(radii).tolist()
+        (g0p, g0q), (g1p, g1q) = d.interpolant(radii).tolist()
         ep, eq = math.hypot(g0p, g1p), math.hypot(g0q, g1q)
         dot = g0p * g0q + g1p * g1q * cosang
         lhs = (ep * eq - dot) / (ep * eq * (ep + eq))
@@ -388,9 +388,14 @@ def direct_energy(grid: RadialGrid, u2: np.ndarray) -> float:
 
 
 def normalized(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """u scaled to 4 pi h sum u^2 = 1, the unit L^2 norm of phi = u/r."""
+    """u scaled to 4 pi h sum u^2 = 1, the unit L^2 norm of phi = u/r;
+    like make_state, InvalidParameterError for a norm that is 0 or not
+    finite."""
     u = np.asarray(u, dtype=float)
-    return u / math.sqrt(4.0 * math.pi * grid.uniform_spacing * float(np.dot(u, u)))
+    norm2 = 4.0 * math.pi * grid.uniform_spacing * float(np.dot(u, u))
+    if not 0.0 < norm2 < math.inf:
+        raise InvalidParameterError(f"profile norm^2 {norm2} is not finite and positive")
+    return u / math.sqrt(norm2)
 
 
 def _banded_state(grid: RadialGrid, u: np.ndarray) -> PekarState:
@@ -438,21 +443,21 @@ def solve_pekar_banded(
     grid: RadialGrid, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> PekarState:
     """solve_pekar's descent loop on the banded step: the same schedule
-    from the same Gaussian, each Hartree potential recomputed where it is
-    read."""
+    (DEFAULT_DT, CHECK_EVERY and accepted_step's rejection rule, read from
+    pekar) from the same Gaussian, each Hartree potential recomputed where
+    it is read."""
     r = grid.nodes
     state = _banded_state(grid, r * np.exp(-(r**2) / (2.0 * GAUSSIAN_SIGMA_STAR**2)))
-    dt = DEFAULT_DT
-    check_every = 20
+    dt = pekar.DEFAULT_DT
     for it in range(1, max_iter + 1):
-        new = _banded_step(state, dt)
-        if new.E - state.E > 1e-12:
+        new = pekar.accepted_step(_banded_step, state, dt)
+        if new is None:
             dt *= 0.5
             if dt < 1e-12:
                 break
             continue
         state = new
-        if it % check_every == 0 and rayleigh_el_residual(state) <= tol:
+        if it % pekar.CHECK_EVERY == 0 and rayleigh_el_residual(state) <= tol:
             return state
     if rayleigh_el_residual(state) <= tol:
         return state

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -574,10 +575,10 @@ class TestSolveDispersion:
 
 
 class TestOneInterpolant:
-    """Dispersion.interpolant, built on the slopes of _pchip_slopes, equals
-    scipy's PCHIP of (g0, g1) to the bit: its coefficients, and its values
-    and first derivatives, also against a fresh PCHIP per profile as the
-    reference interp builds."""
+    """Dispersion.interpolant, the ProfileSpline on the slopes of
+    _pchip_slopes, equals scipy's PCHIP of (g0, g1) to the bit, profile
+    first: its values and first derivatives, also against a fresh PCHIP per
+    profile as the reference interp builds, and its intervals."""
 
     @pytest.mark.parametrize(
         "alpha, cutoff, n", [(0.01, 1e4, 512), (1.2, 1e4, 128), (0.003, 1.7e7, 512)]
@@ -586,13 +587,38 @@ class TestOneInterpolant:
         d = solve_dispersion(ModelParams(alpha, cutoff), make_grid(cutoff, n, "geometric"))
         assert m_alpha(d) == interp(d.grid, d.g0, 0.0)
         p = np.array([0.0, 1e-3, 1.0, 0.5 * cutoff])
-        assert np.array_equal(np.hypot(*d.interpolant(p).T), e_tilde(d, p))
+        assert np.array_equal(np.hypot(*d.interpolant(p)), e_tilde(d, p))
         x = d.grid.nodes
         pchip = PchipInterpolator(x, np.column_stack([d.g0, d.g1]))
-        assert np.array_equal(d.interpolant.c, pchip.c)
-        at = np.concatenate([[0.0], x, 0.5 * (x[1:] + x[:-1]), [cutoff]])
-        for nu in (0, 1):
-            assert np.array_equal(d.interpolant(at, nu), pchip(at, nu))
+        rng = np.random.default_rng(3)
+        log_uniform = np.exp(rng.uniform(math.log(1e-6), math.log(2.0 * cutoff), 200_000))
+        nodes_and_midpoints = np.concatenate([[0.0], x, 0.5 * (x[1:] + x[:-1]), [cutoff]])
+        for at in (log_uniform, nodes_and_midpoints):
+            for nu, read in enumerate([d.interpolant, d.interpolant.derivative]):
+                values = read(at)
+                assert values.shape == (2,) + at.shape
+                assert values[0].flags.c_contiguous and values[1].flags.c_contiguous
+                assert np.array_equal(values, np.moveaxis(pchip(at, nu), -1, 0))
+            i = np.clip(np.searchsorted(x, at, "right") - 1, 0, x.size - 2)
+            assert np.array_equal(d.interpolant.interval(at), i)
+
+    def test_shapes_nan_and_infinity(self, solved):
+        spline = solved.interpolant
+        pchip = PchipInterpolator(solved.grid.nodes, np.column_stack([solved.g0, solved.g1]))
+        assert spline(1.0).shape == (2,)
+        p = np.array([[-1.0, math.nan], [math.inf, 2.0 * CUTOFF]])
+        for nu, read in enumerate([spline, spline.derivative]):
+            values = read(p)
+            assert values.shape == (2, 2, 2)
+            assert np.all(np.isnan(values[:, 0, 1]))
+            assert np.array_equal(values, np.moveaxis(pchip(p, nu), -1, 0), equal_nan=True)
+
+    def test_grid_off_the_ladder_is_refused(self, solved):
+        nodes = solved.grid.nodes.copy()
+        nodes[30] *= 1.0 + 1e-6
+        moved = replace(solved, grid=RadialGrid(nodes, CUTOFF))
+        with pytest.raises(InvalidParameterError, match="geometric progression"):
+            moved.interpolant
 
 
 class TestAsymptoticsReport:

@@ -296,3 +296,29 @@ def test_benchmark_reads_fields_the_fixed_point_report_keeps():
     )
     kept = {node.target.id for node in report.body if isinstance(node, ast.AnnAssign)}
     assert read <= kept, f"bench/spans.py reads {sorted(read - kept)} off FixedPointReport"
+
+
+def test_banded_oracle_runs_the_solver_schedule():
+    # the bitwise test of the banded descent against solve_pekar means
+    # something only while both run one schedule: the oracle takes the step
+    # size, the check interval and the rejection rule from bdfvac.pekar and
+    # assigns no number of its own
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    (oracle,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_pekar_banded"
+    )
+    literals = [
+        ast.unparse(node)
+        for node in ast.walk(oracle)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+    ]
+    assert not literals, f"solve_pekar_banded sets its own schedule: {literals}"
+    modulo = [
+        node.right
+        for node in ast.walk(oracle)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+    ]
+    assert modulo and not any(isinstance(right, ast.Constant) for right in modulo)
+    assert {"DEFAULT_DT", "CHECK_EVERY", "accepted_step"} <= _used_names([oracle])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bdfvac.pekar import (
     PekarConvergenceError,
     PekarState,
     _semi_implicit_step,
+    accepted_step,
     el_residual,
     gaussian_state,
     hartree_potential,
@@ -186,14 +188,43 @@ class TestMinimizer:
         assert math.isfinite(exc.value.residual) and exc.value.residual > 1e-14
         assert f"{exc.value.residual:.3e}" in str(exc.value)
 
+    def test_oversized_first_step_is_rejected_not_fatal(self, grid, minimizer, monkeypatch):
+        # at dt = 4 the first step from the Gaussian clips the profile to 0;
+        # the descent halves dt and goes on
+        monkeypatch.setattr(bdfvac.pekar, "DEFAULT_DT", 4.0)
+        assert abs(solve_pekar(grid).E - minimizer.E) <= 1e-10
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 1024])
+    @pytest.mark.parametrize("r_max", [40.0, 100.0, 400.0])
+    def test_converges_on_coarse_and_wide_boxes(self, r_max, n, monkeypatch):
+        # (100, 16) and (400, 64) reject an early step that clips the
+        # profile to 0; no grid here needs more than 61 states
+        states = []
+        make_state = bdfvac.pekar.make_state
+
+        def counting(*args):
+            states.append(1)
+            return make_state(*args)
+
+        monkeypatch.setattr(bdfvac.pekar, "make_state", counting)
+        st = solve_pekar(make_grid(r_max, n, "uniform"))
+        assert el_residual(st) <= bdfvac.pekar.DEFAULT_TOL
+        assert len(states) <= 64
+
     def test_gaussian_profile_is_not_stationary(self, grid):
         assert el_residual(gaussian_state(grid)) > 1e-2
 
 
 class TestStepReuse:
-    @pytest.mark.parametrize("n", [1024, 4096])
-    def test_bitwise_equal_to_the_banded_descent(self, n):
-        grid = make_grid(40.0, n, "uniform")
+    @pytest.mark.parametrize(
+        "r_max, n",
+        [(40.0, 1024), (40.0, 4096), (100.0, 16), (400.0, 64)],
+        ids=["1024", "4096", "r100-16", "r400-64"],
+    )
+    def test_bitwise_equal_to_the_banded_descent(self, r_max, n):
+        # (100, 16) and (400, 64) take the rejection path: a step that
+        # clips the profile to 0
+        grid = make_grid(r_max, n, "uniform")
         st, ref = solve_pekar(grid), solve_pekar_banded(grid)
         assert np.array_equal(st.u, ref.u)
         assert np.array_equal(st.V, ref.V)
@@ -218,7 +249,7 @@ class TestStepReuse:
 
             monkeypatch.setattr(bdfvac.pekar, name, counting)
         solve_pekar(grid)
-        assert calls == {"make_state": 101, "hartree_potential": 101}
+        assert calls == {"make_state": 31, "hartree_potential": 31}
 
     def _state(self, u, V):
         # two nodes, h = 1: at dt = 0.5 the descent matrix is [[d0, -c], [-c, d1]]
@@ -234,6 +265,16 @@ class TestStepReuse:
     def test_non_finite_step_raises(self):
         with pytest.raises(ValueError):
             _semi_implicit_step(self._state([1.0, math.nan], [0.0, math.nan]), 0.5)
+
+    def test_rejection_rule(self, grid):
+        # a singular system, a profile clipped to 0, a NaN energy and a rise
+        # beyond rounding level are rejected; a rise at rounding level is not
+        assert accepted_step(_semi_implicit_step, self._state([1.0, 1.0], [2.0, 2.0]), 0.5) is None
+        st = gaussian_state(grid)
+        assert accepted_step(lambda s, dt: make_state(grid, 0.0 * s.u), st, 1.0) is None
+        for rise, kept in [(math.nan, False), (1e-11, False), (1e-13, True)]:
+            new = replace(st, E=st.E + rise)
+            assert (accepted_step(lambda s, dt: new, st, 1.0) is new) is kept
 
     def test_non_finite_profile_raises(self, grid):
         u = np.exp(-grid.nodes)

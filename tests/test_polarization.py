@@ -54,21 +54,20 @@ CUTOFF = 1e4
 def _reference_points(d, k, r, t):
     """|p| = r + t, s = 1 - cos(p, q) by the law of cosines, and the
     profiles at |p| and at |q| = r from scipy's PchipInterpolator, with
-    (g0, g1) on a new last axis."""
+    (g0, g1) on a new first axis."""
     pn = r + t
     s = (k * k - t * t) / (2.0 * r * pn)
     g0i = PchipInterpolator(d.grid.nodes, d.g0, extrapolate=True)
     g1i = PchipInterpolator(d.grid.nodes, d.g1, extrapolate=True)
-    gp = np.stack([g0i(pn), g1i(pn)], axis=-1)
-    gq = np.stack([g0i(r), g1i(r)], axis=-1)
+    gp = np.stack([g0i(pn), g1i(pn)])
+    gq = np.stack([g0i(r), g1i(r)])
     return s, pn, gp, gq
 
 
 def reference_wedge_integrand(d, k, r, t):
     """Wedge integrand f |p| with both sides read from the oracle
     interpolant, in the order of operations of polarization's."""
-    s, pn, gp, gq = _reference_points(d, k, r, t)
-    (g0p, g1p), (g0q, g1q) = np.moveaxis(gp, -1, 0), np.moveaxis(gq, -1, 0)
+    s, pn, (g0p, g1p), (g0q, g1q) = _reference_points(d, k, r, t)
     minor = (g0p - g0q) * g1q - (g1p - g1q) * g0q
     both, same = g1p * g1q, g0p * g0q
     dot = (same + both) - both * s
@@ -343,9 +342,11 @@ class TestBatchedQuadrature:
         fresh = replace(dressed)
         interpolant = fresh.interpolant
 
-        def recording(x, *rest):
+        def recording(x):
             args.append(np.array(x))  # a copy: the points come in a reused buffer
-            return interpolant(x, *rest)
+            values = interpolant(x)
+            assert values.shape == (2,) + np.shape(x)  # profile first
+            return values
 
         fresh.__dict__["interpolant"] = recording  # shadows the cached property
         k, cut = 1.0, CUTOFF
