@@ -28,12 +28,13 @@ B(0) for k from 1e-4 to 1 at cutoffs from 1e6 to 1e61.  The radial panels
 break at the two kinks of the t limits, r = k/2 and r = |Cut - k|, so that
 no Gauss panel straddles one, and each panel takes a 16 x 16 Gauss rule
 in (r, t): about 2200 points a k.  b_lambda_k takes one k or a 1-d array
-of them: the panels of every k go through the integrand together,
-PANELS_PER_PASS at a time in buffers made once a call, and each k adds
+of them: the panels of every k go through the integrand together, in
+blocks of PANELS_PER_BLOCK whose geometry is made at once, and within a
+block PANELS_PER_PASS at a time in buffers made once a call.  Each k adds
 its panel sums in panel order, so a k's B does not depend on the other k
-of its call.  polarization_table makes one such call for all of its k
-from K_SWITCH on.  |q| = r is a radial node, so the q side of the
-interpolant is read once per node.
+of its call, nor on either size.  polarization_table makes one such call
+for all of its k from K_SWITCH on.  |q| = r is a radial node, so the q
+side of the interpolant is read once per node.
 
 B(0) and every B(k) evaluate the profiles, and B(0) their slopes, through
 the one (g0, g1) interpolant the Dispersion caches.  It returns g0 and g1
@@ -76,6 +77,14 @@ PANEL_RATIO = 4.0
 # five (panels, 16, 16) buffers of 64 kB each, made once a call.  At 16,
 # 32 and 64 panels the 512-k table runs within 10% of one another.
 PANELS_PER_PASS = 32
+# radial panels whose geometry and q-side profiles one B(k) block makes at
+# once, so that a table's temporaries do not grow with its k.  On 2 cores,
+# numpy 2.4, the 450 k of the 512-k table at 2048 nodes peak at 1.6 MiB
+# above the call's start (1.4 at 128 panels, 2.1 at 512) and take 45-48 ms,
+# as with every panel's made at once, which peaked at 8.2 MiB.  After a
+# 2048-node solve a table pass takes about 600 page faults, against 2500
+# in blocks of 512 and 1800 in one block.
+PANELS_PER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -188,9 +197,8 @@ def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
     """B at each k of the 1-d array k, with integrand(s, gp, gq, work) on
     the (r, t) rule of every radial panel of the half-space |p| >= |q|.
 
-    The panels of all k go through the integrand together, PANELS_PER_PASS
-    at a time in buffers made once a call, and each k adds its panel sums
-    in panel order."""
+    The panels of all k go through _panel_sums together, PANELS_PER_BLOCK
+    at a time, and each k adds its panel sums in panel order."""
     cut = d.grid.cutoff
     outside = ~((k > 0) & (k <= 2.0 * cut))
     if outside.any():
@@ -198,8 +206,26 @@ def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
     edges = _panel_edges(k, cut)
     panel = np.isfinite(edges[:, 1:])
     owner = np.nonzero(panel)[0]  # the index of each panel's k
-    a, b = edges[:, :-1][panel][:, None], edges[:, 1:][panel][:, None]
-    kp = k[owner][:, None]
+    lo, hi = edges[:, :-1][panel], edges[:, 1:][panel]
+    sums = np.empty(owner.size)
+    buffers = np.empty((5, PANELS_PER_PASS, 16, 16))
+    for start in range(0, owner.size, PANELS_PER_BLOCK):
+        block = slice(start, start + PANELS_PER_BLOCK)
+        sums[block] = _panel_sums(d, k[owner[block]], lo[block], hi[block], integrand, buffers)
+    # bincount adds each k's panel sums in panel order; a k whose ball is
+    # empty has no panel and keeps 0
+    total = np.bincount(owner, weights=sums, minlength=k.size)
+    # azimuthal 2 pi, and 2 for the half-space |p| < |q|
+    return 4.0 * total / (math.pi * k * k * k)
+
+
+def _panel_sums(d: Dispersion, k, a, b, integrand, buffers) -> np.ndarray:
+    """The (r, t) rule's sum of r |p| f on each radial panel [a, b] of the
+    k beside it, 1-d arrays alike: the panels' geometry and the q side of
+    the interpolant at once, then the integrand PANELS_PER_PASS panels at
+    a time in buffers, shape (5, PANELS_PER_PASS, 16, 16)."""
+    cut = d.grid.cutoff
+    a, b, kp = a[:, None], b[:, None], k[:, None]
     r = 0.5 * (a + b) + 0.5 * (b - a) * _GL16_X
     # t from the plane |p| = |q| (or p antiparallel to q) to the sphere
     # |p| = cut (or p parallel to q)
@@ -213,7 +239,6 @@ def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
     r, two_r, mid, half = (x[..., None] for x in (r, 2.0 * r, mid, half))
     k2 = (kp * kp)[..., None]
     sums = np.empty(len(w))
-    buffers = np.empty((5, PANELS_PER_PASS, 16, 16))
     for start in range(0, len(w), PANELS_PER_PASS):
         part = slice(start, start + PANELS_PER_PASS)
         # the integrand's work starts with t's buffer, free once s is made
@@ -230,11 +255,7 @@ def _b_lambda_k_generic(d: Dispersion, k: np.ndarray, integrand) -> np.ndarray:
         f *= pn
         # one 16-point dot a row and one a panel, the same sums as np.dot
         sums[part] = np.vecdot(w[part], np.vecdot(f, _GL16_W))
-    # bincount adds each k's panel sums in panel order; a k whose ball is
-    # empty has no panel and keeps 0
-    total = np.bincount(owner, weights=sums, minlength=k.size)
-    # azimuthal 2 pi, and 2 for the half-space |p| < |q|
-    return 4.0 * total / (math.pi * k * k * k)
+    return sums
 
 
 def b_lambda_k(d: Dispersion, k):

@@ -436,6 +436,25 @@ class TestGeometricLadder:
         assert np.max(np.abs(rows - exact) / exact) <= 1e-13
 
 
+class TestBlockedBuild:
+    """KernelRules integrates its pieces PIECES_PER_BLOCK at a time, and
+    each piece's sums are formed within its block, so no rule array
+    depends on the block size."""
+
+    @pytest.mark.parametrize("n, cutoff", [(128, 1e4), (512, 1.7e7)])
+    def test_rules_do_not_depend_on_the_block(self, n, cutoff, monkeypatch):
+        grid = make_grid(cutoff, n, "geometric")
+        one_block = 10**9
+        rules = {}
+        for block in (7, one_block, bdfvac.dispersion.PIECES_PER_BLOCK):
+            monkeypatch.setattr(bdfvac.dispersion, "PIECES_PER_BLOCK", block)
+            rules[block] = KernelRules(grid)
+        for name in ("template", "origin", "tail", "row0", "_spectrum", "_weight_out"):
+            one = getattr(rules[one_block], name)
+            for block, other in rules.items():
+                assert np.array_equal(getattr(other, name), one), (name, block)
+
+
 def _branch_data():
     """Nonuniform nodes and samples reaching every branch of the PCHIP
     slopes: a sign change, a flat segment, the left end slope set to 0 and
@@ -467,18 +486,25 @@ class TestPchipSlopes:
             rng = np.random.default_rng(7)
             x = np.cumsum(rng.uniform(0.1, 2.0, 200))
             y = rng.normal(size=200)
-        dk = _pchip_slopes(x, y)
-        pchip = PchipInterpolator(x, y)
-        assert np.array_equal(dk[:-1], pchip.c[2])
-        last = float(pchip.derivative()(x[-1]))
-        assert abs(dk[-1] - last) <= 1e-12 * max(1.0, abs(last))
+        # three profiles stacked, each row scipy's to the bit: the slopes
+        # at the left ends of the intervals, and the last one as minus the
+        # first of the mirrored data, whose widths and secants are the same
+        # numbers up to exact negations
+        rows = np.stack([y, -2.0 * y, y[::-1]])
+        dk = _pchip_slopes(x, rows)
+        for row, slopes in zip(rows, dk):
+            assert np.array_equal(slopes, _pchip_slopes(x, row))
+            assert np.array_equal(slopes[:-1], PchipInterpolator(x, row).c[2])
+            assert slopes[-1] == -PchipInterpolator(-x[::-1], row[::-1]).c[2][0]
 
-    def test_refuses_a_harmonic_mean_past_float64(self):
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+    def test_refuses_a_harmonic_mean_past_float64(self, stacked):
         # the SCF's g0/Et ~ 1/p on nodes up to 1e110: w/m ~ p^3 overflows,
         # and the slope would read 0 where it is about -1/p^2
         x = make_grid(1e110, 128, "geometric").nodes
+        y = 1.0 / np.hypot(1.0, x)
         with pytest.raises(InvalidParameterError, match="overflow float64"):
-            _pchip_slopes(x, 1.0 / np.hypot(1.0, x))
+            _pchip_slopes(x, np.stack([x, y]) if stacked else y)
 
 
 class TestStrongCoupling:

@@ -18,6 +18,7 @@ from bdfvac.polarization import (
     DEFAULT_K_MIN,
     K_SWITCH,
     PANEL_RATIO,
+    PANELS_PER_BLOCK,
     PANELS_PER_PASS,
     _GL16_W,
     _GL16_X,
@@ -377,14 +378,21 @@ class TestBatchedQuadrature:
         assert len(calls) == 1
         assert calls[0].tolist() == k[k >= K_SWITCH].tolist()
 
-    @pytest.mark.parametrize("per_pass", [7, PANELS_PER_PASS])
+    @pytest.mark.parametrize(
+        "per_pass, per_block",
+        [(7, 7), (7, 45), (PANELS_PER_PASS, 100), (PANELS_PER_PASS, PANELS_PER_BLOCK)],
+    )
     def test_batched_table_matches_the_scalar_rule_across_passes(
-        self, dressed, chunked_k, per_pass, monkeypatch
+        self, dressed, chunked_k, per_pass, per_block, monkeypatch
     ):
+        # blocks of one pass of 7, blocks of six passes of 7 and one of 3,
+        # blocks of three passes of 32 and one of 4, and the default
         k, per_panel = chunked_k
         panels = sum(len(reference_panels(kk, CUTOFF)) for kk in k)
         assert panels > 2 * per_pass  # at least three array passes
+        assert panels > per_block  # at least two blocks
         monkeypatch.setattr(bdfvac.polarization, "PANELS_PER_PASS", per_pass)
+        monkeypatch.setattr(bdfvac.polarization, "PANELS_PER_BLOCK", per_block)
         B = b_lambda_k(dressed, k)
         assert B.tolist() == per_panel
         assert B.tolist() == [b_lambda_k(dressed, float(kk)) for kk in k]
@@ -405,9 +413,10 @@ class TestBatchedQuadrature:
             with pytest.raises(OutOfRangeError):
                 b_lambda_k(dressed, np.array([1.0, bad, 2.0]))
 
-    def test_b_k_names_the_first_non_finite_value(self, dressed, monkeypatch):
+    @pytest.mark.parametrize("per_block", [1, 3, PANELS_PER_BLOCK])
+    def test_b_k_names_the_first_non_finite_value(self, dressed, per_block, monkeypatch):
         # one panel a pass, so every pass after the panels of k = 0.5 is
-        # one of k = 2 or 3
+        # one of k = 2 or 3, in blocks of any size
         calls, first = [], len(reference_panels(0.5, CUTOFF))
 
         def nan_from_k_2(s, gp, gq, work):
@@ -416,6 +425,7 @@ class TestBatchedQuadrature:
             return f if len(calls) <= first else f * np.nan
 
         monkeypatch.setattr(bdfvac.polarization, "PANELS_PER_PASS", 1)
+        monkeypatch.setattr(bdfvac.polarization, "PANELS_PER_BLOCK", per_block)
         monkeypatch.setattr(bdfvac.polarization, "_wedge_integrand", nan_from_k_2)
         with pytest.raises(InvalidParameterError, match=r"^B\(2\) = nan"):
             b_lambda_k(dressed, np.array([0.5, 2.0, 3.0]))
