@@ -25,7 +25,8 @@ scf_step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -81,13 +82,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Dispersion:
-    """Sampled dressed dispersion profiles on a momentum grid."""
+    """Sampled dressed dispersion profiles on a momentum grid.
+
+    rules is the KernelRules that solve_dispersion iterated on, None for
+    free profiles: it is held only so that a rule lives as long as some
+    result solved with it.
+    """
 
     params: ModelParams
     grid: RadialGrid
     g0: np.ndarray
     g1: np.ndarray
     report: FixedPointReport
+    rules: KernelRules | None = field(default=None, repr=False, compare=False)
 
     @property
     def e_tilde_samples(self) -> np.ndarray:
@@ -310,27 +317,38 @@ def _log_weights():
 _LOG_W = _log_weights()
 
 
-def _graded_panels(width, room, log_end):
+def _graded_depth(p, a, b):
+    """Each piece [a, b]'s graded depth toward the singular point p at or
+    beyond one of its ends: the smallest J >= 0 with (b - a)*2**-J no
+    larger than its room, a quarter of p's distance from that end, or of p
+    where p is the end.  _graded_panels gives the piece 1 + 2J columns."""
+    delta = np.abs(np.where(p <= a, a, b) - p)
+    room = np.where(delta == 0, p, delta) / 4
+    width = b - a
+    depth = np.maximum(np.ceil(np.log2(width / room)), 0.0).astype(int)
+    depth += np.ldexp(width, -depth) > room
+    return depth
+
+
+def _graded_panels(width, depth, log_end):
     """8-point Gauss panels on pieces [0, width] in the distance r from
     their end nearest a log-singular point, graded toward that end.
 
-    A piece takes the smallest depth J >= 0 with g = width*2**-J no larger
-    than its room.  Its last panel is [0, g], and [g, width] splits into 2J
-    half octaves [lo, sqrt(2) lo].  Where log_end, the singular point is
-    the end itself: at r = g*v, ln(R/r) = ln(R/g) - ln(v) puts the smooth
+    A piece of depth J (from _graded_depth) has its last panel [0, g],
+    g = width*2**-J, and [g, width] splits into 2J half octaves
+    [lo, sqrt(2) lo].  Where log_end, the singular point is the end
+    itself: at r = g*v, ln(R/r) = ln(R/g) - ln(v) puts the smooth
     part on the Gauss weights and -ln(v) on g*_LOG_W, exact for -ln(v)
     times any polynomial of degree 7.
 
-    width, room and log_end are arrays over the pieces.  Returns (piece, r,
-    w, c), point-major, one column per panel, piece naming each column's
+    width, depth and log_end are arrays over the pieces.  Returns (piece,
+    r, w, c), point-major, one column per panel, piece naming each column's
     piece: first the [0, g] panels, one per piece in piece order, then the
     half octaves, sorted by piece.  c = g*(_LOG_W + _NEAR_W ln v) has one
     column per log_end piece: the integral of F(r) ln(R(r)/r) over a piece
     is the sum of w F ln(R/r) over its points, plus c F over its [0, g]
     panel's where log_end.
     """
-    depth = np.maximum(np.ceil(np.log2(width / room)), 0.0).astype(int)
-    depth += np.ldexp(width, -depth) > room
     g = np.ldexp(width, -depth)
     # half octave k of a piece starts at lo = width*2**(-(k+1)/2)
     halves = 2 * depth
@@ -344,31 +362,31 @@ def _graded_panels(width, room, log_end):
     return np.concatenate([np.arange(width.size), half]), r, _NEAR_W[:, None] * span, c
 
 
-def _kernel_rule(p, a, b):
+def _kernel_rule(p, a, b, depth):
     """Points and K0, K1 weights that integrate K(p, s) F(s) over the
     pieces [a, b] exactly for F a cubic, to rounding.
 
     The singular point p lies at or beyond an end of each piece, and
-    _graded_panels grades each piece toward p until its last panel is no
-    wider than a quarter of its distance from p, or, when p is an end, than
-    p/4, which keeps ln(p + s) smooth on the product rule's panel.
+    _graded_panels grades each piece toward p to its _graded_depth, depth,
+    so that its last panel is no wider than a quarter of its distance from
+    p, or, when p is an end, than p/4, which keeps ln(p + s) smooth on the
+    product rule's panel.
     K0 = s*ln((p+s)/|p-s|) and K1 = s*bracket(p, s) take the log as
     log1p(2 min(p,s)/u) of the distance u = |s - p|, never by subtracting
     nearly equal numbers, and the bracket takes its series up to
-    min/max = t = 1/2 and (1+t^2)/(2t) times the log above.  The arguments
-    broadcast to one array of pieces.
+    min/max = t = 1/2 and (1+t^2)/(2t) times the log above.  p, a, b and
+    depth broadcast to one array of pieces.
 
     Returns (piece, s, weights) in _graded_panels' layout, weights of shape
     (2,) + s.shape.
     """
-    p, a, b = (np.ravel(v) for v in np.broadcast_arrays(p, a, b))
+    p, a, b, depth = (np.ravel(v) for v in np.broadcast_arrays(p, a, b, depth))
     right = p <= a
     near = np.where(right, a, b)
     delta = np.abs(near - p)
     log_end = delta == 0
     sign = np.where(right, 1.0, -1.0)
-    room = np.where(log_end, p, delta) / 4
-    piece, r, w, c = _graded_panels(b - a, room, log_end)
+    piece, r, w, c = _graded_panels(b - a, depth, log_end)
     # each piece's scalars broadcast as one row over its columns' points
     ps = p[piece]
     s = r * sign[piece]
@@ -392,31 +410,37 @@ def _kernel_rule(p, a, b):
     return piece, s, weights
 
 
-# pieces that one _moments call integrates in the KernelRules build, so
-# that its temporaries do not grow with the grid.  On 2 cores, numpy 2.4:
-# at 2048 nodes (10235 pieces) the build peaks at 3.2 MiB above its start
-# and runs about 15% faster than in one call, which peaked at 8.7 MiB; at
-# 3035 nodes 3.9 MiB against 12.8.  A 512-node build (2555 pieces) stays
-# one call: blocks of 1024 would take the 2048-node peak lower, but cost
-# that build 0.2 ms (11%), and the scan builds ten such rules a pass.
-PIECES_PER_BLOCK = 2560
+# Gauss columns that one _moments call integrates in the KernelRules build,
+# so that its temporaries do not grow with the grid: about 0.7 KiB a
+# column, and a piece takes 1 + 2J columns at graded depth J.  On 2 cores,
+# numpy 2.4, every call of a 2048- or 4096-node build peaks at 2.0 MiB,
+# and the build at 3.14 and 4.50 MiB above its start; blocks of 2560
+# pieces peaked at 2.54 and 3.23 MiB in the block of the rows' [0, x_1]
+# pieces, and 3.20 and 4.70 MiB in all.  A 512-node build (2650 to 3030
+# columns at cutoffs up to 1e40) stays one call: each call costs about
+# 0.1 ms.
+COLUMNS_PER_BLOCK = 3072
 
 
-def _moments(p, a, b, left, h):
+def _moments(p, a, b, left, h, depth):
     """The K0 and K1 integrals over the pieces [a, b] of the cubic Hermite
     basis of the interval [left, left + h], shape (2, 4, pieces), by
-    _kernel_rule; the arguments broadcast to one array of pieces.  The
-    sums of w tau**j, j = 0..3, are taken over every column at once, and
-    the half octaves' sums, sorted by piece, add to their pieces over runs
-    of columns."""
-    p, a, b, left, h = (np.ravel(v) for v in np.broadcast_arrays(p, a, b, left, h))
-    piece, s, w = _kernel_rule(p, a, b)
+    _kernel_rule at the pieces' _graded_depth, depth; the arguments
+    broadcast to one array of pieces.  The sums of w tau**j, j = 0..3, are
+    taken over every column at once, adding the 8 points in order (np.sum
+    would add them pairwise in a one-column call), and the half octaves'
+    sums, sorted by piece, add to their pieces over runs of columns."""
+    p, a, b, left, h, depth = (np.ravel(v) for v in np.broadcast_arrays(p, a, b, left, h, depth))
+    piece, s, w = _kernel_rule(p, a, b, depth)
     tau = (s - left[piece]) / h[piece]
     sums = np.empty((2, 4, piece.size))
     for j in range(4):
         if j:
             w *= tau
-        np.sum(w, axis=1, out=sums[:, j])
+        total = sums[:, j]
+        np.add(w[:, 0], w[:, 1], out=total)
+        for point in range(2, 8):
+            total += w[:, point]
     half = piece[p.size :]
     starts = np.flatnonzero(np.diff(half, prepend=-1))
     sums[..., half[starts]] += np.add.reduceat(sums[..., p.size :], starts, axis=2)
@@ -441,9 +465,14 @@ class KernelRules:
     0's cubic (the first node and the extrapolation to 0) and
     [x_{n-1}, cutoff] on interval n-2's cubic, extrapolated; row 0, whose
     node is off the ladder, takes every piece directly.  Every piece is
-    one cubic times a kernel, integrated by _moments to rounding,
-    PIECES_PER_BLOCK pieces a call; each piece's sums are formed within
-    its call, so no rule depends on the block size.
+    one cubic times a kernel, integrated by _moments to rounding, in
+    blocks of about COLUMNS_PER_BLOCK Gauss columns; each piece's sums are
+    formed within its call, so no rule depends on the block size.
+
+    A rule depends on its grid alone, not on alpha: solve_dispersion
+    shares one between its solves on equal grids, and each Dispersion it
+    returns holds the rule it was solved with.  So a rule keeps only what
+    integrals reads, not the template.
 
     The template part is a correlation, applied with numpy's FFT.  Its
     symbol spans q**(+-n), so each kernel's symbol is divided by q**(e m)
@@ -486,23 +515,28 @@ class KernelRules:
         # before the first block would be fresh memory, which costs a
         # 512-node build (one block) 3-6% in page faults
         with np.errstate(over="ignore", invalid="ignore"):
+            # ceil(columns / COLUMNS_PER_BLOCK) blocks of about equal columns,
+            # each piece in the one where its last column falls
+            depth = _graded_depth(*pieces[:3])
+            columns = np.cumsum(1 + 2 * depth)
+            blocks = -(-columns[-1] // COLUMNS_PER_BLOCK)
+            cuts = np.flatnonzero(np.diff((columns - 1) * blocks // columns[-1])) + 1
+            parts = zip(np.split(pieces, cuts, axis=1), np.split(depth, cuts))
             moments = np.concatenate(
-                [
-                    _moments(*pieces[:, start : start + PIECES_PER_BLOCK])
-                    for start in range(0, pieces.shape[1], PIECES_PER_BLOCK)
-                ],
-                axis=2,
+                [_moments(*part, part_depth) for part, part_depth in parts], axis=2
             )
-            self.template, self.origin, self.tail, row0 = np.split(
+            template, origin, tail, row0 = np.split(
                 moments, np.cumsum([m.size, n - 1, n - 1]), axis=2
             )
+            # copies, so that the rule does not keep the moments
+            self.origin, self.tail = origin.copy(), tail.copy()
             # row 0's first two pieces lie on interval 0's cubic, its last
             # two on interval n-2's
             self.row0 = row0[..., 1:-1].copy()
             self.row0[..., 0] += row0[..., 0]
             self.row0[..., -1] += row0[..., -1]
             self._weight_out = p ** (2.0 - _GROWTH[:, None])
-        rule = (self.template, self.origin, self.tail, self.row0, self._weight_out)
+        rule = (template, self.origin, self.tail, self.row0, self._weight_out)
         if not all(np.all(np.isfinite(v)) for v in rule):
             raise InvalidParameterError(
                 f"kernel rules at cutoff {grid.cutoff:.3g} overflow float64"
@@ -511,7 +545,7 @@ class KernelRules:
         # holds every lag m = k - i: symbol[-m] = template[m] / q**(e m)
         self._size = 2 * n
         symbol = np.zeros((2, 4, self._size))
-        symbol[..., -m % self._size] = self.template / lo ** _GROWTH[:, None, None]
+        symbol[..., -m % self._size] = template / lo ** _GROWTH[:, None, None]
         self._spectrum = np.fft.rfft(symbol)
         self._weight_in = x[1 : n - 1] ** _GROWTH[:, None, None]
 
@@ -556,6 +590,9 @@ def scf_step(d: Dispersion, rules: KernelRules) -> Dispersion:
     and p <= g1 <= p g0; the rows carry signed Hermite weights, so in
     floating point these bounds hold to rounding, which the tests check up
     to strong coupling.
+
+    rules must be built on d.grid itself, not on an equal grid: the solve
+    passes the rule it shares together with the rule's own grid object.
     """
     if rules.grid is not d.grid:
         raise InvalidParameterError("kernel rules were built on another grid")
@@ -569,6 +606,11 @@ def scf_step(d: Dispersion, rules: KernelRules) -> Dispersion:
     return replace(d, g0=g0_new, g1=g1_new)
 
 
+# the KernelRules of each grid value, (cutoff, node bytes), that some
+# solved Dispersion still holds; see solve_dispersion
+_SHARED_RULES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def solve_dispersion(params: ModelParams, grid: RadialGrid) -> Dispersion:
     """Solve the self-consistent equations for (g0, g1) by Picard iteration
     on the stacked [g0, g1], to DEFAULT_TOL within DEFAULT_MAX_ITER
@@ -576,9 +618,20 @@ def solve_dispersion(params: ModelParams, grid: RadialGrid) -> Dispersion:
     non-convergence.  The norm is the larger of sup|dg0| and
     sup|dg1|/max(p, 0.1): g1 grows like p, and the relative change of g1
     degenerates as p -> 0, hence the floor.
+
+    The KernelRules depend on the grid alone, so solves on equal grids
+    (the same cutoff and the same node bytes) share one: it is built on
+    the first solve and kept only by the results solved with it, as their
+    Dispersion.rules, so it goes with the last of them, and a failed solve
+    keeps none.  The solve iterates on the rule's own grid, so the
+    returned d.grid equals grid but may be another object.
     """
     d0 = free_dispersion(params, grid)
-    rules = KernelRules(grid)
+    key = (grid.cutoff, grid.nodes.tobytes())
+    rules = _SHARED_RULES.get(key)
+    if rules is None:
+        rules = _SHARED_RULES[key] = KernelRules(grid)
+    d0 = replace(d0, grid=rules.grid, rules=rules)
     n = grid.n_points
     denom = np.maximum(grid.nodes, 0.1)
 

@@ -6,7 +6,8 @@ with adaptive quad on each cubic piece against KernelRules, the 26-term
 K1 bracket series against dispersion's, the raw B(k)
 integrand against the wedge form, an unfolded l-centred rule graded
 toward the integrand's kinks, with the wedge built from vector minors,
-against B(k)'s (|q|, |p| - |q|) one, the
+against B(k)'s (|q|, |p| - |q|) one, that (|q|, |p| - |q|) form on a
+Gauss rule of any order and panel ratio against B(k)'s 16 x 16 one, the
 per-sample kernel-bound check against the batched one, the free B(0)
 against its closed form, the free B(0) - B(k) against Uehling's, the
 dressed m, g1'(0) and alpha B(0) against their alpha -> 0 laws at fixed
@@ -261,6 +262,46 @@ def b_lambda_k_unfolded(d: Dispersion, k: float, levels: int = 24, order: int = 
         total += float(np.dot(uw * u[:, 0] ** 2, (f * cmax) @ tw))
     # azimuthal 2 pi over pi^2 k^2
     return 2.0 * total / (math.pi * k * k)
+
+
+def b_lambda_k_rt(d: Dispersion, k: float, order: int, ratio: float) -> float:
+    """B(k) on b_lambda_k's (|q|, |p| - |q|) = (r, t) form with an
+    order x order Gauss rule on each radial panel and the panels past k/2
+    growing by ratio: the same breaks at k/2 and |cutoff - k|, any rule.
+    The profiles come from scipy's PchipInterpolator, the wedge from its
+    s = 1 - cos(p, q) form, and one radial panel is integrated at a time.
+    """
+    cut = d.grid.cutoff
+    r0 = max(0.0, k - cut)
+    edges = {r0, abs(cut - k), cut}
+    edge = 0.5 * k
+    while edge < cut:
+        edges.add(edge)
+        edge *= ratio
+    edges = sorted(e for e in edges if e >= r0)
+    x, w = np.polynomial.legendre.leggauss(order)
+    g0 = PchipInterpolator(d.grid.nodes, d.g0, extrapolate=True)
+    g1 = PchipInterpolator(d.grid.nodes, d.g1, extrapolate=True)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        r = 0.5 * (a + b) + 0.5 * (b - a) * x
+        t_lo = np.maximum(0.0, k - 2.0 * r)
+        t_hi = np.minimum(k, cut - r)
+        mid, half = 0.5 * (t_hi + t_lo), 0.5 * (t_hi - t_lo)
+        t = mid[:, None] + half[:, None] * x
+        r = r[:, None]
+        pn = r + t
+        s = (k - t) * (k + t) / (2.0 * r * pn)
+        g0p, g1p, g0q, g1q = g0(pn), g1(pn), g0(r), g1(r)
+        minor = (g0p - g0q) * g1q - (g1p - g1q) * g0q
+        both, same = g1p * g1q, g0p * g0q
+        dot = (same + both) - both * s
+        wedge = minor * minor + ((same + both) + dot) * (both * s)
+        etp, etq = np.hypot(g0p, g1p), np.hypot(g0q, g1q)
+        f = wedge / ((dot + etp * etq) * (etp * etq) * (etp + etq))
+        total += float(np.sum(0.5 * (b - a) * w * r[:, 0] * half * ((f * pn) @ w)))
+    # azimuthal 2 pi, and 2 for the half-space |p| < |q|
+    return 4.0 * total / (math.pi * k**3)
 
 
 def kernel_bound_per_sample(d: Dispersion, seed: int) -> KernelBoundReport:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import replace
@@ -17,9 +18,11 @@ from bdfvac.dispersion import (
     _LOG_W,
     _NEAR_V,
     _NEAR_W,
+    _graded_depth,
     _graded_panels,
     _k1_bracket_series,
     _kernel_rule,
+    _moments,
     _pchip_slopes,
     check_asymptotics,
     dispersion_to_csv,
@@ -29,7 +32,7 @@ from bdfvac.dispersion import (
     scf_step,
     solve_dispersion,
 )
-from bdfvac.numerics import InvalidParameterError, RadialGrid, make_grid
+from bdfvac.numerics import FixedPointError, InvalidParameterError, RadialGrid, make_grid
 from bdfvac.energy import assemble_breakdown
 from bdfvac.pekar import DEFAULT_R_MAX, solve_pekar
 from bdfvac.polarization import polarization_table
@@ -183,7 +186,7 @@ def _reference_integrals(grid, f0, f1, rows=None):
     a, b = _row_pieces(grid)
     out = np.zeros((2, rows.size))
     for j, i in enumerate(rows):
-        _, s, weights = _kernel_rule(x[i], a, b)
+        _, s, weights = _kernel_rule(x[i], a, b, _graded_depth(x[i], a, b))
         for kernel in (0, 1):
             out[kernel, j] = np.sum(weights[kernel] * pchips[kernel](s))
     return out
@@ -216,7 +219,8 @@ class TestFoldedQuadrature:
     def test_step_matches_pchip_at_every_abscissa(self, grid_and_rules, profile):
         grid, rules = grid_and_rules
         # both extrapolated end pieces are in use
-        _, s, _ = _kernel_rule(grid.nodes[0], *_row_pieces(grid))
+        a, b = _row_pieces(grid)
+        _, s, _ = _kernel_rule(grid.nodes[0], a, b, _graded_depth(grid.nodes[0], a, b))
         assert s.min() < grid.nodes[0] and s.max() > grid.nodes[-1]
         params = ModelParams(STRONG_ALPHA, grid.cutoff)
         if profile == "free":
@@ -248,7 +252,7 @@ class TestFoldedQuadrature:
         a, b = np.tile(a, x.size), np.tile(b, x.size)
         delta = np.maximum(a - p, p - b)
         room = np.where(delta > 0, delta, p) / 4
-        piece, r, w, c = _graded_panels(b - a, room, delta == 0)
+        piece, r, w, c = _graded_panels(b - a, _graded_depth(p, a, b), delta == 0)
         n = a.size
         assert r.shape == w.shape == (8, piece.size)
         assert np.array_equal(piece[:n], np.arange(n)) and np.all(np.diff(piece[n:]) >= 0)
@@ -331,16 +335,26 @@ class TestSingularRuleAccuracy:
         assert np.max(np.abs(fast[kernel] - oracle[kernel]) / oracle[kernel]) <= 1e-12
 
 
+def _template(grid):
+    """KernelRules' template: the unit row's moments on the ladder's
+    intervals [q**m, q**(m+1)], m in [2-n, n-3], in one _moments call."""
+    x = grid.nodes
+    ladder = np.concatenate([x[1] / x[:1:-1], x[1:] / x[1]])
+    lo, hi = ladder[:-1], ladder[1:]
+    return _moments(1.0, lo, hi, lo, hi - lo, _graded_depth(1.0, lo, hi))
+
+
 def _dense_integrals(rules, f0, f1):
     """KernelRules.integrals summed term by term: the template of each row
     times p**2, plus the pieces off the ladder, plus row 0 directly."""
     x = rules.grid.nodes
     n = x.size
     coef = np.stack([rules.coefficients(f, _pchip_slopes(x, f)) for f in (f0, f1)])
+    template = _template(rules.grid)
     out = np.empty((2, n))
     k = np.arange(1, n - 1)
     for i in range(1, n):
-        toeplitz = np.einsum("kcj,kcj->k", rules.template[..., k - i + n - 2], coef[..., 1:])
+        toeplitz = np.einsum("kcj,kcj->k", template[..., k - i + n - 2], coef[..., 1:])
         origin = np.einsum("kc,kc->k", rules.origin[..., i - 1], coef[..., 0])
         tail = np.einsum("kc,kc->k", rules.tail[..., i - 1], coef[..., -1])
         out[:, i] = x[i] ** 2 * toeplitz + origin + tail
@@ -413,7 +427,7 @@ class TestGeometricLadder:
         # the weights s*w of the pieces near the cutoff pass 1.8e308
         # between cutoff 1e150 and 1e153 at 128 nodes
         rules = KernelRules(make_grid(1e150, 128, "geometric"))
-        assert all(np.all(np.isfinite(v)) for v in (rules.template, rules.tail, rules.row0))
+        assert all(np.all(np.isfinite(v)) for v in (rules._spectrum, rules.tail, rules.row0))
         with pytest.raises(InvalidParameterError, match="cutoff 1e\\+153"):
             KernelRules(make_grid(1e153, 128, "geometric"))
 
@@ -437,19 +451,34 @@ class TestGeometricLadder:
 
 
 class TestBlockedBuild:
-    """KernelRules integrates its pieces PIECES_PER_BLOCK at a time, and
-    each piece's sums are formed within its block, so no rule array
-    depends on the block size."""
+    """KernelRules integrates its pieces in blocks of about
+    COLUMNS_PER_BLOCK Gauss columns, and each piece's sums are formed
+    within its block, so no rule array depends on the block size: not
+    even with one piece a block, where a one-column piece makes a
+    one-column block."""
 
     @pytest.mark.parametrize("n, cutoff", [(128, 1e4), (512, 1.7e7)])
     def test_rules_do_not_depend_on_the_block(self, n, cutoff, monkeypatch):
         grid = make_grid(cutoff, n, "geometric")
+        real = bdfvac.dispersion._moments
+        blocks = []
+
+        def recording(*args):
+            blocks.append(real(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(bdfvac.dispersion, "_moments", recording)
         one_block = 10**9
-        rules = {}
-        for block in (7, one_block, bdfvac.dispersion.PIECES_PER_BLOCK):
-            monkeypatch.setattr(bdfvac.dispersion, "PIECES_PER_BLOCK", block)
+        rules, moments = {}, {}
+        for block in (1, 7, one_block, bdfvac.dispersion.COLUMNS_PER_BLOCK):
+            monkeypatch.setattr(bdfvac.dispersion, "COLUMNS_PER_BLOCK", block)
+            blocks.clear()
             rules[block] = KernelRules(grid)
-        for name in ("template", "origin", "tail", "row0", "_spectrum", "_weight_out"):
+            moments[block] = np.concatenate(blocks, axis=2)
+        # every piece's moments, the template's among them
+        for block, other in moments.items():
+            assert np.array_equal(other, moments[one_block]), block
+        for name in ("origin", "tail", "row0", "_spectrum", "_weight_out"):
             one = getattr(rules[one_block], name)
             for block, other in rules.items():
                 assert np.array_equal(getattr(other, name), one), (name, block)
@@ -543,6 +572,100 @@ class TestLargeL:
             assert np.all(d.g0 >= 1.0 - 1e-12)
             assert np.all(d.g1 >= p * (1.0 - 1e-12))
             assert np.all(d.g1 <= p * d.g0 * (1.0 + 1e-12))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The grids of the KernelRules that solve_dispersion builds, counted
+    through the module global, as the benchmark's tracer counts them."""
+    real = bdfvac.dispersion.KernelRules
+    grids = []
+
+    def counting(grid):
+        grids.append(grid)
+        return real(grid)
+
+    monkeypatch.setattr(bdfvac.dispersion, "KernelRules", counting)
+    return grids
+
+
+@pytest.fixture
+def no_gc():
+    """Cyclic garbage collection off, so that a rule the store drops was
+    freed by reference counting alone."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _nudged(grid, node=None):
+    """grid with one node, or else the cutoff, one ulp up."""
+    if node is None:
+        return RadialGrid(grid.nodes, np.nextafter(grid.cutoff, np.inf))
+    nodes = grid.nodes.copy()
+    nodes[node] = np.nextafter(nodes[node], np.inf)
+    return RadialGrid(nodes, grid.cutoff)
+
+
+class TestSharedRules:
+    """solve_dispersion shares one KernelRules between solves on equal
+    grids, kept alive only by the Dispersions solved with it."""
+
+    def test_equal_grids_build_once(self, builds):
+        store = bdfvac.dispersion._SHARED_RULES
+        alphas = (0.01, 1.2)
+        grids = [make_grid(CUTOFF, 128, "geometric") for _ in alphas]
+        shared = [solve_dispersion(ModelParams(a, CUTOFF), g) for a, g in zip(alphas, grids)]
+        assert len(builds) == 1
+        assert shared[1].rules is shared[0].rules and shared[1].grid is shared[0].grid
+        assert np.array_equal(shared[1].grid.nodes, grids[1].nodes)
+        assert shared[1].grid.cutoff == grids[1].cutoff
+        # each is a solve with a fresh build, to the bit
+        for alpha, grid, d in zip(alphas, grids, shared):
+            store.clear()
+            fresh = solve_dispersion(ModelParams(alpha, CUTOFF), grid)
+            assert fresh.rules is not d.rules
+            assert np.array_equal(fresh.g0, d.g0) and np.array_equal(fresh.g1, d.g1)
+            assert fresh.report == d.report
+        assert len(builds) == 3
+
+    @pytest.mark.parametrize("node", [None, 0, 64, 127], ids=lambda i: "cutoff" if i is None else f"node{i}")
+    def test_grids_an_ulp_apart_do_not_share(self, builds, node):
+        grid = make_grid(CUTOFF, 128, "geometric")
+        other = _nudged(grid, node)
+        a = solve_dispersion(ModelParams(ALPHA, grid.cutoff), grid)
+        b = solve_dispersion(ModelParams(ALPHA, other.cutoff), other)
+        assert builds == [grid, other]
+        assert a.rules is not b.rules
+        assert np.array_equal(b.grid.nodes, other.nodes) and b.grid.cutoff == other.cutoff
+
+    def test_the_store_empties_with_the_last_result(self, no_gc):
+        store = bdfvac.dispersion._SHARED_RULES
+        grid = make_grid(CUTOFF, 128, "geometric")
+        d = solve_dispersion(ModelParams(ALPHA, CUTOFF), grid)
+        table = polarization_table(d, [1e-4, 1.0])
+        d.interpolant
+        again = solve_dispersion(ModelParams(0.3, CUTOFF), grid)
+        assert len(store) == 1
+        del d, table
+        assert len(store) == 1
+        del again
+        assert len(store) == 0
+
+    def test_a_failed_solve_keeps_no_rule(self, monkeypatch, builds, no_gc):
+        monkeypatch.setattr(bdfvac.dispersion, "DEFAULT_MAX_ITER", 1)
+        grid = make_grid(CUTOFF, 128, "geometric")
+        for _ in range(2):
+            try:
+                solve_dispersion(ModelParams(ALPHA, CUTOFF), grid)
+            except FixedPointError:
+                pass
+            else:
+                pytest.fail("one iteration converged")
+            assert len(bdfvac.dispersion._SHARED_RULES) == 0
+        assert len(builds) == 2
 
 
 class TestSolveDispersion:

@@ -29,10 +29,11 @@ def _peak(call) -> float:
 
 
 def test_kernel_rules_build_is_bounded():
-    # 4.70 MiB at 4096 nodes in blocks of 2560 pieces; integrating all
-    # 20475 pieces in one _moments call peaked at 17.31 MiB
+    # 4.50 MiB at 4096 nodes in eight blocks of about 2800 Gauss columns,
+    # 2.0 MiB each; blocks of 2560 pieces peaked at 4.70 MiB, and all
+    # 20475 pieces in one _moments call at 17.31 MiB
     grid = make_grid(CUTOFF, 4096, "geometric")
-    assert _peak(lambda: KernelRules(grid)) < 6.0
+    assert _peak(lambda: KernelRules(grid)) < 4.6
 
 
 def test_b_k_table_is_bounded():

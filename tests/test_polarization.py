@@ -38,6 +38,7 @@ from bdfvac.polarization import (
 )
 from oracles import (
     b_lambda_k_raw,
+    b_lambda_k_rt,
     b_lambda_k_unfolded,
     free_b_drop,
     free_b_lambda_zero,
@@ -315,6 +316,32 @@ class TestUnfoldedOracle:
         # and 5e-10
         B0 = b_lambda_zero_radial(dressed_large)
         assert abs(b_lambda_k(dressed_large, k) - b_lambda_k_unfolded(dressed_large, k)) <= 1e-7 * B0
+
+
+# the default table's k at alpha = 1.2, cutoff 30, n = 512 where the 16 x 16
+# rule misses most: 1.04e-6 to 1.06e-6 B(0) at the first four, 9.9e-7 at
+# the last
+STRONG_K = [0.003634, 0.2342, 0.2404, 0.2468, 0.2533]
+
+
+class TestStrongCouplingRule:
+    """b_lambda_k's 16 x 16 rule with panels growing by PANEL_RATIO = 4,
+    against a 48 x 48 rule with panels growing by 2, at alpha = 1.2: the
+    miss is 1.06e-6 B(0), its worst over the default table, and pinned
+    here at 1.1e-6 B(0).  The reference is itself within 2.7e-8 B(0) of a
+    64 x 64, ratio-2 rule on these k.  From k = cutoff/2 on the miss is
+    under 7.3e-8 B(0).  It moves erratically with the panel ratio: the
+    16 x 16 rule misses by at most 5.7e-7 B(0) on these k with panels
+    growing by 2, and 4.3e-7 by 16."""
+
+    @pytest.fixture(scope="class")
+    def strong(self):
+        return solve_dispersion(ModelParams(1.2, 30.0), make_grid(30.0, 512, "geometric"))
+
+    @pytest.mark.parametrize("k", STRONG_K)
+    def test_b_k_matches_a_finer_rt_rule(self, strong, k):
+        B0 = b_lambda_zero_radial(strong)
+        assert abs(b_lambda_k(strong, k) - b_lambda_k_rt(strong, k, 48, 2.0)) <= 1.1e-6 * B0
 
 
 BATCH_K = [K_SWITCH, 0.3, 1.0, CUTOFF, 2.0 * CUTOFF * (1.0 - 1e-9), 2.0 * CUTOFF]
